@@ -1,34 +1,10 @@
-"""Kernel backend selection.
-
-The compiled kernel (_speedups, built from Cython) is used when it is
-importable; otherwise the pure-Python kernel is a drop-in replacement.
-Set JETLAW_KERNEL=pure or JETLAW_KERNEL=compiled to force a backend;
-forcing the compiled one raises if the extension is not built.
+"""The term-level arithmetic kernel.
 
 Client modules do ``from jetlaw._kernel import impl`` and treat impl as
-opaque; BACKEND names the selected implementation.
+opaque; the implementation is the pure-Python module pure, and BACKEND
+names it.
 """
 
-import os
+from . import pure as impl
 
-_forced = os.environ.get("JETLAW_KERNEL", "").strip().lower()
-
-if _forced == "pure":
-    from . import pure as impl
-
-    BACKEND = "pure"
-elif _forced == "compiled":
-    from . import _speedups as impl  # type: ignore[attr-defined]
-
-    BACKEND = "compiled"
-elif _forced:
-    raise ImportError(f"JETLAW_KERNEL must be 'pure' or 'compiled', not {_forced!r}")
-else:
-    try:
-        from . import _speedups as impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import pure as impl
-
-        BACKEND = "pure"
+BACKEND = "pure"

@@ -1,4 +1,4 @@
-"""Term-level arithmetic kernel, pure-Python reference implementation.
+"""Term-level arithmetic kernel.
 
 A differential polynomial is stored as a dict mapping monomials to
 nonzero Fraction coefficients.  A monomial is a tuple
@@ -10,18 +10,97 @@ with exp > 0.  The triple (nt, nx, exp) stands for the jet variable
 u_(nt,nx) = d^nt/dt^nt d^nx/dx^nx u raised to the power exp.  The empty
 dict is the zero polynomial; ONE_MONO is the unit monomial.
 
-jetlaw._kernel selects this module or its compiled twin _speedups at
-import time.  Both expose the same functions with identical semantics
-and identical outputs; the test suite cross-checks them on randomized
-inputs.  Keep the two in sync.
+Coefficient arithmetic works on numerator/denominator integer pairs,
+with one gcd reduction per result instead of the full Fraction operator
+protocol per operation.  Results are ordinary, fully reduced Fractions.
+When the running fractions implementation admits it they are built by
+filling the slots of a new Fraction directly; a probe at import time
+checks that such a Fraction compares, adds and hashes like one from the
+constructor, and the constructor is used otherwise.
 """
 
 from fractions import Fraction
+from math import gcd
 
 ONE_MONO = (0, 0, ())
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _slots_work() -> bool:
+    """Whether a Fraction built by filling its slots behaves like one
+    from the constructor."""
+    try:
+        probe = object.__new__(Fraction)
+        probe._numerator = 3
+        probe._denominator = 2
+        return (
+            probe == Fraction(3, 2)
+            and probe + probe == Fraction(3, 1)
+            and hash(probe) == hash(Fraction(3, 2))
+        )
+    except (AttributeError, TypeError):
+        return False
+
+
+if _slots_work():
+
+    def _frac(n, d):
+        """Fraction n/d for already-reduced n, d with d > 0."""
+        f = object.__new__(Fraction)
+        f._numerator = n
+        f._denominator = d
+        return f
+
+else:
+
+    def _frac(n, d):
+        """Fraction n/d for already-reduced n, d with d > 0."""
+        return Fraction(n, d)
+
+
+def _mul_frac(a, b):
+    """Exact product of two Fractions via integer pairs."""
+    na = a.numerator
+    da = a.denominator
+    nb = b.numerator
+    db = b.denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _frac(na * nb, da * db)
+
+
+def _add_frac(a, b):
+    """Exact sum of two Fractions via integer pairs (Knuth's method)."""
+    na = a.numerator
+    da = a.denominator
+    nb = b.numerator
+    db = b.denominator
+    g = gcd(da, db)
+    if g == 1:
+        return _frac(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _frac(t, s * db)
+    return _frac(t // g2, s * (db // g2))
+
+
+def _mul_frac_int(a, k):
+    """Exact product of a Fraction and a positive int."""
+    da = a.denominator
+    g = gcd(k, da)
+    if g > 1:
+        k //= g
+        da //= g
+    return _frac(a.numerator * k, da)
 
 
 def _acc(out, mono, coeff):
@@ -30,7 +109,7 @@ def _acc(out, mono, coeff):
     if s is None:
         out[mono] = coeff
     else:
-        s = s + coeff
+        s = _add_frac(s, coeff)
         if s:
             out[mono] = s
         else:
@@ -62,7 +141,7 @@ def neg(a):
 def scale(a, c):
     if not c:
         return {}
-    return {mono: coeff * c for mono, coeff in a.items()}
+    return {mono: _mul_frac(coeff, c) for mono, coeff in a.items()}
 
 
 def _merge_jets(ja, jb):
@@ -100,7 +179,7 @@ def mul(a, b):
     out = {}
     for (ta, xa, ja), ca in a.items():
         for (tb, xb, jb), cb in b.items():
-            _acc(out, (ta + tb, xa + xb, _merge_jets(ja, jb)), ca * cb)
+            _acc(out, (ta + tb, xa + xb, _merge_jets(ja, jb)), _mul_frac(ca, cb))
     return out
 
 
@@ -119,7 +198,7 @@ def diff_t(a):
     out = {}
     for (t, x, jets), coeff in a.items():
         if t:
-            _acc(out, (t - 1, x, jets), coeff * t)
+            _acc(out, (t - 1, x, jets), _mul_frac_int(coeff, t))
     return out
 
 
@@ -127,7 +206,7 @@ def diff_x(a):
     out = {}
     for (t, x, jets), coeff in a.items():
         if x:
-            _acc(out, (t, x - 1, jets), coeff * x)
+            _acc(out, (t, x - 1, jets), _mul_frac_int(coeff, x))
     return out
 
 
@@ -141,7 +220,7 @@ def diff_jet(a, nt, nx):
                     nj = jets[:i] + jets[i + 1 :]
                 else:
                     nj = jets[:i] + ((jt, jx, e - 1),) + jets[i + 1 :]
-                _acc(out, (t, x, nj), coeff * e)
+                _acc(out, (t, x, nj), _mul_frac_int(coeff, e))
                 break
     return out
 
@@ -178,10 +257,10 @@ def total_t(a):
     out = {}
     for (t, x, jets), coeff in a.items():
         if t:
-            _acc(out, (t - 1, x, jets), coeff * t)
+            _acc(out, (t - 1, x, jets), _mul_frac_int(coeff, t))
         for i in range(len(jets)):
             e = jets[i][2]
-            _acc(out, (t, x, _jets_step(jets, i, 1, 0)), coeff * e)
+            _acc(out, (t, x, _jets_step(jets, i, 1, 0)), _mul_frac_int(coeff, e))
     return out
 
 
@@ -189,10 +268,10 @@ def total_x(a):
     out = {}
     for (t, x, jets), coeff in a.items():
         if x:
-            _acc(out, (t, x - 1, jets), coeff * x)
+            _acc(out, (t, x - 1, jets), _mul_frac_int(coeff, x))
         for i in range(len(jets)):
             e = jets[i][2]
-            _acc(out, (t, x, _jets_step(jets, i, 0, 1)), coeff * e)
+            _acc(out, (t, x, _jets_step(jets, i, 0, 1)), _mul_frac_int(coeff, e))
     return out
 
 
@@ -227,19 +306,39 @@ def rref(rows):
         row_r = m[r]
         pv = row_r[c]
         if pv != _ONE:
-            inv = _ONE / pv
+            # pv is reduced, so its reciprocal only needs a positive denominator
+            n, d = pv.denominator, pv.numerator
+            inv = _frac(-n, -d) if d < 0 else _frac(n, d)
             for k in range(c, ncols):
                 if row_r[k]:
-                    row_r[k] = row_r[k] * inv
+                    row_r[k] = _mul_frac(row_r[k], inv)
+        # Clear column c from every other row: row_i -= f * row_r.  This
+        # loop does most of the work, so the integer-pair arithmetic of
+        # _mul_frac and _add_frac is inlined here.
+        pivot_terms = [
+            (k, v.numerator, v.denominator) for k in range(c, ncols) if (v := row_r[k])
+        ]
         for i in range(nrows):
-            if i == r:
+            row_i = m[i]
+            f = row_i[c]
+            if i == r or not f:
                 continue
-            f = m[i][c]
-            if f:
-                row_i = m[i]
-                for k in range(c, ncols):
-                    if row_r[k]:
-                        row_i[k] = row_i[k] - f * row_r[k]
+            fn, fd = -f.numerator, f.denominator
+            for k, vn, vd in pivot_terms:
+                g1 = gcd(fn, vd)
+                g2 = gcd(vn, fd)
+                pn = (fn // g1) * (vn // g2)
+                pd = (fd // g2) * (vd // g1)
+                a = row_i[k]
+                an, ad = a.numerator, a.denominator
+                g = gcd(ad, pd)
+                if g == 1:
+                    row_i[k] = _frac(an * pd + pn * ad, ad * pd)
+                else:
+                    s = ad // g
+                    t = an * (pd // g) + pn * s
+                    g2 = gcd(t, g)
+                    row_i[k] = _frac(t // g2, s * (pd // g2))
         pivot_cols.append(c)
         r += 1
     return m, pivot_cols

@@ -403,6 +403,9 @@ def main(argv=None) -> int:
     except JetLawError as ex:
         print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
+    except Exception as ex:  # exit 1 is reserved for "the answer is no"
+        print(f"error: internal: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 2
     for key, value in lines:
         print(f"{key} = {value}")
     return code

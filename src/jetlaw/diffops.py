@@ -150,7 +150,8 @@ def _integrate_x(d: dict) -> dict:
     """Antiderivative in x of a jet-free polynomial in t and x."""
     out = {}
     for (a, b, jets), c in d.items():
-        assert not jets
+        if jets:
+            raise AssertionError("x-integration of a jet-dependent term")
         out[(a, b + 1, ())] = c / (b + 1)
     return out
 
@@ -188,5 +189,6 @@ def invert_divergence(f: DiffExpr) -> ConservedCurrent:
 
     T = DiffExpr._raw(weight(psi_t._d))
     X = DiffExpr._raw(_k.add(weight(psi_x._d), _integrate_x(jet_free)))
-    assert divergence((T, X)) == f, "divergence inversion failed"
+    if divergence((T, X)) != f:
+        raise AssertionError("divergence inversion failed")
     return ConservedCurrent(T, X)

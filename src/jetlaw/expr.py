@@ -7,8 +7,7 @@ Expressions are kept in a canonical sparse form (monomial -> nonzero
 coefficient), so equality of expressions is equality of the maps and
 the zero polynomial has no terms.
 
-Term arithmetic is delegated to jetlaw._kernel, which is either a
-compiled extension or its pure-Python twin.
+Term arithmetic is delegated to jetlaw._kernel.
 """
 
 from __future__ import annotations

@@ -178,7 +178,11 @@ class _Parser:
 
 def parse_expr(text: str) -> DiffExpr:
     """Parse text in the canonical grammar into a DiffExpr."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", parser.peek()[2]) from None
 
 
 def _format_jet(nt: int, nx: int) -> str:

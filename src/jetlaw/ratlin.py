@@ -219,6 +219,7 @@ def rational_eigenpairs(M: QMatrix) -> list[tuple[Fraction, list[Vector]]]:
     pairs = []
     for lam in rational_roots(charpoly(M)):
         vecs = nullspace(M.add_scalar_diag(-lam))
-        assert vecs, "eigenvalue without eigenvector"
+        if not vecs:
+            raise AssertionError("eigenvalue without eigenvector")
         pairs.append((lam, vecs))
     return pairs

@@ -234,6 +234,26 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
     assert "NonPolynomial" in err
 
+    # deep nesting is a syntax error, not a RecursionError traceback
+    for deep in ("(" * 3000 + "u" + ")" * 3000, "-" * 5000 + "u"):
+        code, out, err = run(capsys, "-s", KDV_SESSION, "current", "--Q", deep)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ExprSyntaxError: expression nested too deeply")
+        assert err.count("\n") == 1
+
+
+def test_internal_errors_exit_2(capsys, monkeypatch):
+    # exit 1 means only "the answer is no"; a defect is reported on one line
+    def broken(*args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("jetlaw.cli.current_from_multiplier", broken)
+    code, out, err = run(capsys, "-s", KDV_SESSION, "current", "--Q", "u")
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal: ZeroDivisionError: boom\n"
+
 
 def test_usage_errors_exit_2(capsys):
     # argparse failures are turned into exit status 2, not SystemExit

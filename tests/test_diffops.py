@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -53,9 +56,9 @@ def test_total_derivative_leibniz_random():
 def test_calculus_matches_reference_random():
     # spot-check against the independent sympy transcription
     rng = random.Random(13)
-    for _ in range(8):
-        f = random_expr(rng, max_terms=3, max_order=2, max_jet_degree=2)
-        g = random_expr(rng, max_terms=2, max_order=2, max_jet_degree=2)
+    for fractions in [False] * 8 + [True] * 8:
+        f = random_expr(rng, max_terms=3, max_order=2, max_jet_degree=2, allow_fractions=fractions)
+        g = random_expr(rng, max_terms=2, max_order=2, max_jet_degree=2, allow_fractions=fractions)
         fs, gs = oracle.to_sympy(f), oracle.to_sympy(g)
         assert oracle.to_sympy(total_derivative(f, "t")) == oracle.Dt(fs)
         assert oracle.to_sympy(total_derivative(f, "x")) == oracle.Dx(fs)
@@ -157,6 +160,23 @@ def test_invert_divergence_round_trip_random():
         f = total_derivative(a, "t") + total_derivative(b, "x")
         cur = invert_divergence(f)
         assert divergence(cur) == f
+
+
+def test_invert_divergence_self_check_survives_optimize():
+    # the final check must raise even when python -O strips asserts
+    script = (
+        "import jetlaw.diffops as d\n"
+        "from jetlaw.expr import ZERO, u\n"
+        "d.divergence = lambda cur: ZERO\n"
+        "d.invert_divergence(d.total_derivative(u ** 2, 'x'))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert out.returncode != 0
+    assert "AssertionError: divergence inversion failed" in out.stderr
 
 
 def test_current_printing():

@@ -1,0 +1,83 @@
+"""The term kernel against the sympy oracle and the Fraction constructor."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import sympy as sp
+
+import oracle
+from helpers import random_expr
+from jetlaw._kernel import pure
+
+
+def _q(v):
+    return sp.Rational(v.numerator, v.denominator)
+
+
+def test_arithmetic_matches_reference_fractional():
+    rng = random.Random(31)
+    for _ in range(12):
+        f = random_expr(rng, max_terms=4, max_order=2, allow_fractions=True)
+        g = random_expr(rng, max_terms=3, max_order=2, allow_fractions=True)
+        c = Fraction(rng.choice([-7, -2, 3, 5]), rng.randint(1, 9))
+        fs, gs = oracle.to_sympy(f), oracle.to_sympy(g)
+        assert oracle.to_sympy(f + g) == sp.expand(fs + gs)
+        assert oracle.to_sympy(f - g) == sp.expand(fs - gs)
+        assert oracle.to_sympy(f - f) == 0
+        assert oracle.to_sympy(f * g) == sp.expand(fs * gs)
+        assert oracle.to_sympy(f * c) == sp.expand(fs * _q(c))
+        assert oracle.to_sympy(g**3) == sp.expand(gs**3)
+        for nt, nx in [(0, 0), (0, 1), (1, 0), (0, 2)]:
+            got = oracle.to_sympy(f.partial((nt, nx)))
+            assert got == sp.expand(sp.diff(fs, oracle.jet_sym(nt, nx)))
+
+
+def _random_entry(rng):
+    kind = rng.random()
+    if kind < 0.35:
+        return Fraction(0)
+    if kind < 0.55:
+        return Fraction(rng.randint(-2**80, 2**80), rng.randint(1, 2**70))
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def test_rref_matches_reference():
+    rng = random.Random(32)
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [Fraction(0)] * n
+        if m > 1 and rng.random() < 0.3:
+            rows[1] = [3 * v for v in rows[0]]
+        got, pivots = pure.rref(rows)
+        want, want_pivots = sp.Matrix([[_q(v) for v in row] for row in rows]).rref()
+        assert tuple(pivots) == want_pivots
+        assert [[_q(v) for v in row] for row in got] == want.tolist()
+        for row in got:
+            for v in row:
+                assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+def _same_fraction(got, want):
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert bool(got) == bool(want)
+
+
+def test_built_fractions_equal_constructed_ones():
+    rng = random.Random(33)
+    for _ in range(500):
+        a, b = _random_entry(rng), _random_entry(rng)
+        k = rng.randint(1, 12)
+        _same_fraction(pure._add_frac(a, b), a + b)
+        _same_fraction(pure._add_frac(a, -a), Fraction(0))
+        _same_fraction(pure._mul_frac(a, b), a * b)
+        _same_fraction(pure._mul_frac_int(a, k), a * k)
+    assert pure._add_frac(Fraction(1, 6), Fraction(-1, 6)) == 0
+    assert hash(pure._add_frac(Fraction(1, 6), Fraction(-1, 6))) == hash(0)
+    assert pure.add({(0, 0, ()): Fraction(1, 6)}, {(0, 0, ()): Fraction(-1, 6)}) == {}
