@@ -1,4 +1,4 @@
-"""Term-level arithmetic kernel.
+"""Term-level arithmetic kernel and exact sparse elimination.
 
 A differential polynomial is stored as a dict mapping monomials to
 nonzero Fraction coefficients.  A monomial is a tuple
@@ -17,6 +17,10 @@ When the running fractions implementation admits it they are built by
 filling the slots of a new Fraction directly; a probe at import time
 checks that such a Fraction compares, adds and hashes like one from the
 constructor, and the constructor is used otherwise.
+
+rref is the one exact elimination routine.  It works on sparse rows,
+dicts {col: Fraction} holding only the nonzero entries, and returns the
+unique reduced row echelon form in the same representation.
 """
 
 from fractions import Fraction
@@ -275,70 +279,80 @@ def total_x(a):
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form over Fraction, returning (rows, pivot_cols).
-
-    Gauss-Jordan with exact arithmetic.  The pivot in each column is the
-    candidate of smallest representation size (bit length of numerator
-    plus denominator), which keeps intermediate coefficients small; ties
-    go to the lowest row index, so the result is deterministic.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        best = -1
-        best_key = 0
-        for i in range(r, nrows):
-            v = m[i][c]
-            if v:
-                key = v.numerator.bit_length() + v.denominator.bit_length()
-                if best < 0 or key < best_key:
-                    best = i
-                    best_key = key
-        if best < 0:
+def _sub_multiple(row, f, other):
+    """row -= f * other, in place, for sparse rows {col: Fraction};
+    entries that cancel are dropped.  This is the elimination's inner
+    loop, so the integer-pair arithmetic of _mul_frac and _add_frac is
+    inlined here."""
+    fn, fd = -f.numerator, f.denominator
+    for k, v in other.items():
+        vn, vd = v.numerator, v.denominator
+        g1 = gcd(fn, vd)
+        g2 = gcd(vn, fd)
+        pn = (fn // g1) * (vn // g2)
+        pd = (fd // g2) * (vd // g1)
+        a = row.get(k)
+        if a is None:
+            row[k] = _frac(pn, pd)
             continue
-        m[r], m[best] = m[best], m[r]
-        row_r = m[r]
-        pv = row_r[c]
+        an, ad = a.numerator, a.denominator
+        g = gcd(ad, pd)
+        if g == 1:
+            t = an * pd + pn * ad
+            if t:
+                row[k] = _frac(t, ad * pd)
+            else:
+                del row[k]
+        else:
+            s = ad // g
+            t = an * (pd // g) + pn * s
+            if t:
+                g2 = gcd(t, g)
+                row[k] = _frac(t // g2, s * (pd // g2))
+            else:
+                del row[k]
+
+
+def rref(rows):
+    """Reduced row echelon form of sparse rows over Fraction, returning
+    (rows, pivot_cols).
+
+    rows is an iterable of dicts {col: Fraction}, with col a
+    non-negative int; absent columns and zero values are zero, and the
+    dicts are not modified.  The result lists the nonzero rows of the
+    unique reduced row echelon form as dicts in ascending pivot order
+    (the pivot entry 1 included, zeros absent) together with their
+    pivot columns, so it does not depend on the order of the input rows.
+
+    The rows are consumed one at a time.  The pivot rows found so far
+    are kept fully reduced, so subtracting their multiples clears every
+    pivot column of an incoming row and leaves only free columns.  If
+    anything remains, its lowest column becomes a new pivot: the row is
+    scaled to 1 there and that column is cleared from the earlier pivot
+    rows.  After each input row the pivot rows are the reduced echelon
+    form of the rows seen so far, so their coefficients stay as small
+    as those of that form.
+    """
+    # pivot column -> the pivot row without its entry 1; only free
+    # columns occur in these tails
+    tails = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        for p in [c for c in r if c in tails]:
+            _sub_multiple(r, r.pop(p), tails[p])
+        if not r:
+            continue
+        p = min(r)
+        pv = r.pop(p)
         if pv != _ONE:
             # pv is reduced, so its reciprocal only needs a positive denominator
             n, d = pv.denominator, pv.numerator
             inv = _frac(-n, -d) if d < 0 else _frac(n, d)
-            for k in range(c, ncols):
-                if row_r[k]:
-                    row_r[k] = _mul_frac(row_r[k], inv)
-        # Clear column c from every other row: row_i -= f * row_r.  This
-        # loop does most of the work, so the integer-pair arithmetic of
-        # _mul_frac and _add_frac is inlined here.
-        pivot_terms = [
-            (k, v.numerator, v.denominator) for k in range(c, ncols) if (v := row_r[k])
-        ]
-        for i in range(nrows):
-            row_i = m[i]
-            f = row_i[c]
-            if i == r or not f:
-                continue
-            fn, fd = -f.numerator, f.denominator
-            for k, vn, vd in pivot_terms:
-                g1 = gcd(fn, vd)
-                g2 = gcd(vn, fd)
-                pn = (fn // g1) * (vn // g2)
-                pd = (fd // g2) * (vd // g1)
-                a = row_i[k]
-                an, ad = a.numerator, a.denominator
-                g = gcd(ad, pd)
-                if g == 1:
-                    row_i[k] = _frac(an * pd + pn * ad, ad * pd)
-                else:
-                    s = ad // g
-                    t = an * (pd // g) + pn * s
-                    g2 = gcd(t, g)
-                    row_i[k] = _frac(t // g2, s * (pd // g2))
-        pivot_cols.append(c)
-        r += 1
-    return m, pivot_cols
+            r = {k: _mul_frac(v, inv) for k, v in r.items()}
+        for tail in tails.values():
+            f = tail.pop(p, None)
+            if f is not None:
+                _sub_multiple(tail, f, r)
+        tails[p] = r
+    pivot_cols = sorted(tails)
+    return [{p: _ONE, **tails[p]} for p in pivot_cols], pivot_cols

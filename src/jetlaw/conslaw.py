@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from ._kernel import impl as _k
 from .diffops import (
     ConservedCurrent,
     divergence,
@@ -39,7 +38,7 @@ from .errors import (
     NotConserved,
 )
 from .expr import DiffExpr, JetIndex, const
-from .ratlin import QMatrix, nullspace
+from .ratlin import sparse_nullspace
 from .soln import LinDiffOp, NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
@@ -160,39 +159,38 @@ def current_from_multiplier(q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     return invert_divergence(q * pde.G)
 
 
+def _monomial_equations(exprs: list[DiffExpr]) -> list[dict]:
+    """The sparse linear system sum_j c_j exprs[j] = 0 in the unknowns
+    c_j: one equation {j: coefficient} per monomial occurring in the
+    expressions."""
+    eqs: dict = {}
+    for j, e in enumerate(exprs):
+        for k, c in e._d.items():
+            eqs.setdefault(k, {})[j] = c
+    return list(eqs.values())
+
+
 def solve_determining_system(
     basis: list[DiffExpr], images: list[DiffExpr]
 ) -> list[DiffExpr]:
     """Kernel of a linear map given by generator/image pairs.
 
     Collects the coefficients of every monomial occurring in the images
-    into an exact linear system and returns the combinations of the
-    basis whose image vanishes, in the deterministic order produced by
-    the canonical nullspace.
+    into an exact sparse linear system, one equation per monomial, and
+    returns the combinations of the basis whose image vanishes, in the
+    deterministic order produced by the canonical nullspace.
     """
-    mono_keys = sorted({k for img in images for k in img._d})
-    row_of = {k: i for i, k in enumerate(mono_keys)}
-    zero = Fraction(0)
-    rows = [[zero] * len(basis) for _ in mono_keys]
-    for j, img in enumerate(images):
-        for k, c in img._d.items():
-            rows[row_of[k]][j] = c
-    vecs = nullspace(QMatrix(rows)) if mono_keys else [
-        tuple(Fraction(1) if i == j else zero for i in range(len(basis)))
-        for j in range(len(basis))
-    ]
     out = []
-    for v in vecs:
+    for v in sparse_nullspace(_monomial_equations(images), len(basis)):
         acc: dict = {}
-        for coeff, term in zip(v, basis):
-            if coeff:
-                for mk, mc in term._d.items():
-                    s = acc.get(mk)
-                    s = mc * coeff if s is None else s + mc * coeff
-                    if s:
-                        acc[mk] = s
-                    else:
-                        del acc[mk]
+        for j, coeff in v.items():
+            for mk, mc in basis[j]._d.items():
+                s = acc.get(mk)
+                s = mc * coeff if s is None else s + mc * coeff
+                if s:
+                    acc[mk] = s
+                else:
+                    del acc[mk]
         out.append(DiffExpr._raw(acc))
     return out
 

@@ -14,7 +14,10 @@ in any order and are counted, but the printer always emits t's first.
 u[i,j] is an alias for the same jet with explicit counts.  Exponents
 are integer literals; a negative exponent or a division by anything but
 a nonzero constant leaves the polynomial ring and raises NonPolynomial
-(division by the zero constant raises DivisionByZero).
+(division by the zero constant raises DivisionByZero).  Exponents above
+MAX_EXPONENT and jets of total order above MAX_JET_ORDER raise
+ExprSyntaxError before any power or jet is built, so that one huge
+literal cannot demand unbounded time or memory.
 
 format_expr is the canonical printer: terms in descending monomial
 order, explicit '*' between factors, coefficients as integers or
@@ -28,6 +31,9 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, ExprSyntaxError, NonPolynomial
 from .expr import DiffExpr, Monomial, const, jet, t, x
+
+MAX_EXPONENT = 256
+MAX_JET_ORDER = 64
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
@@ -136,7 +142,7 @@ class _Parser:
                 raise ExprSyntaxError("exponent must be an integer literal", pos)
             if negative:
                 raise NonPolynomial("negative exponent leaves the polynomial ring")
-            return e ** int(val)
+            return e ** _capped(val, MAX_EXPONENT, "exponent", pos)
         return e
 
     def atom(self) -> DiffExpr:
@@ -145,6 +151,7 @@ class _Parser:
             return const(int(val))
         if kind == "jet":
             letters = val[2:]
+            _check_jet_order(len(letters), pos)
             return jet(letters.count("t"), letters.count("x"))
         if kind == "name":
             if val == "t":
@@ -155,10 +162,11 @@ class _Parser:
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "[":
                 self.next()
-                nt = self._int_literal()
+                nt = self._jet_count()
                 self.expect_op(",")
-                nx = self._int_literal()
+                nx = self._jet_count()
                 self.expect_op("]")
+                _check_jet_order(nt + nx, pos)
                 return jet(nt, nx)
             return jet(0, 0)
         if kind == "op" and val == "(":
@@ -169,11 +177,25 @@ class _Parser:
             "expected a number, variable, or parenthesized expression", pos
         )
 
-    def _int_literal(self) -> int:
+    def _jet_count(self) -> int:
         kind, val, pos = self.next()
         if kind != "int":
             raise ExprSyntaxError("expected an integer", pos)
-        return int(val)
+        return _capped(val, MAX_JET_ORDER, "jet order", pos)
+
+
+def _capped(digits: str, cap: int, what: str, pos: int) -> int:
+    """The value of an integer literal that must not exceed cap, checked
+    on its digits so that a huge literal is never converted."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        raise ExprSyntaxError(f"{what} exceeds {cap}", pos)
+    return int(digits)
+
+
+def _check_jet_order(order: int, pos: int) -> None:
+    if order > MAX_JET_ORDER:
+        raise ExprSyntaxError(f"jet order exceeds {MAX_JET_ORDER}", pos)
 
 
 def parse_expr(text: str) -> DiffExpr:

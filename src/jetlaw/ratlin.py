@@ -1,5 +1,11 @@
 """Exact linear algebra over the rationals.
 
+All elimination runs on sparse rows, dicts {col: Fraction} holding
+only the nonzero entries, through the kernel's rref.  Large systems
+(the determining systems of conslaw and symmetry) are built as sparse
+rows directly and solved by sparse_nullspace; rref, rank, nullspace and
+solve on a dense QMatrix convert its rows and call the same routine.
+
 Everything here is deterministic: rref is the (unique) reduced row
 echelon form, nullspace returns the canonical basis read off the rref
 with free coordinates in identity pattern, and eigenvalues are found as
@@ -96,39 +102,60 @@ class QMatrix:
         return f"QMatrix({body})"
 
 
+def _sparse_rows(rows) -> list[dict[int, Fraction]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def rref(M: QMatrix) -> QMatrix:
-    """Reduced row echelon form (unique for a given matrix)."""
-    rows, _ = _k.rref(M.rows)
-    return QMatrix(rows)
+    """Reduced row echelon form (unique for a given matrix), with the
+    zero rows at the bottom."""
+    rows, _ = _k.rref(_sparse_rows(M.rows))
+    n = M.ncols
+    zero = Fraction(0)
+    dense = [[row.get(j, zero) for j in range(n)] for row in rows]
+    dense += [[zero] * n for _ in range(M.nrows - len(rows))]
+    return QMatrix(dense)
 
 
 def rank(M: QMatrix) -> int:
-    _, pivots = _k.rref(M.rows)
+    _, pivots = _k.rref(_sparse_rows(M.rows))
     return len(pivots)
 
 
-def nullspace(M: QMatrix) -> list[Vector]:
-    """Canonical basis of the right nullspace, read off the rref.
+def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
+    """Canonical basis of the right nullspace of a system of sparse rows
+    {col: Fraction} in ncols unknowns, read off the rref.
 
     For each free column j the basis vector has 1 in coordinate j,
     minus the rref entry in each pivot coordinate, and 0 elsewhere; the
-    vectors are ordered by free column.  Deterministic because the rref
-    is unique.
+    vectors are ordered by free column and returned as sparse dicts
+    with ascending keys.  Deterministic because the rref is unique.
+    With no rows the basis is the identity.
     """
-    rows, pivots = _k.rref(M.rows)
-    ncols = M.ncols
+    rref_rows, pivots = _k.rref(rows)
     pivot_set = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
+    one = Fraction(1)
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        v = [zero] * ncols
-        v[j] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][j]
-        basis.append(tuple(v))
+        v = {j: one}
+        for row, pc in zip(rref_rows, pivots):
+            c = row.get(j)
+            if c is not None:
+                v[pc] = -c
+        basis.append(dict(sorted(v.items())))
     return basis
+
+
+def nullspace(M: QMatrix) -> list[Vector]:
+    """Canonical basis of the right nullspace as dense vectors; see
+    sparse_nullspace."""
+    zero = Fraction(0)
+    return [
+        tuple(v.get(j, zero) for j in range(M.ncols))
+        for v in sparse_nullspace(_sparse_rows(M.rows), M.ncols)
+    ]
 
 
 def solve(M: QMatrix, b) -> Vector | None:
@@ -137,16 +164,18 @@ def solve(M: QMatrix, b) -> Vector | None:
     b = [Fraction(v) for v in b]
     if len(b) != M.nrows:
         raise ValueError("shape mismatch")
-    aug = [list(row) + [bv] for row, bv in zip(M.rows, b)]
-    if not aug:
-        return ()
-    rows, pivots = _k.rref(aug)
     n = M.ncols
+    aug = _sparse_rows(M.rows)
+    for row, bv in zip(aug, b):
+        if bv:
+            row[n] = bv
+    rows, pivots = _k.rref(aug)
     if pivots and pivots[-1] == n:
         return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n]
+    zero = Fraction(0)
+    x = [zero] * n
+    for row, pc in zip(rows, pivots):
+        x[pc] = row.get(n, zero)
     return tuple(x)
 
 

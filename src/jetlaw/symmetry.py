@@ -47,9 +47,15 @@ from .errors import (
     TrivialMultiplier,
 )
 from .expr import DiffExpr, jet
-from .ratlin import QMatrix, rank, rational_eigenpairs, solve
+from ._kernel import impl as _k
+from .ratlin import QMatrix, rational_eigenpairs
 from .soln import NormalPDE, extract_operator, restrict
-from .conslaw import Ansatz, ansatz_monomials, solve_determining_system
+from .conslaw import (
+    Ansatz,
+    _monomial_equations,
+    ansatz_monomials,
+    solve_determining_system,
+)
 
 
 @dataclass(frozen=True)
@@ -231,29 +237,20 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
         raise AnsatzError("empty multiplier basis")
     restricted = [restrict(b, pde) for b in basis]
     acted = [restrict(act_on_multiplier(gen, b, pde), pde) for b in basis]
-    mono_keys = sorted(
-        {k for e in restricted for k in e._d} | {k for e in acted for k in e._d}
-    )
-    row_of = {k: i for i, k in enumerate(mono_keys)}
-    zero = Fraction(0)
-    rows = [[zero] * len(basis) for _ in mono_keys]
-    for j, e in enumerate(restricted):
-        for k, c in e._d.items():
-            rows[row_of[k]][j] = c
-    b_matrix = QMatrix(rows)
-    if rank(b_matrix) != len(basis):
+    # One sparse elimination of [B | A], one equation per monomial:
+    # column j holds restricted basis element j, column n + j its image.
+    n = len(basis)
+    rows, pivots = _k.rref(_monomial_equations(restricted + acted))
+    if sum(1 for p in pivots if p < n) != n:
         raise AnsatzError(
             "multiplier basis is linearly dependent on the solution space"
         )
-    cols = []
-    for j, img in enumerate(acted):
-        vec = [img._d.get(k, zero) for k in mono_keys]
-        coords = solve(b_matrix, vec)
-        if coords is None:
-            raise NotClosed(
-                f"action leaves the span of the basis on element {basis[j]}"
-            )
-        cols.append(coords)
-    n = len(basis)
-    m = QMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    # The first pivot right of B is the first image outside span(B).
+    if len(pivots) > n:
+        raise NotClosed(
+            f"action leaves the span of the basis on element {basis[pivots[n] - n]}"
+        )
+    # Pivot row i holds coordinate i of every image.
+    zero = Fraction(0)
+    m = QMatrix([[rows[i].get(n + j, zero) for j in range(n)] for i in range(n)])
     return SymmetryAction(m, rational_eigenpairs(m))

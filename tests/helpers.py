@@ -1,7 +1,9 @@
-"""Shared test utilities: seeded random expression generation."""
+"""Shared test utilities: seeded random expression generation, and a
+guard against building huge powers or jets."""
 
 from fractions import Fraction
 
+from jetlaw import grammar
 from jetlaw.expr import DiffExpr, Monomial
 
 
@@ -38,3 +40,23 @@ def random_expr(
         den = rng.randint(1, 4) if allow_fractions else 1
         terms[mono] = Fraction(num, den)
     return DiffExpr(terms)
+
+
+def forbid_huge_powers_and_jets(monkeypatch):
+    """Make building a power above the grammar's exponent cap, or a jet
+    above its order cap, fail; an input the parser rejects is thereby
+    shown to be rejected before its huge value is evaluated."""
+    pow_, jet = DiffExpr.__pow__, grammar.jet
+
+    def guarded_pow(self, n):
+        if n > grammar.MAX_EXPONENT:
+            raise AssertionError(f"built the power {n}")
+        return pow_(self, n)
+
+    def guarded_jet(nt, nx):
+        if nt + nx > grammar.MAX_JET_ORDER:
+            raise AssertionError(f"built the jet ({nt}, {nx})")
+        return jet(nt, nx)
+
+    monkeypatch.setattr(DiffExpr, "__pow__", guarded_pow)
+    monkeypatch.setattr(grammar, "jet", guarded_jet)

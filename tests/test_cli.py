@@ -1,5 +1,6 @@
 import os
 
+from helpers import forbid_huge_powers_and_jets
 from jetlaw.cli import load_session, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -241,6 +242,17 @@ def test_parse_errors_exit_2(capsys):
         assert out == ""
         assert err.startswith("error: ExprSyntaxError: expression nested too deeply")
         assert err.count("\n") == 1
+
+
+def test_huge_exponents_and_jet_orders_exit_2(capsys, monkeypatch):
+    # rejected by the parser before the power or the jet is built
+    forbid_huge_powers_and_jets(monkeypatch)
+    for q in ("(u+u_x)^5000", "u[999999999,0]", "u_" + "x" * 100000):
+        code, out, err = run(capsys, "-s", KDV_SESSION, "current", "--Q", q)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ExprSyntaxError: ")
+        assert "exceeds" in err and err.count("\n") == 1
 
 
 def test_internal_errors_exit_2(capsys, monkeypatch):

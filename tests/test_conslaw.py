@@ -1,6 +1,10 @@
+import random
+
 import pytest
+import sympy as sp
 
 import oracle
+from helpers import random_expr
 from jetlaw.conslaw import (
     Ansatz,
     ansatz_monomials,
@@ -163,3 +167,35 @@ def test_solved_multipliers_are_deterministic(kdv):
     assert solve_multipliers(kdv, Ansatz(2, 2, 1, 1)) == solve_multipliers(
         kdv, Ansatz(2, 2, 1, 1)
     )
+
+
+def test_determining_system_random_kernels():
+    # basis: distinct monomials; images: random combinations of a few
+    # random expressions, so that the kernel is often nontrivial
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        basis = [t**i * x**j for i in range(3) for j in range(3)][:n]
+        gens = [random_expr(rng, max_terms=4, max_order=2, allow_fractions=True)
+                for _ in range(rng.randint(1, 4))]
+        images = []
+        for _ in range(n):
+            img = ZERO
+            for g in gens:
+                c = rng.choice([0, 0, 1, -2, 3])
+                img = img + g * c
+            images.append(img)
+        monos = sorted({k for img in images for k in img._d})
+        if monos:
+            M = sp.Matrix([[sp.Rational(str(img._d.get(k, 0))) for img in images] for k in monos])
+            want_rank = M.rank()
+        else:
+            want_rank = 0
+        kernel = solve_determining_system(basis, images)
+        assert len(kernel) == n - want_rank
+        for q in kernel:
+            coeffs = [q.coefficient(next(iter(b.terms))) for b in basis]
+            assert q == sum((c * b for c, b in zip(coeffs, basis)), ZERO)
+            assert sum((c * img for c, img in zip(coeffs, images)), ZERO) == ZERO
+        if not monos:
+            assert kernel == basis

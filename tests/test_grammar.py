@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_expr
+from helpers import forbid_huge_powers_and_jets, random_expr
 from jetlaw.errors import DivisionByZero, ExprSyntaxError, NonPolynomial
 from jetlaw.expr import jet, t, u, x
-from jetlaw.grammar import format_expr, parse_expr
+from jetlaw.grammar import MAX_EXPONENT, MAX_JET_ORDER, format_expr, parse_expr
 
 
 def test_parse_basic_forms():
@@ -48,6 +48,32 @@ def test_syntax_errors_carry_positions():
         parse_expr("")
     with pytest.raises(ExprSyntaxError):
         parse_expr("u^x")
+
+
+def test_exponent_and_jet_order_caps(monkeypatch):
+    assert (MAX_EXPONENT, MAX_JET_ORDER) == (256, 64)
+    assert parse_expr("u^256") == u**256
+    assert parse_expr("u^0256") == u**256
+    assert parse_expr("u[64,0]") == jet(64, 0)
+    assert parse_expr("u[32,32]") == jet(32, 32)
+    assert parse_expr("u[0064,0]") == jet(64, 0)
+    assert parse_expr("u_" + "tx" * 32) == jet(32, 32)
+    forbid_huge_powers_and_jets(monkeypatch)
+    rejected = {
+        "u^257": (2, "exponent exceeds 256"),
+        "(u+u_x)^5000": (8, "exponent exceeds 256"),
+        "u^" + "9" * 10000: (2, "exponent exceeds 256"),
+        "u[65,0]": (2, "jet order exceeds 64"),
+        "u[40,40]": (0, "jet order exceeds 64"),
+        "u[999999999,0]": (2, "jet order exceeds 64"),
+        "u[0," + "7" * 10000 + "]": (4, "jet order exceeds 64"),
+        "1 + u_" + "x" * 65: (4, "jet order exceeds 64"),
+        "u_" + "x" * 100000: (0, "jet order exceeds 64"),
+    }
+    for text, (pos, msg) in rejected.items():
+        with pytest.raises(ExprSyntaxError, match=msg) as info:
+            parse_expr(text)
+        assert info.value.pos == pos, text
 
 
 def test_nonpolynomial_rejections():

@@ -42,6 +42,32 @@ def _random_entry(rng):
     return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
+def _sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(rows, n):
+    return [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
+
+
+def _check_against_sympy(rows, n):
+    """Kernel rref of the sparse form of dense rows against sympy: the
+    same pivots, the nonzero rows equal to sympy's leading rows, and
+    sympy's remaining rows zero; every stored entry nonzero and reduced
+    with a positive denominator."""
+    got, pivots = pure.rref(_sparse(rows))
+    want, want_pivots = sp.Matrix(len(rows), n, [_q(v) for row in rows for v in row]).rref()
+    assert tuple(pivots) == want_pivots
+    want_rows = want.tolist()
+    assert [[_q(v) for v in row] for row in _dense(got, n)] == want_rows[: len(got)]
+    assert all(v == 0 for row in want_rows[len(got) :] for v in row)
+    for row in got:
+        assert all(0 <= j < n for j in row)
+        for v in row.values():
+            assert type(v) is Fraction and v
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
 def test_rref_matches_reference():
     rng = random.Random(32)
     for _ in range(40):
@@ -51,13 +77,57 @@ def test_rref_matches_reference():
             rows[rng.randrange(m)] = [Fraction(0)] * n
         if m > 1 and rng.random() < 0.3:
             rows[1] = [3 * v for v in rows[0]]
-        got, pivots = pure.rref(rows)
-        want, want_pivots = sp.Matrix([[_q(v) for v in row] for row in rows]).rref()
-        assert tuple(pivots) == want_pivots
-        assert [[_q(v) for v in row] for row in got] == want.tolist()
-        for row in got:
-            for v in row:
-                assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+        _check_against_sympy(rows, n)
+
+
+def _tall_sparse_system(rng):
+    """A tall sparse system shaped like a determining system: many more
+    equations than unknowns, a few nonzeros per equation, mostly small
+    integers, with zero rows, repeated and scaled rows, all-zero columns
+    and occasional entries above 2**64."""
+    n = rng.randint(1, 12)
+    m = rng.randint(n, 5 * n + 5)
+    dead = set(rng.sample(range(n), rng.randint(0, n // 3)))
+    live = [j for j in range(n) if j not in dead] or [0]
+    rows = []
+    for _ in range(m):
+        row = [Fraction(0)] * n
+        kind = rng.random()
+        if kind < 0.1:
+            pass
+        elif kind < 0.25 and rows:
+            c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+            row = [c * v for v in rng.choice(rows)]
+        else:
+            for j in rng.sample(live, min(len(live), rng.randint(1, 3))):
+                if rng.random() < 0.05:
+                    row[j] = Fraction(rng.randint(-2**80, 2**80), rng.randint(1, 2**66))
+                else:
+                    row[j] = Fraction(rng.choice([c for c in range(-6, 7) if c]))
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows, n
+
+
+def test_rref_matches_reference_on_tall_sparse_systems():
+    rng = random.Random(34)
+    for _ in range(40):
+        rows, n = _tall_sparse_system(rng)
+        _check_against_sympy(rows, n)
+
+
+def test_rref_degenerate_inputs():
+    assert pure.rref([]) == ([], [])
+    assert pure.rref([{}, {}]) == ([], [])
+    assert pure.rref([{3: Fraction(0)}, {}]) == ([], [])
+    assert pure.rref([{4: Fraction(-2, 3)}]) == ([{4: Fraction(1)}], [4])
+
+
+def test_rref_does_not_modify_its_input():
+    rows = [{0: Fraction(2), 2: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}]
+    copy = [dict(r) for r in rows]
+    pure.rref(rows)
+    assert rows == copy
 
 
 def _same_fraction(got, want):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from jetlaw._kernel import impl
 from jetlaw.ratlin import (
     QMatrix,
     charpoly,
@@ -49,8 +50,14 @@ def test_rref_is_idempotent_and_canonical():
         M = _rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         R = rref(M)
         assert rref(R) == R
-        # each pivot is 1 and is alone in its column
-        _, pivots = __import__("jetlaw._kernel", fromlist=["impl"]).impl.rref(M.rows)
+        # each pivot, the leading entry of a nonzero row, is 1 and is
+        # alone in its column; the zero rows come last
+        pivots = [next(j for j, v in enumerate(row) if v) for row in R.rows if any(row)]
+        assert all(any(row) for row in R.rows[: len(pivots)])
+        assert pivots == sorted(set(pivots))
+        assert len(pivots) == rank(M)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in M.rows]
+        assert impl.rref(sparse)[1] == pivots
         for r, c in enumerate(pivots):
             assert R[r, c] == 1
             assert all(R[i, c] == 0 for i in range(R.nrows) if i != r)

@@ -18,7 +18,7 @@ from jetlaw.errors import (
     TrivialMultiplier,
 )
 from jetlaw.expr import ONE, ZERO, const, jet, t, u, x
-from jetlaw.ratlin import QMatrix
+from jetlaw.ratlin import QMatrix, rank, solve
 from jetlaw.soln import restrict
 from jetlaw.symmetry import (
     SymmetryGen,
@@ -253,3 +253,74 @@ def test_action_matrix_rejects_bad_bases(kdv):
         action_matrix(galilean(), [], kdv)
     with pytest.raises(AnsatzError):
         action_matrix(galilean(), [u, 2 * u], kdv)
+
+
+def _action_matrix_reference(gen, basis, pde):
+    """The action matrix by the dense route: rank of B, then one solve
+    per acted element; raises as action_matrix does."""
+    restricted = [restrict(b, pde) for b in basis]
+    acted = [restrict(act_on_multiplier(gen, b, pde), pde) for b in basis]
+    monos = sorted({k for e in restricted + acted for k in e._d})
+    b_matrix = QMatrix([[e._d.get(k, 0) for e in restricted] for k in monos])
+    if rank(b_matrix) != len(basis):
+        raise AnsatzError("multiplier basis is linearly dependent on the solution space")
+    cols = []
+    for j, img in enumerate(acted):
+        coords = solve(b_matrix, [img._d.get(k, 0) for k in monos])
+        if coords is None:
+            raise NotClosed(f"action leaves the span of the basis on element {basis[j]}")
+        cols.append(coords)
+    return QMatrix([[c[i] for c in cols] for i in range(len(basis))])
+
+
+def test_action_matrix_matches_the_dense_route(kdv):
+    full = solve_multipliers(kdv, Ansatz(2, 2, 1, 1))
+    bases = [
+        full,
+        full[::-1],
+        [full[3], full[0], full[1]],
+        [full[2]],
+        [full[0], full[2]],
+        [full[1], full[2], full[0]],
+        [full[0], full[1], full[0] + full[1]],
+        [2 * full[1], full[3]],
+    ]
+    gens = [galilean(), scaling(), SymmetryGen.evolutionary(-u_x)]
+    outcomes = set()
+    for gen in gens:
+        for basis in bases:
+            try:
+                want = _action_matrix_reference(gen, basis, kdv)
+            except (AnsatzError, NotClosed) as exc:
+                with pytest.raises(type(exc)) as info:
+                    action_matrix(gen, basis, kdv)
+                assert str(info.value) == str(exc)
+                outcomes.add(type(exc))
+                continue
+            assert action_matrix(gen, basis, kdv).matrix == want
+            outcomes.add(QMatrix)
+    assert outcomes == {AnsatzError, NotClosed, QMatrix}
+
+
+def test_solves_build_no_dense_matrix(kdv, burgers, monkeypatch):
+    # a return to the dense QMatrix path in the solvers fails here
+    def forbidden(self, rows):
+        raise AssertionError("QMatrix built")
+
+    monkeypatch.setattr(QMatrix, "__init__", forbidden)
+    assert solve_multipliers(kdv, Ansatz(2, 2, 1, 1)) == [
+        ONE,
+        u,
+        u_xx + u**2 / 2,
+        t * u - x,
+    ]
+    assert solve_symmetries(burgers, Ansatz(1, 1, 2, 2)) == [
+        u_x,
+        u_t,
+        t * u_x - 1,
+        t * u_t + x * u_x / 2 + u / 2,
+        t**2 * u_t + t * x * u_x + t * u - x,
+    ]
+    monkeypatch.undo()
+    for p in solve_symmetries(burgers, Ansatz(1, 1, 2, 2)):
+        assert check_symmetry(p, burgers)
