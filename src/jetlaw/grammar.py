@@ -17,7 +17,9 @@ a nonzero constant leaves the polynomial ring and raises NonPolynomial
 (division by the zero constant raises DivisionByZero).  Exponents above
 MAX_EXPONENT and jets of total order above MAX_JET_ORDER raise
 ExprSyntaxError before any power or jet is built, so that one huge
-literal cannot demand unbounded time or memory.
+literal cannot demand unbounded time or memory.  So do integer literals
+longer than the interpreter converts, and products and powers that
+would take the kernel more than MAX_PRODUCTS term products to expand.
 
 format_expr is the canonical printer: terms in descending monomial
 order, explicit '*' between factors, coefficients as integers or
@@ -27,13 +29,18 @@ fractions.  parse(format_expr(e)) == e for every expression.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import comb
 
 from .errors import DivisionByZero, ExprSyntaxError, NonPolynomial
 from .expr import DiffExpr, Monomial, const, jet, t, x
 
 MAX_EXPONENT = 256
 MAX_JET_ORDER = 64
+# term products the kernel may make for one '*' or '^'; at a few
+# microseconds per product this is about a second of work
+MAX_PRODUCTS = 250_000
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
@@ -108,6 +115,7 @@ class _Parser:
                 self.next()
                 rhs = self.factor()
                 if val == "*":
+                    _check_products(len(e._d) * len(rhs._d), pos)
                     e = e * rhs
                 else:
                     if not rhs.is_constant():
@@ -142,13 +150,21 @@ class _Parser:
                 raise ExprSyntaxError("exponent must be an integer literal", pos)
             if negative:
                 raise NonPolynomial("negative exponent leaves the polynomial ring")
-            return e ** _capped(val, MAX_EXPONENT, "exponent", pos)
+            n = _capped(val, MAX_EXPONENT, "exponent", pos)
+            _check_products(_power_products(len(e._d), n), pos)
+            return e**n
         return e
 
     def atom(self) -> DiffExpr:
         kind, val, pos = self.next()
         if kind == "int":
-            return const(int(val))
+            try:
+                return const(int(val))
+            except ValueError:
+                # longer than the interpreter converts (sys.int_info)
+                raise ExprSyntaxError(
+                    f"integer literal exceeds {sys.get_int_max_str_digits()} digits", pos
+                ) from None
         if kind == "jet":
             letters = val[2:]
             _check_jet_order(len(letters), pos)
@@ -196,6 +212,30 @@ def _capped(digits: str, cap: int, what: str, pos: int) -> int:
 def _check_jet_order(order: int, pos: int) -> None:
     if order > MAX_JET_ORDER:
         raise ExprSyntaxError(f"jet order exceeds {MAX_JET_ORDER}", pos)
+
+
+def _check_products(products: int, pos: int) -> None:
+    if products > MAX_PRODUCTS:
+        raise ExprSyntaxError(f"expansion exceeds {MAX_PRODUCTS} term products", pos)
+
+
+def _power_products(terms: int, n: int) -> int:
+    """An upper bound on the term products the kernel's pow_ makes for
+    the n-th power of a polynomial with the given number of terms.
+
+    pow_ squares the (n // 2)-th power and, for odd n, multiplies by the
+    base once more; the k-th power of a T-term polynomial has at most
+    C(T + k - 1, k) terms, the number of degree-k monomials in T
+    variables.
+    """
+    if n <= 1:
+        return 0
+    h = n // 2
+    half = comb(terms + h - 1, h)
+    products = _power_products(terms, h) + half * half
+    if n % 2:
+        products += comb(terms + 2 * h - 1, 2 * h) * terms
+    return products
 
 
 def parse_expr(text: str) -> DiffExpr:

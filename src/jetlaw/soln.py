@@ -10,7 +10,12 @@ restrict(f) == 0.
 
 The lex condition on g is what makes the rewriting terminate: replacing
 the lex-greatest consequence jet u_{L+K} by D^K g only introduces jets
-lexicographically below L + K.
+lexicographically below L + K.  restrict uses this to rewrite in
+buckets: every term is filed under its lex-greatest consequence jet,
+and the buckets are emptied from the greatest down, each exactly once,
+because the products of a bucket's terms with powers of D^K g only land
+in lower buckets or in the result.  The powers (D^K g)^e are memoized
+on the NormalPDE, next to the derivatives D^K g themselves.
 
 extract_operator inverts the other direction of that coin: for f with
 restrict(f) == 0 it produces a linear total-differential operator R
@@ -27,17 +32,7 @@ from .diffops import _DerivCache
 from .errors import NotNormal, NotOnSolutionSpace
 from .expr import DiffExpr, JetIndex, Monomial, _as_jet_index
 
-
-def _acc(out: dict, mono, coeff) -> None:
-    s = out.get(mono)
-    if s is None:
-        out[mono] = coeff
-    else:
-        s = s + coeff
-        if s:
-            out[mono] = s
-        else:
-            del out[mono]
+_acc = _k._acc
 
 
 def _acc_all(out: dict, d: dict) -> None:
@@ -49,11 +44,13 @@ class NormalPDE:
     """A scalar PDE u_L = g in normal solved form.
 
     Attributes: lead (JetIndex L), rhs (g), G (u_L - g).  Instances
-    memoize the total derivatives of g and of G that restriction and
-    operator extraction need, so reuse one instance per equation.
+    memoize the total derivatives of g and of G, and the powers of the
+    derivatives of g, that restriction and operator extraction need, so
+    reuse one instance per equation.  The memos grow only with the jets
+    and exponents the inputs use.
     """
 
-    __slots__ = ("lead", "rhs", "G", "_drhs", "_dG")
+    __slots__ = ("lead", "rhs", "G", "_drhs", "_dG", "_pow")
 
     def __init__(self, lead, rhs: DiffExpr):
         lead = _as_jet_index(lead)
@@ -74,6 +71,7 @@ class NormalPDE:
         self.G = lead_expr - rhs
         self._drhs = _DerivCache(rhs)
         self._dG = _DerivCache(self.G)
+        self._pow: dict = {}
 
     def is_consequence(self, idx) -> bool:
         """Whether u_idx is solved by a differential consequence of G."""
@@ -84,6 +82,16 @@ class NormalPDE:
         """Raw terms of D_t^kt D_x^kx g for u_idx = u_{L + (kt,kx)}."""
         nt, nx = idx
         return self._drhs.get(nt - self.lead.nt, nx - self.lead.nx)
+
+    def consequence_pow(self, idx, e: int) -> dict:
+        """Raw terms of (D_t^kt D_x^kx g)^e for u_idx = u_{L + (kt,kx)};
+        idx is an (nt, nx) pair."""
+        key = (idx, e)
+        p = self._pow.get(key)
+        if p is None:
+            p = _k.pow_(self.consequence_raw(idx), e)
+            self._pow[key] = p
+        return p
 
     def dG_raw(self, K) -> dict:
         """Raw terms of D_t^kt D_x^kx G."""
@@ -121,28 +129,19 @@ def _max_consequence(d: dict, pde: NormalPDE):
     return best
 
 
-def _powers(base: dict, n: int, cache: dict) -> dict:
-    p = cache.get(n)
-    if p is None:
-        p = _k.pow_(base, n)
-        cache[n] = p
-    return p
+# below every jet, so max(_NO_JET, j) == j
+_NO_JET = (-1, -1)
 
 
-def _subst_jet(d: dict, idx, repl: dict) -> dict:
-    """Replace the jet u_idx by the raw polynomial repl throughout d."""
-    mt, mx = idx
-    out: dict = {}
-    pcache: dict = {}
-    for (td, xd, jets), coeff in d.items():
-        for i, (nt, nx, e) in enumerate(jets):
-            if nt == mt and nx == mx:
-                base = (td, xd, jets[:i] + jets[i + 1 :])
-                _acc_all(out, _k.mul({base: coeff}, _powers(repl, e, pcache)))
-                break
-        else:
-            _acc(out, (td, xd, jets), coeff)
-    return out
+def _top_consequence(jets: tuple, lt: int, lx: int):
+    """The lex-greatest consequence jet (nt, nx) of a sorted jet tuple
+    for the lead (lt, lx), or _NO_JET if there is none."""
+    for nt, nx, _ in reversed(jets):
+        if nt < lt:
+            break
+        if nx >= lx:
+            return (nt, nx)
+    return _NO_JET
 
 
 def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
@@ -151,13 +150,47 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     The result contains no consequence jet of the lead; it is the
     canonical representative of f on the solution space, and f vanishes
     there exactly when the result is zero.
+
+    Each term is filed in a bucket under its lex-greatest consequence
+    jet, or straight into the result if it has none.  The greatest
+    bucket m is then emptied: in each of its terms u_m^e is replaced by
+    the memoized (D^K g)^e, and each product term is filed by its own
+    greatest consequence jet, merging like terms as they arrive.  D^K g
+    only has jets below m, so every product lands in a lower bucket and
+    each bucket is emptied once, with its cancellations already done.
     """
-    d = f._d
+    lt, lx = pde.lead
+    acc, mul_frac, merge = _acc, _k._mul_frac, _k._merge_jets
+    out: dict = {}
+    # greatest consequence jet -> terms; the terms without one are the result
+    buckets: dict = {_NO_JET: out}
+    for mono, coeff in f._d.items():
+        buckets.setdefault(_top_consequence(mono[2], lt, lx), {})[mono] = coeff
     while True:
-        m = _max_consequence(d, pde)
-        if m is None:
-            return DiffExpr._raw(d)
-        d = _subst_jet(d, m, pde.consequence_raw(m))
+        m = max(buckets)
+        if m == _NO_JET:
+            return DiffExpr._raw(out)
+        mt, mx = m
+        # exponent -> terms of (D^K g)^e with their greatest consequence jets
+        powers: dict = {}
+        for (td, xd, jets), coeff in buckets.pop(m).items():
+            for i, (nt, nx, e) in enumerate(jets):
+                if nt == mt and nx == mx:
+                    break
+            base = jets[:i] + jets[i + 1 :]
+            btop = _top_consequence(base, lt, lx)
+            terms = powers.get(e)
+            if terms is None:
+                terms = powers[e] = [
+                    (pt, px, pj, pc, _top_consequence(pj, lt, lx))
+                    for (pt, px, pj), pc in pde.consequence_pow(m, e).items()
+                ]
+            for pt, px, pj, pc, ptop in terms:
+                top = btop if btop > ptop else ptop
+                tgt = buckets.get(top)
+                if tgt is None:
+                    tgt = buckets[top] = {}
+                acc(tgt, (td + pt, xd + px, merge(base, pj)), mul_frac(coeff, pc))
 
 
 class LinDiffOp:
@@ -285,8 +318,6 @@ def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
         if m is None:
             break
         K = (m[0] - lt, m[1] - lx)
-        repl = pde.consequence_raw(m)
-        pcache: dict = {}
         new: dict[tuple, dict] = {}
         for sm, dd in sdict.items():
             for (td, xd, jets), coeff in dd.items():
@@ -294,7 +325,7 @@ def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
                     if (nt, nx) == m:
                         base = {(td, xd, jets[:i] + jets[i + 1 :]): coeff}
                         for k in range(e + 1):
-                            piece = _k.mul(base, _powers(repl, e - k, pcache))
+                            piece = _k.mul(base, pde.consequence_pow(m, e - k))
                             c = comb(e, k)
                             if c != 1:
                                 piece = _k.scale(piece, Fraction(c))

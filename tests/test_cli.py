@@ -1,6 +1,6 @@
 import os
 
-from helpers import forbid_huge_powers_and_jets
+from helpers import forbid_huge_powers_and_jets, forbid_large_products
 from jetlaw.cli import load_session, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -253,6 +253,21 @@ def test_huge_exponents_and_jet_orders_exit_2(capsys, monkeypatch):
         assert out == ""
         assert err.startswith("error: ExprSyntaxError: ")
         assert "exceeds" in err and err.count("\n") == 1
+
+
+def test_huge_literals_and_expansions_exit_2(capsys, monkeypatch):
+    # an over-long literal is a syntax error, not an internal ValueError;
+    # an expansion too large to build is rejected before it is built
+    forbid_large_products(monkeypatch)
+    for q, msg in (
+        ("9" * 5000 + "*u", "integer literal exceeds 4300 digits"),
+        ("(u+u_x+u_xx+u_t+t+x)^40", "expansion exceeds 250000 term products"),
+    ):
+        code, out, err = run(capsys, "-s", KDV_SESSION, "current", "--Q", q)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ExprSyntaxError: " + msg)
+        assert err.count("\n") == 1
 
 
 def test_internal_errors_exit_2(capsys, monkeypatch):

@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import forbid_huge_powers_and_jets, random_expr
+from helpers import forbid_huge_powers_and_jets, forbid_large_products, random_expr
 from jetlaw.errors import DivisionByZero, ExprSyntaxError, NonPolynomial
 from jetlaw.expr import jet, t, u, x
-from jetlaw.grammar import MAX_EXPONENT, MAX_JET_ORDER, format_expr, parse_expr
+from jetlaw.grammar import (
+    MAX_EXPONENT,
+    MAX_JET_ORDER,
+    MAX_PRODUCTS,
+    format_expr,
+    parse_expr,
+)
 
 
 def test_parse_basic_forms():
@@ -69,6 +75,27 @@ def test_exponent_and_jet_order_caps(monkeypatch):
         "u[0," + "7" * 10000 + "]": (4, "jet order exceeds 64"),
         "1 + u_" + "x" * 65: (4, "jet order exceeds 64"),
         "u_" + "x" * 100000: (0, "jet order exceeds 64"),
+    }
+    for text, (pos, msg) in rejected.items():
+        with pytest.raises(ExprSyntaxError, match=msg) as info:
+            parse_expr(text)
+        assert info.value.pos == pos, text
+
+
+def test_literal_and_expansion_caps(monkeypatch):
+    assert MAX_PRODUCTS == 250_000
+    assert parse_expr("9" * 4300) == int("9" * 4300)
+    # within the cap: a 257-term power, and the product of two of them
+    assert parse_expr("(u+u_x)^256") == (u + jet(0, 1)) ** 256
+    assert len(parse_expr("(1+u)^256*(1+u)^256")._d) == 513
+    forbid_large_products(monkeypatch)
+    five_terms = "(u+u_x+u_xx+u_t+t)"
+    rejected = {
+        "9" * 5000 + "*u": (0, "integer literal exceeds 4300 digits"),
+        "1 + 2*" + "7" * 4301: (6, "integer literal exceeds 4300 digits"),
+        "(u+u_x+u_xx+u_t+t+x)^40": (21, "exceeds 250000 term products"),
+        "(u+u_x+u_xx+u_t+t+x)^17": (21, "exceeds 250000 term products"),
+        five_terms + "^9*" + five_terms + "^9": (20, "exceeds 250000 term products"),
     }
     for text, (pos, msg) in rejected.items():
         with pytest.raises(ExprSyntaxError, match=msg) as info:

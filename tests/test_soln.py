@@ -4,6 +4,8 @@ import pytest
 
 import oracle
 from helpers import random_expr
+from jetlaw._kernel import impl as kernel
+from jetlaw.conslaw import Ansatz, ansatz_monomials
 from jetlaw.diffops import euler, frechet, total_derivative
 from jetlaw.errors import NotNormal, NotOnSolutionSpace
 from jetlaw.expr import ONE, ZERO, const, jet, t, u, x
@@ -70,15 +72,68 @@ def test_restrict_is_idempotent_and_linear(kdv, wave):
 
 
 def test_restrict_matches_reference(kdv, wave):
+    # leads (1,0), (2,0), (1,1), (2,1); right-hand sides with t, x and
+    # fractional coefficients; fractional inputs
+    pdes = [
+        kdv,
+        wave,
+        make_pde((1, 0), parse_expr("t*u_xx/2 - 2/3*x*u*u_x + t")),
+        make_pde((2, 0), parse_expr("x*u_tx - u_t*u/3 + t^2*u_xx")),
+        make_pde((1, 1), parse_expr("u_t*u/2 - t*x*u_xxx + 3/4*u")),
+        make_pde((2, 1), parse_expr("u_tt/3 + x*u_txx - t*u_x*u_t + 1/2")),
+    ]
     rng = random.Random(22)
-    for pde in (kdv, wave):
+    for pde in pdes:
         lead = (pde.lead.nt, pde.lead.nx)
         rhs_s = oracle.to_sympy(pde.rhs)
-        for _ in range(6):
-            f = random_expr(rng, max_terms=3, max_order=3, max_jet_degree=2)
+        for i in range(6):
+            f = random_expr(
+                rng, max_terms=3, max_order=3, max_jet_degree=2, allow_fractions=i % 2
+            )
             assert oracle.to_sympy(restrict(f, pde)) == oracle.restrict(
                 oracle.to_sympy(f), lead, rhs_s
             )
+
+
+def test_restrict_is_independent_of_memo_state(kdv, wave):
+    # the session fixtures have memoized derivatives and powers from the
+    # restricts of earlier tests; fresh PDEs start empty
+    rng = random.Random(27)
+    for warm in (kdv, wave):
+        for _ in range(6):
+            restrict(random_expr(rng, max_terms=3, max_order=3), warm)
+        inputs = [
+            random_expr(rng, max_terms=3, max_order=4, allow_fractions=True)
+            for _ in range(8)
+        ]
+        inputs.append(jet(warm.lead.nt + 1, 2) ** 3 + u)
+        for f in inputs:
+            before = dict(f._d)
+            fresh = make_pde(warm.lead, warm.rhs)
+            assert restrict(f, warm) == restrict(f, fresh)
+            assert restrict(f, warm) == restrict(f, fresh)
+            assert f._d == before
+
+
+def test_restrict_reuses_memoized_powers(monkeypatch):
+    # the images of a KdV symmetries solve: a second pass over them on
+    # the same PDE computes no power and no product through the kernel
+    pde = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
+    basis = ansatz_monomials(pde, Ansatz(2, 2, 1, 1), include_consequences=True)
+    images = [frechet(pde.G, m) for m in basis]
+    calls = {"pow_": 0, "mul": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(kernel, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    first = [restrict(f, pde) for f in images]
+    assert calls["pow_"] > 0
+    calls.update(pow_=0, mul=0)
+    assert [restrict(f, pde) for f in images] == first
+    assert calls == {"pow_": 0, "mul": 0}
 
 
 def test_lin_diff_op_apply_and_order():
