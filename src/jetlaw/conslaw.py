@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from ._kernel import impl as _k
 from .diffops import (
     ConservedCurrent,
     divergence,
@@ -42,6 +43,7 @@ from .ratlin import sparse_nullspace
 from .soln import LinDiffOp, NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
+_acc, _mul_frac = _k._acc, _k._mul_frac
 
 
 @dataclass(frozen=True)
@@ -185,12 +187,7 @@ def solve_determining_system(
         acc: dict = {}
         for j, coeff in v.items():
             for mk, mc in basis[j]._d.items():
-                s = acc.get(mk)
-                s = mc * coeff if s is None else s + mc * coeff
-                if s:
-                    acc[mk] = s
-                else:
-                    del acc[mk]
+                _acc(acc, mk, _mul_frac(mc, coeff))
         out.append(DiffExpr._raw(acc))
     return out
 

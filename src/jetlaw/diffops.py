@@ -26,6 +26,8 @@ from .expr import DiffExpr, JetIndex
 
 from typing import NamedTuple
 
+_acc = _k._acc
+
 
 class ConservedCurrent(NamedTuple):
     """A current (T, X); conserved when D_t T + D_x X vanishes on the
@@ -73,33 +75,49 @@ class _DerivCache:
         return d
 
 
-def frechet(f: DiffExpr, g: DiffExpr) -> DiffExpr:
-    """Fréchet derivative of f in the direction g."""
+def _apply_op(coeffs: dict, g: DiffExpr) -> dict:
+    """Raw terms of sum_K c_K D_t^kt D_x^kx g for raw coefficients
+    {K: c_K}, accumulated in place."""
     dg = _DerivCache(g)
     out: dict = {}
-    for idx in sorted(f.jet_indices()):
-        pf = _k.diff_jet(f._d, idx.nt, idx.nx)
-        if pf:
-            out = _k.add(out, _k.mul(pf, dg.get(idx.nt, idx.nx)))
-    return DiffExpr._raw(out)
+    for (kt, kx), c in coeffs.items():
+        for mono, coeff in _k.mul(c, dg.get(kt, kx)).items():
+            _acc(out, mono, coeff)
+    return out
+
+
+def _adjoint_op(coeffs: dict, h: DiffExpr) -> dict:
+    """Raw terms of sum_K (-D_t)^kt (-D_x)^kx (c_K h) for raw
+    coefficients {K: c_K}, accumulated in place."""
+    out: dict = {}
+    for (kt, kx), c in coeffs.items():
+        w = _k.mul(c, h._d)
+        for _ in range(kt):
+            w = _k.total_t(w)
+        for _ in range(kx):
+            w = _k.total_x(w)
+        odd = (kt + kx) % 2
+        for mono, coeff in w.items():
+            _acc(out, mono, -coeff if odd else coeff)
+    return out
+
+
+def _partials(f: DiffExpr) -> dict:
+    """{J: df/du_J} over the jets J of f, as raw terms."""
+    return {
+        (idx.nt, idx.nx): _k.diff_jet(f._d, idx.nt, idx.nx)
+        for idx in sorted(f.jet_indices())
+    }
+
+
+def frechet(f: DiffExpr, g: DiffExpr) -> DiffExpr:
+    """Fréchet derivative of f in the direction g."""
+    return DiffExpr._raw(_apply_op(_partials(f), g))
 
 
 def frechet_adjoint(f: DiffExpr, h: DiffExpr) -> DiffExpr:
     """Adjoint Fréchet derivative of f applied to h."""
-    out: dict = {}
-    for idx in sorted(f.jet_indices()):
-        pf = _k.diff_jet(f._d, idx.nt, idx.nx)
-        if not pf:
-            continue
-        w = _k.mul(h._d, pf)
-        for _ in range(idx.nt):
-            w = _k.total_t(w)
-        for _ in range(idx.nx):
-            w = _k.total_x(w)
-        if (idx.nt + idx.nx) % 2:
-            w = _k.neg(w)
-        out = _k.add(out, w)
-    return DiffExpr._raw(out)
+    return DiffExpr._raw(_adjoint_op(_partials(f), h))
 
 
 _ONE = DiffExpr._raw({_k.ONE_MONO: Fraction(1)})
@@ -139,10 +157,12 @@ def boundary_current(f: DiffExpr, g: DiffExpr, h: DiffExpr) -> ConservedCurrent:
         dw = _DerivCache(DiffExpr._raw(_k.mul(h._d, pf)))
         for k in range(i):
             piece = _k.mul(dw.get(k, 0), dg.get(i - 1 - k, j))
-            psi_t = _k.add(psi_t, _k.neg(piece) if k % 2 else piece)
+            for mono, coeff in piece.items():
+                _acc(psi_t, mono, -coeff if k % 2 else coeff)
         for l in range(j):
             piece = _k.mul(dw.get(i, l), dg.get(0, j - 1 - l))
-            psi_x = _k.add(psi_x, _k.neg(piece) if (i + l) % 2 else piece)
+            for mono, coeff in piece.items():
+                _acc(psi_x, mono, -coeff if (i + l) % 2 else coeff)
     return ConservedCurrent(DiffExpr._raw(psi_t), DiffExpr._raw(psi_x))
 
 

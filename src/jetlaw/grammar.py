@@ -23,7 +23,8 @@ would take the kernel more than MAX_PRODUCTS term products to expand.
 
 format_expr is the canonical printer: terms in descending monomial
 order, explicit '*' between factors, coefficients as integers or
-fractions.  parse(format_expr(e)) == e for every expression.
+fractions.  parse(format_expr(e)) == e for every expression it prints;
+it refuses coefficients with more digits than the parser accepts.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .errors import DivisionByZero, ExprSyntaxError, NonPolynomial
+from .errors import DivisionByZero, ExprSyntaxError, JetLawError, NonPolynomial
 from .expr import DiffExpr, Monomial, const, jet, t, x
 
 MAX_EXPONENT = 256
@@ -267,19 +268,29 @@ def _format_monomial(key) -> str:
 
 
 def format_expr(e: DiffExpr) -> str:
-    """Canonical printer; round-trips through parse_expr exactly."""
+    """Canonical printer; round-trips through parse_expr exactly.
+
+    A coefficient whose numerator or denominator has more digits than
+    the interpreter converts (the limit the parser puts on literals)
+    raises JetLawError instead of printing.
+    """
     if e.is_zero:
         return "0"
     out = []
     for mono, coeff in e.sorted_terms():
         mag = abs(coeff)
         body = _format_monomial(mono.key)
-        if not body:
-            piece = str(mag)
-        elif mag == 1:
+        if body and mag == 1:
             piece = body
         else:
-            piece = f"{mag}*{body}"
+            try:
+                digits = str(mag)
+            except ValueError:
+                # longer than the interpreter converts (sys.int_info)
+                raise JetLawError(
+                    f"coefficient exceeds {sys.get_int_max_str_digits()} digits"
+                ) from None
+            piece = f"{digits}*{body}" if body else digits
         if not out:
             out.append(piece if coeff > 0 else f"-{piece}")
         else:

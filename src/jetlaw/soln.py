@@ -10,16 +10,22 @@ restrict(f) == 0.
 
 The lex condition on g is what makes the rewriting terminate: replacing
 the lex-greatest consequence jet u_{L+K} by D^K g only introduces jets
-lexicographically below L + K.  restrict uses this to rewrite in
-buckets: every term is filed under its lex-greatest consequence jet,
-and the buckets are emptied from the greatest down, each exactly once,
-because the products of a bucket's terms with powers of D^K g only land
-in lower buckets or in the result.  The powers (D^K g)^e are memoized
-on the NormalPDE, next to the derivatives D^K g themselves.
+lexicographically below L + K.  The one rewriting loop uses this to
+work in buckets: every term is filed under its lex-greatest consequence
+jet, and the buckets are emptied from the greatest down, each exactly
+once, because the products of a bucket's terms with powers of D^K g only
+land in lower buckets or in the result.  The powers (D^K g)^e are
+memoized on the NormalPDE, next to the derivatives D^K g themselves.
 
-extract_operator inverts the other direction of that coin: for f with
-restrict(f) == 0 it produces a linear total-differential operator R
-with R(G) = f identically (coefficients may involve G's consequences).
+extract_operator runs the same loop and keeps what each substitution
+takes away.  Since u_m - D^K g = D^K G for m = L + K,
+
+    u_m^e - (D^K g)^e = D^K G * sum_{k<e} u_m^k (D^K g)^(e-1-k),
+
+so every replaced term base * u_m^e leaves base times that telescoped
+sum as a quotient on D^K G.  When the remainder restrict(f) is zero,
+the quotients are the coefficients of a linear total-differential
+operator R with R(G) = f identically.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from fractions import Fraction
 from math import comb
 
 from ._kernel import impl as _k
-from .diffops import _DerivCache
+from .diffops import _adjoint_op, _apply_op, _DerivCache
 from .errors import NotNormal, NotOnSolutionSpace
-from .expr import DiffExpr, JetIndex, Monomial, _as_jet_index
+from .expr import DiffExpr, _as_jet_index
 
 _acc = _k._acc
 
@@ -44,13 +50,13 @@ class NormalPDE:
     """A scalar PDE u_L = g in normal solved form.
 
     Attributes: lead (JetIndex L), rhs (g), G (u_L - g).  Instances
-    memoize the total derivatives of g and of G, and the powers of the
-    derivatives of g, that restriction and operator extraction need, so
+    memoize the total derivatives of g, and their powers, that the
+    rewriting loop of restriction and operator extraction needs, so
     reuse one instance per equation.  The memos grow only with the jets
     and exponents the inputs use.
     """
 
-    __slots__ = ("lead", "rhs", "G", "_drhs", "_dG", "_pow")
+    __slots__ = ("lead", "rhs", "G", "_drhs", "_pow")
 
     def __init__(self, lead, rhs: DiffExpr):
         lead = _as_jet_index(lead)
@@ -70,7 +76,6 @@ class NormalPDE:
         lead_expr = DiffExpr._raw({(0, 0, ((lead.nt, lead.nx, 1),)): Fraction(1)})
         self.G = lead_expr - rhs
         self._drhs = _DerivCache(rhs)
-        self._dG = _DerivCache(self.G)
         self._pow: dict = {}
 
     def is_consequence(self, idx) -> bool:
@@ -92,10 +97,6 @@ class NormalPDE:
             p = _k.pow_(self.consequence_raw(idx), e)
             self._pow[key] = p
         return p
-
-    def dG_raw(self, K) -> dict:
-        """Raw terms of D_t^kt D_x^kx G."""
-        return self._dG.get(K[0], K[1])
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,16 +120,6 @@ def make_pde(lead, rhs: DiffExpr) -> NormalPDE:
     return NormalPDE(lead, rhs)
 
 
-def _max_consequence(d: dict, pde: NormalPDE):
-    lt, lx = pde.lead
-    best = None
-    for key in d:
-        for nt, nx, _ in key[2]:
-            if nt >= lt and nx >= lx and (best is None or (nt, nx) > best):
-                best = (nt, nx)
-    return best
-
-
 # below every jet, so max(_NO_JET, j) == j
 _NO_JET = (-1, -1)
 
@@ -142,6 +133,62 @@ def _top_consequence(jets: tuple, lt: int, lx: int):
         if nx >= lx:
             return (nt, nx)
     return _NO_JET
+
+
+def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
+    """The one rewriting loop of restrict and extract_operator: the raw
+    terms d modulo the PDE and its differential consequences, emptying
+    one bucket per consequence jet as restrict describes.
+
+    When quotients is a dict, each replaced term base * u_m^e, with
+    m = L + K, also adds the telescoped quotient
+
+        base * sum_{k<e} u_m^k (D^K g)^(e-1-k)
+
+    into quotients[K], so that d = result + sum_K quotients[K] D^K G
+    exactly.
+    """
+    lt, lx = pde.lead
+    acc, mul_frac, merge = _acc, _k._mul_frac, _k._merge_jets
+    out: dict = {}
+    # greatest consequence jet -> terms; the terms without one are the result
+    buckets: dict = {_NO_JET: out}
+    for mono, coeff in d.items():
+        buckets.setdefault(_top_consequence(mono[2], lt, lx), {})[mono] = coeff
+    while True:
+        m = max(buckets)
+        if m == _NO_JET:
+            return out
+        mt, mx = m
+        quotient = None
+        if quotients is not None:
+            quotient = quotients.setdefault((mt - lt, mx - lx), {})
+        # exponent -> terms of (D^K g)^e with their greatest consequence jets
+        powers: dict = {}
+        for (td, xd, jets), coeff in buckets.pop(m).items():
+            for i, (nt, nx, e) in enumerate(jets):
+                if nt == mt and nx == mx:
+                    break
+            head, tail = jets[:i], jets[i + 1 :]
+            base = head + tail
+            btop = _top_consequence(base, lt, lx)
+            terms = powers.get(e)
+            if terms is None:
+                terms = powers[e] = [
+                    (pt, px, pj, pc, _top_consequence(pj, lt, lx))
+                    for (pt, px, pj), pc in pde.consequence_pow(m, e).items()
+                ]
+            for pt, px, pj, pc, ptop in terms:
+                top = btop if btop > ptop else ptop
+                tgt = buckets.get(top)
+                if tgt is None:
+                    tgt = buckets[top] = {}
+                acc(tgt, (td + pt, xd + px, merge(base, pj)), mul_frac(coeff, pc))
+            if quotient is not None:
+                for k in range(e):
+                    jk = head + ((mt, mx, k),) + tail if k else base
+                    for (pt, px, pj), pc in pde.consequence_pow(m, e - 1 - k).items():
+                        acc(quotient, (td + pt, xd + px, merge(jk, pj)), mul_frac(coeff, pc))
 
 
 def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
@@ -159,38 +206,7 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     only has jets below m, so every product lands in a lower bucket and
     each bucket is emptied once, with its cancellations already done.
     """
-    lt, lx = pde.lead
-    acc, mul_frac, merge = _acc, _k._mul_frac, _k._merge_jets
-    out: dict = {}
-    # greatest consequence jet -> terms; the terms without one are the result
-    buckets: dict = {_NO_JET: out}
-    for mono, coeff in f._d.items():
-        buckets.setdefault(_top_consequence(mono[2], lt, lx), {})[mono] = coeff
-    while True:
-        m = max(buckets)
-        if m == _NO_JET:
-            return DiffExpr._raw(out)
-        mt, mx = m
-        # exponent -> terms of (D^K g)^e with their greatest consequence jets
-        powers: dict = {}
-        for (td, xd, jets), coeff in buckets.pop(m).items():
-            for i, (nt, nx, e) in enumerate(jets):
-                if nt == mt and nx == mx:
-                    break
-            base = jets[:i] + jets[i + 1 :]
-            btop = _top_consequence(base, lt, lx)
-            terms = powers.get(e)
-            if terms is None:
-                terms = powers[e] = [
-                    (pt, px, pj, pc, _top_consequence(pj, lt, lx))
-                    for (pt, px, pj), pc in pde.consequence_pow(m, e).items()
-                ]
-            for pt, px, pj, pc, ptop in terms:
-                top = btop if btop > ptop else ptop
-                tgt = buckets.get(top)
-                if tgt is None:
-                    tgt = buckets[top] = {}
-                acc(tgt, (td + pt, xd + px, merge(base, pj)), mul_frac(coeff, pc))
+    return DiffExpr._raw(_rewrite(f._d, pde, None))
 
 
 class LinDiffOp:
@@ -211,25 +227,11 @@ class LinDiffOp:
 
     def apply(self, f: DiffExpr) -> DiffExpr:
         """R(f) = sum_K c_K D^K f."""
-        df = _DerivCache(f)
-        out: dict = {}
-        for (kt, kx), c in self.coeffs.items():
-            _acc_all(out, _k.mul(c._d, df.get(kt, kx)))
-        return DiffExpr._raw(out)
+        return DiffExpr._raw(_apply_op({K: c._d for K, c in self.coeffs.items()}, f))
 
     def adjoint(self, h: DiffExpr) -> DiffExpr:
         """R*(h) = sum_K (-D_t)^kt (-D_x)^kx (c_K h)."""
-        out: dict = {}
-        for (kt, kx), c in self.coeffs.items():
-            w = _k.mul(c._d, h._d)
-            for _ in range(kt):
-                w = _k.total_t(w)
-            for _ in range(kx):
-                w = _k.total_x(w)
-            if (kt + kx) % 2:
-                w = _k.neg(w)
-            _acc_all(out, w)
-        return DiffExpr._raw(out)
+        return DiffExpr._raw(_adjoint_op({K: c._d for K, c in self.coeffs.items()}, h))
 
     def adjoint_coeffs(self) -> dict[tuple[int, int], DiffExpr]:
         """Standard-form coefficients of the adjoint operator.
@@ -268,87 +270,27 @@ class LinDiffOp:
         return "LinDiffOp(" + " + ".join(bits) + ")"
 
 
-def _smono_raise(sm: tuple, K, k: int) -> tuple:
-    """Multiply the s-monomial sm by s_K^k, keeping sorted order."""
-    if k == 0:
-        return sm
-    out = []
-    placed = False
-    for idx, e in sm:
-        if idx == K:
-            out.append((idx, e + k))
-            placed = True
-        elif not placed and idx > K:
-            out.append((K, k))
-            placed = True
-            out.append((idx, e))
-        else:
-            out.append((idx, e))
-    if not placed:
-        out.append((K, k))
-        out.sort()
-    return tuple(out)
-
-
 def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
     """Write f, assumed to vanish on the solution space, as R(G).
 
-    Every consequence jet u_{L+K} equals D^K g + D^K G exactly; the
-    rewriting of restrict is replayed while tracking, per monomial, the
-    symbols s_K standing for the D^K G parts.  When no consequence jet
-    remains, the symbol-free part is restrict(f): if it is nonzero the
-    function raises NotOnSolutionSpace.  Each surviving monomial is
-    linear in its lex-greatest symbol s_K after re-expanding the others
-    to literal D^K G factors, which yields coefficients c_K with
+    The rewriting loop of restrict runs once and collects, for every
+    consequence jet u_{L+K} it empties, the telescoped quotient of the
+    terms it replaces (see _rewrite), so that
 
-        f = sum_K c_K D_t^kt D_x^kx G    identically.
+        f = restrict(f) + sum_K c_K D_t^kt D_x^kx G    identically.
 
-    The construction is deterministic; different valid operators for
-    the same f differ only by operators whose coefficients vanish on
-    the solution space.
+    If the remainder restrict(f) is nonzero the function raises
+    NotOnSolutionSpace; otherwise R = sum_K c_K D^K.  Polynomial rings
+    have no zero divisors, so each c_K is unique: it is the part of f,
+    written in the variables D^K G in place of the consequence jets,
+    whose greatest such variable is D^K G, divided by it.  Different
+    valid operators for the same f differ only by operators whose
+    coefficients vanish on the solution space.
     """
-    lt, lx = pde.lead
-    sdict: dict[tuple, dict] = {(): dict(f._d)}
-    while True:
-        m = None
-        for dd in sdict.values():
-            cand = _max_consequence(dd, pde)
-            if cand is not None and (m is None or cand > m):
-                m = cand
-        if m is None:
-            break
-        K = (m[0] - lt, m[1] - lx)
-        new: dict[tuple, dict] = {}
-        for sm, dd in sdict.items():
-            for (td, xd, jets), coeff in dd.items():
-                for i, (nt, nx, e) in enumerate(jets):
-                    if (nt, nx) == m:
-                        base = {(td, xd, jets[:i] + jets[i + 1 :]): coeff}
-                        for k in range(e + 1):
-                            piece = _k.mul(base, pde.consequence_pow(m, e - k))
-                            c = comb(e, k)
-                            if c != 1:
-                                piece = _k.scale(piece, Fraction(c))
-                            tgt = new.setdefault(_smono_raise(sm, K, k), {})
-                            _acc_all(tgt, piece)
-                        break
-                else:
-                    _acc(new.setdefault(sm, {}), (td, xd, jets), coeff)
-        sdict = {sm: dd for sm, dd in new.items() if dd}
-    sfree = sdict.pop((), None)
-    if sfree:
+    quotients: dict = {}
+    rest = _rewrite(f._d, pde, quotients)
+    if rest:
         raise NotOnSolutionSpace(
-            f"does not vanish on the solution space: {DiffExpr._raw(sfree)}"
+            f"does not vanish on the solution space: {DiffExpr._raw(rest)}"
         )
-    coeffs: dict[tuple[int, int], dict] = {}
-    for sm, dd in sdict.items():
-        k_star = max(idx for idx, _ in sm)
-        extra: dict | None = None
-        for idx, e in sm:
-            power = e - 1 if idx == k_star else e
-            if power:
-                p = _k.pow_(pde.dG_raw(idx), power)
-                extra = p if extra is None else _k.mul(extra, p)
-        piece = dd if extra is None else _k.mul(dd, extra)
-        _acc_all(coeffs.setdefault(k_star, {}), piece)
-    return LinDiffOp({K: DiffExpr._raw(d) for K, d in coeffs.items()})
+    return LinDiffOp({K: DiffExpr._raw(q) for K, q in quotients.items()})

@@ -270,6 +270,16 @@ def test_huge_literals_and_expansions_exit_2(capsys, monkeypatch):
         assert err.count("\n") == 1
 
 
+def test_oversized_coefficients_exit_2(capsys):
+    # a result coefficient too long to print is reported on one line,
+    # not as an internal ValueError
+    q = "(" + "9" * 3000 + ")^2*u"
+    code, out, err = run(capsys, "-s", KDV_SESSION, "current", "--Q", q)
+    assert code == 2
+    assert out == ""
+    assert err == "error: JetLawError: coefficient exceeds 4300 digits\n"
+
+
 def test_internal_errors_exit_2(capsys, monkeypatch):
     # exit 1 means only "the answer is no"; a defect is reported on one line
     def broken(*args):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import forbid_huge_powers_and_jets, forbid_large_products, random_expr
-from jetlaw.errors import DivisionByZero, ExprSyntaxError, NonPolynomial
-from jetlaw.expr import jet, t, u, x
+from jetlaw.errors import DivisionByZero, ExprSyntaxError, JetLawError, NonPolynomial
+from jetlaw.expr import const, jet, t, u, x
 from jetlaw.grammar import (
     MAX_EXPONENT,
     MAX_JET_ORDER,
@@ -132,6 +132,21 @@ def test_unit_coefficients_are_suppressed():
     assert format_expr(-u) == "-u"
     assert format_expr(u - t) == "-t + u"
     assert format_expr(Fraction(1, 2) * u) == "1/2*u"
+
+
+def test_printer_digit_limit():
+    # the printer refuses what the parser would refuse to read back, so
+    # every printed expression still round-trips
+    within = const(10**4299) * u - const(Fraction(1, 10**4299))
+    assert parse_expr(format_expr(within)) == within
+    for e in (
+        const(10**4300),
+        const(10**4300) * u + t,
+        u + const(Fraction(1, 10**5000)),
+        (const(int("9" * 3000)) ** 2) * u,
+    ):
+        with pytest.raises(JetLawError, match="coefficient exceeds 4300 digits"):
+            format_expr(e)
 
 
 def test_round_trip_random():

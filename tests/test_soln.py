@@ -71,10 +71,10 @@ def test_restrict_is_idempotent_and_linear(kdv, wave):
             assert restrict(f * g, pde) == restrict(rf * restrict(g, pde), pde)
 
 
-def test_restrict_matches_reference(kdv, wave):
+def _reference_pdes(kdv, wave):
     # leads (1,0), (2,0), (1,1), (2,1); right-hand sides with t, x and
-    # fractional coefficients; fractional inputs
-    pdes = [
+    # fractional coefficients
+    return [
         kdv,
         wave,
         make_pde((1, 0), parse_expr("t*u_xx/2 - 2/3*x*u*u_x + t")),
@@ -82,8 +82,12 @@ def test_restrict_matches_reference(kdv, wave):
         make_pde((1, 1), parse_expr("u_t*u/2 - t*x*u_xxx + 3/4*u")),
         make_pde((2, 1), parse_expr("u_tt/3 + x*u_txx - t*u_x*u_t + 1/2")),
     ]
+
+
+def test_restrict_matches_reference(kdv, wave):
+    # fractional inputs on the reference PDEs
     rng = random.Random(22)
-    for pde in pdes:
+    for pde in _reference_pdes(kdv, wave):
         lead = (pde.lead.nt, pde.lead.nx)
         rhs_s = oracle.to_sympy(pde.rhs)
         for i in range(6):
@@ -199,12 +203,66 @@ def test_extract_operator_is_exact(kdv, heat, wave):
             f = a * G + b * total_derivative(G, "t") + c * total_derivative(G, "x")
             R = extract_operator(f, pde)
             assert R.apply(G) == f
+    # f = h - restrict(h) for h holding up to the cube of a consequence
+    # jet, on the reference PDEs and fifth-order KdV; fractional inputs
+    kdv5 = make_pde(
+        (1, 0), parse_expr("-u_xxxxx - 10*u*u_xxx - 25*u_x*u_xx - 20*u^2*u_x")
+    )
+    for pde in _reference_pdes(kdv, wave) + [kdv5]:
+        lt, lx = pde.lead
+        for i in range(6):
+            e = i % 3 + 1
+            kt, kx = rng.choice([(0, 0), (1, 0), (0, 1)] + [(1, 1), (2, 0)] * (e < 3))
+            fractions = bool(i % 2)
+            h = random_expr(
+                rng, max_terms=3, max_order=3, max_jet_degree=2, allow_fractions=fractions
+            ) + jet(lt + kt, lx + kx) ** e * random_expr(
+                rng, max_terms=2, max_order=1, max_jet_degree=1, allow_fractions=fractions
+            )
+            f = h - restrict(h, pde)
+            R = extract_operator(f, pde)
+            assert R.apply(pde.G) == f
 
 
 def test_extract_operator_handles_products_of_consequences(kdv):
     f = kdv.G * kdv.G
     R = extract_operator(f, kdv)
     assert R.apply(kdv.G) == f
+    assert R.coeffs == {(0, 0): kdv.G}
+    # a cubed higher consequence jet; coefficients frozen from the
+    # earlier symbol-tracking construction
+    h = parse_expr("t*u*u_tx^3 - 2/3*u_tt*u_x")
+    R = extract_operator(h - restrict(h, kdv), kdv)
+    assert R.coeffs == {
+        (0, 0): parse_expr("2/3*u_x^2"),
+        (0, 1): parse_expr(
+            "t*u^3*u_xx^2 - t*u^2*u_xx*u_tx + 2*t*u^2*u_xx*u_xxxx"
+            " + 2*t*u^2*u_x^2*u_xx + t*u*u_tx^2 + t*u*u_xxxx^2"
+            " - t*u*u_xxxx*u_tx + t*u*u_x^4 - t*u*u_x^2*u_tx"
+            " + 2*t*u*u_x^2*u_xxxx + 2/3*u*u_x"
+        ),
+        (0, 3): parse_expr("2/3*u_x"),
+        (1, 0): parse_expr("-2/3*u_x"),
+    }
+
+
+def test_extract_operator_reuses_memoized_powers(monkeypatch):
+    # the quotients read the same power memo as the rewriting, so a
+    # second extraction on the same PDE computes no power
+    pde = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
+    f = pde.G**2
+    calls = []
+
+    def counted(*args, _fn=kernel.pow_):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(kernel, "pow_", counted)
+    first = extract_operator(f, pde)
+    assert calls
+    calls.clear()
+    assert extract_operator(f, pde) == first
+    assert calls == []
 
 
 def test_extract_operator_known_coefficients(kdv):
