@@ -15,6 +15,20 @@ Multipliers are plain DiffExpr values throughout.  solve_multipliers
 finds all of them within a polynomial ansatz of differential order
 strictly below the order of the PDE by solving E_u(Q G) = 0 as an exact
 linear system for the ansatz coefficients.
+
+Every ansatz monomial is p m0 with p = t^a x^b and m0 a pure jet
+monomial, and both solves get the images of all (T+1)(X+1) monomials
+sharing a jet part m0 from pieces computed once for m0
+(_factored_images), by two Leibniz-rule identities:
+
+    E_u(p m0 G) = sum_K (-1)^|K| D^K(p) E^K(m0 G)              (multipliers)
+    restrict(G'(p m0)) = sum_K D^K(p) restrict(F_K(m0))    (symmetries)
+
+with E^K the higher Euler operators and F_K the Leibniz pieces of the
+Fréchet derivative (diffops.higher_euler, diffops.frechet_pieces), and
+D^K(t^a x^b) = a^(kt) b^(kx) t^(a-kt) x^(b-kx) in falling factorials.
+restrict is linear over polynomials in t and x, so the second identity
+holds on the solution space too.
 """
 
 from __future__ import annotations
@@ -22,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import perm
 
 from ._kernel import impl as _k
 from .diffops import (
@@ -30,6 +45,7 @@ from .diffops import (
     euler,
     frechet,
     frechet_adjoint,
+    higher_euler,
     invert_divergence,
 )
 from .errors import (
@@ -39,11 +55,12 @@ from .errors import (
     NotConserved,
 )
 from .expr import DiffExpr, JetIndex, const
+from .grammar import format_brief
 from .ratlin import sparse_nullspace
 from .soln import LinDiffOp, NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
-_acc, _mul_frac = _k._acc, _k._mul_frac
+_acc, _mul_frac, _mul_frac_int = _k._acc, _k._mul_frac, _k._mul_frac_int
 
 
 @dataclass(frozen=True)
@@ -109,7 +126,7 @@ def multiplier_from_current(current, pde: NormalPDE) -> DiffExpr:
     operator R with R(G) = D_t T + D_x X.  Raises NotConserved."""
     div = divergence(current)
     if not restrict(div, pde).is_zero:
-        raise NotConserved(f"not conserved: D_t T + D_x X = {div} off the solution space")
+        raise NotConserved(f"not conserved: D_t T + D_x X = {format_brief(div)} off the solution space")
     return extract_operator(div, pde).adjoint(_ONE)
 
 
@@ -139,7 +156,7 @@ def helmholtz_check(q: DiffExpr, pde: NormalPDE) -> bool:
     check_adjoint_symmetry this is equivalent to check_multiplier.
     Raises NotAdjointSymmetry when the precondition fails."""
     if not check_adjoint_symmetry(q, pde):
-        raise NotAdjointSymmetry(f"not an adjoint-symmetry: {q}")
+        raise NotAdjointSymmetry(f"not an adjoint-symmetry: {format_brief(q)}")
     r = extract_operator(frechet_adjoint(pde.G, q), pde)
     adj = r.adjoint_coeffs()
     keys = set(adj)
@@ -157,7 +174,7 @@ def current_from_multiplier(q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     """A conserved current with divergence q G, by exact divergence
     inversion.  Raises NotAMultiplier."""
     if not check_multiplier(q, pde):
-        raise NotAMultiplier(f"E_u(q G) != 0 for q = {q}")
+        raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(q)}")
     return invert_divergence(q * pde.G)
 
 
@@ -170,6 +187,43 @@ def _monomial_equations(exprs: list[DiffExpr]) -> list[dict]:
         for k, c in e._d.items():
             eqs.setdefault(k, {})[j] = c
     return list(eqs.values())
+
+
+def _factored_images(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExpr]:
+    """The images under a linear map L of the ansatz monomials
+    p m0, with p = t^a x^b and m0 a pure jet monomial, given that
+
+        L(p m0) = sum_{K <= (a, b)} D^K(p) pieces(m0, kmax)[K]
+
+    with kmax = (max_t_degree, max_x_degree).  pieces returns raw terms
+    {K: dict}, with absent K meaning zero, and runs once per jet part
+    m0; D^K(t^a x^b) = a^(kt) b^(kx) t^(a-kt) x^(b-kx), with a^(k) the
+    falling factorial a (a-1) ... (a-k+1), so each image is a sum of
+    pieces shifted in t and x and scaled by an integer.  The basis
+    monomials have coefficient 1.
+    """
+    groups: dict = {}
+    for j, m in enumerate(basis):
+        ((a, b, jets),) = m._d
+        groups.setdefault(jets, []).append((j, a, b))
+    kmax = (ansatz.max_t_degree, ansatz.max_x_degree)
+    images: list = [None] * len(basis)
+    for jets, members in groups.items():
+        ps = pieces(DiffExpr._raw({(0, 0, jets): Fraction(1)}), kmax)
+        for j, a, b in members:
+            out: dict = {}
+            for (kt, kx), piece in ps.items():
+                if kt > a or kx > b:
+                    continue
+                c = perm(a, kt) * perm(b, kx)
+                sa, sb = a - kt, b - kx
+                if not out and c == 1:
+                    out = {(td + sa, xd + sb, pj): v for (td, xd, pj), v in piece.items()}
+                    continue
+                for (td, xd, pj), coeff in piece.items():
+                    _acc(out, (td + sa, xd + sb, pj), coeff if c == 1 else _mul_frac_int(coeff, c))
+            images[j] = DiffExpr._raw(out)
+    return images
 
 
 def solve_determining_system(
@@ -203,8 +257,20 @@ def _require_low_order(pde: NormalPDE, ansatz: Ansatz) -> None:
 
 def solve_multipliers(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
     """Basis of all multipliers within the ansatz, solving E_u(Q G) = 0
-    exactly for the rational ansatz coefficients."""
+    exactly for the rational ansatz coefficients.
+
+    The image of each ansatz monomial p m0, with p = t^a x^b, comes from
+    the higher Euler operators of m0 G, computed once per jet part m0:
+
+        E_u(p m0 G) = sum_K (-1)^|K| D^K(p) E^K(m0 G).
+    """
     _require_low_order(pde, ansatz)
     basis = ansatz_monomials(pde, ansatz)
-    images = [euler(m * pde.G) for m in basis]
-    return solve_determining_system(basis, images)
+
+    def pieces(m0, kmax):
+        return {
+            K: e._d if (K[0] + K[1]) % 2 == 0 else _k.neg(e._d)
+            for K, e in higher_euler(m0 * pde.G, kmax).items()
+        }
+
+    return solve_determining_system(basis, _factored_images(basis, ansatz, pieces))

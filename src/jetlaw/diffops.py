@@ -8,7 +8,17 @@ total derivatives:
     euler(f)               E_u(f) = f'*(1)
 
 A differential polynomial is a total divergence D_t T + D_x X exactly
-when its Euler operator image vanishes; boundary_current produces the
+when its Euler operator image vanishes.  For p a polynomial in t and x
+alone, the Leibniz rule D^J(p g) = sum_{K<=J} C(J, K) D^K(p) D^(J-K) g,
+with C(J, K) = C(jt, kt) C(jx, kx), splits both operators over p:
+
+    f'(p g)   = sum_K D^K(p) F_K,   F_K = sum_{J>=K} C(J, K) (df/du_J) D^(J-K) g
+    E_u(p f)  = sum_K (-1)^|K| D^K(p) E^K(f),
+                E^K(f) = sum_{J>=K} C(J, K) (-D)^(J-K) df/du_J
+
+where E^K are the higher Euler operators (Olver, Applications of Lie
+Groups to Differential Equations, 2nd ed., section 5.4); frechet_pieces
+and higher_euler compute the F_K and E^K.  boundary_current produces the
 current certifying the integration-by-parts identity
 
     h f'(g) - g f'*(h) = D_t Psi^t + D_x Psi^x
@@ -19,14 +29,16 @@ and invert_divergence reconstructs a current (T, X) from a divergence.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from ._kernel import impl as _k
 from .errors import NotADivergence
 from .expr import DiffExpr, JetIndex
+from .grammar import format_brief
 
 from typing import NamedTuple
 
-_acc = _k._acc
+_acc, _mul_frac_int = _k._acc, _k._mul_frac_int
 
 
 class ConservedCurrent(NamedTuple):
@@ -128,6 +140,58 @@ def euler(f: DiffExpr) -> DiffExpr:
     return frechet_adjoint(f, _ONE)
 
 
+def _acc_times(out: dict, d: dict, c: int) -> None:
+    """Accumulate c * d into out in place, for a nonzero int c."""
+    n = abs(c)
+    for mono, coeff in d.items():
+        v = coeff if n == 1 else _mul_frac_int(coeff, n)
+        _acc(out, mono, v if c > 0 else -v)
+
+
+def _leibniz_pieces(jets, kmax, term, alternating: bool) -> dict:
+    """{K: DiffExpr} of sum_{J>=K} C(J, K) s term(J, J - K) over the jets
+    J, for every K <= kmax with a nonzero sum, where s = (-1)^|J-K| if
+    alternating and 1 otherwise."""
+    kt_max, kx_max = kmax
+    out: dict = {}
+    for jt, jx in jets:
+        for kt in range(min(jt, kt_max) + 1):
+            for kx in range(min(jx, kx_max) + 1):
+                it, ix = jt - kt, jx - kx
+                c = comb(jt, kt) * comb(jx, kx)
+                if alternating and (it + ix) % 2:
+                    c = -c
+                _acc_times(out.setdefault((kt, kx), {}), term((jt, jx), it, ix), c)
+    return {K: DiffExpr._raw(d) for K, d in out.items() if d}
+
+
+def frechet_pieces(f: DiffExpr, g: DiffExpr, kmax) -> dict:
+    """The Leibniz pieces F_K = sum_{J>=K} C(J, K) (df/du_J) D^(J-K) g of
+    the Fréchet derivative, for every K <= kmax with a nonzero F_K, as
+    {K: DiffExpr}.  For p = t^a x^b with (a, b) <= kmax,
+
+        frechet(f, p g) = sum_K D^K(p) F_K,
+
+    and F_(0,0) = frechet(f, g)."""
+    partials = _partials(f)
+    dg = _DerivCache(g)
+    return _leibniz_pieces(
+        partials, kmax, lambda J, it, ix: _k.mul(partials[J], dg.get(it, ix)), False
+    )
+
+
+def higher_euler(f: DiffExpr, kmax) -> dict:
+    """The higher Euler operators E^K(f) = sum_{J>=K} C(J, K)
+    (-D)^(J-K) df/du_J, for every K <= kmax with a nonzero E^K(f), as
+    {K: DiffExpr}.  For p = t^a x^b with (a, b) <= kmax,
+
+        euler(p f) = sum_K (-1)^|K| D^K(p) E^K(f),
+
+    and E^(0,0) = euler(f)."""
+    derivs = {J: _DerivCache(DiffExpr._raw(d)) for J, d in _partials(f).items()}
+    return _leibniz_pieces(derivs, kmax, lambda J, it, ix: derivs[J].get(it, ix), True)
+
+
 def is_divergence(f: DiffExpr) -> bool:
     return euler(f).is_zero
 
@@ -187,8 +251,9 @@ def invert_divergence(f: DiffExpr) -> ConservedCurrent:
     and deterministic, and the result is one representative of the
     current's equivalence class.
     """
-    if not euler(f).is_zero:
-        raise NotADivergence(f"euler image is nonzero: {euler(f)}")
+    e = euler(f)
+    if not e.is_zero:
+        raise NotADivergence(f"euler image is nonzero: {format_brief(e)}")
     jet_free: dict = {}
     jet_part: dict = {}
     for k, c in f._d.items():

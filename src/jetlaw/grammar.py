@@ -25,6 +25,8 @@ format_expr is the canonical printer: terms in descending monomial
 order, explicit '*' between factors, coefficients as integers or
 fractions.  parse(format_expr(e)) == e for every expression it prints;
 it refuses coefficients with more digits than the parser accepts.
+format_brief is the bounded printer of error messages: it abbreviates
+long expressions and oversized coefficients instead of refusing them.
 """
 
 from __future__ import annotations
@@ -267,6 +269,35 @@ def _format_monomial(key) -> str:
     return "*".join(parts)
 
 
+def _format_terms(e: DiffExpr, keys, digits) -> str:
+    """The terms of e under the given monomial keys, in that order, each
+    coefficient magnitude rendered by digits."""
+    out = []
+    for key in keys:
+        coeff = e._d[key]
+        mag = abs(coeff)
+        body = _format_monomial(key)
+        if body and mag == 1:
+            piece = body
+        else:
+            piece = f"{digits(mag)}*{body}" if body else digits(mag)
+        if not out:
+            out.append(piece if coeff > 0 else f"-{piece}")
+        else:
+            out.append(f" + {piece}" if coeff > 0 else f" - {piece}")
+    return "".join(out)
+
+
+def _exact_digits(mag: Fraction) -> str:
+    try:
+        return str(mag)
+    except ValueError:
+        # longer than the interpreter converts (sys.int_info)
+        raise JetLawError(
+            f"coefficient exceeds {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def format_expr(e: DiffExpr) -> str:
     """Canonical printer; round-trips through parse_expr exactly.
 
@@ -276,23 +307,38 @@ def format_expr(e: DiffExpr) -> str:
     """
     if e.is_zero:
         return "0"
-    out = []
-    for mono, coeff in e.sorted_terms():
-        mag = abs(coeff)
-        body = _format_monomial(mono.key)
-        if body and mag == 1:
-            piece = body
-        else:
-            try:
-                digits = str(mag)
-            except ValueError:
-                # longer than the interpreter converts (sys.int_info)
-                raise JetLawError(
-                    f"coefficient exceeds {sys.get_int_max_str_digits()} digits"
-                ) from None
-            piece = f"{digits}*{body}" if body else digits
-        if not out:
-            out.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            out.append(f" + {piece}" if coeff > 0 else f" - {piece}")
-    return "".join(out)
+    return _format_terms(e, sorted(e._d, reverse=True), _exact_digits)
+
+
+# format_brief shows at most BRIEF_TERMS terms and abbreviates integers
+# of more than BRIEF_DIGITS digits
+BRIEF_TERMS = 12
+BRIEF_DIGITS = 40
+_BRIEF_INT_BOUND = 10**BRIEF_DIGITS
+_LOG10_2 = 0.30102999566398120
+
+
+def _brief_int(n: int) -> str:
+    if n < _BRIEF_INT_BOUND:
+        return str(n)
+    return f"<~{int(n.bit_length() * _LOG10_2) + 1} digits>"
+
+
+def _brief_digits(mag: Fraction) -> str:
+    num = _brief_int(mag.numerator)
+    return num if mag.denominator == 1 else f"{num}/{_brief_int(mag.denominator)}"
+
+
+def format_brief(e: DiffExpr) -> str:
+    """A bounded rendering of e for error messages, which never fails.
+
+    It prints like format_expr up to BRIEF_TERMS terms, then counts the
+    rest; an integer of more than BRIEF_DIGITS digits shows as its
+    approximate digit count.  Short expressions print exactly as
+    format_expr prints them.
+    """
+    if e.is_zero:
+        return "0"
+    text = _format_terms(e, sorted(e._d, reverse=True)[:BRIEF_TERMS], _brief_digits)
+    rest = len(e._d) - BRIEF_TERMS
+    return f"{text} + ... ({rest} more terms)" if rest > 0 else text

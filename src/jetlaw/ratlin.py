@@ -9,7 +9,8 @@ solve on a dense QMatrix convert its rows and call the same routine.
 Everything here is deterministic: rref is the (unique) reduced row
 echelon form, nullspace returns the canonical basis read off the rref
 with free coordinates in identity pattern, and eigenvalues are found as
-rational roots of the characteristic polynomial.  Irrational or complex
+rational roots of the characteristic polynomial, isolated by a Sturm
+sequence rather than by factoring its coefficients.  Irrational or complex
 eigenvalues are outside the scope of rational_eigenpairs and are simply
 not reported.
 """
@@ -17,7 +18,7 @@ not reported.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
 
 from ._kernel import impl as _k
 
@@ -195,25 +196,111 @@ def charpoly(M: QMatrix) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+def _horner(p: list, v):
+    acc = 0
+    for c in p:
+        acc = acc * v + c
+    return acc
+
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b, coefficient lists (highest
+    degree first) over Fraction with b[0] != 0; the remainder has no
+    leading zeros."""
+    a = list(a)
+    q = []
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        q.append(f)
+        for i in range(1, len(b)):
+            a[i] -= f * b[i]
+        a.pop(0)
+    while a and not a[0]:
+        a.pop(0)
+    return q, a
+
+
+def _derivative(p: list) -> list:
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _positive_integral(p: list) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    den = lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _integer_roots(monic: list[int]) -> list[int]:
+    """The distinct integer roots of a monic integer polynomial of degree
+    at least 1.
+
+    A Sturm sequence of the square-free part S counts the distinct real
+    roots in (lo, hi] as V(lo) - V(hi), V the number of sign changes.
+    Every root has |y| <= 2 max_i |c_i|^(1/i) (Fujiwara's bound, rounded
+    up to a power of 2 here), and the integer intervals inside it that
+    hold a root are bisected down to width 1; the one integer such an
+    interval can hold, its right end, is then checked exactly.  The work
+    grows with the degree and the bit length of the coefficients.
+    """
+    p = [Fraction(c) for c in monic]
+    g, h = p, _derivative(p)
+    while h:
+        g, h = h, _divmod(g, h)[1]
+    square_free = _divmod(p, g)[0]
+    seq = [square_free, _derivative(square_free)]
+    while len(seq[-1]) > 1:
+        r = _divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append([-c for c in r])
+    seq = [_positive_integral(q) for q in seq]
+
+    def changes(v: int) -> int:
+        n, last = 0, 0
+        for q in seq:
+            s = _horner(q, v)
+            if s:
+                if (s > 0) != (last > 0) and last:
+                    n += 1
+                last = s
+        return n
+
+    # |c_i|^(1/i) <= 2^ceil(bits(c_i) / i); the constant term is nonzero
+    bits = max(-(-abs(c).bit_length() // i) for i, c in enumerate(monic[1:], 1) if c)
+    lo, hi = -(2 << bits) - 1, 2 << bits
+    found = []
+    stack = [(lo, changes(lo), hi, changes(hi))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if _horner(monic, hi) == 0:
+                found.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = changes(mid)
+        stack.append((lo, vlo, mid, vmid))
+        stack.append((mid, vmid, hi, vhi))
+    return found
 
 
 def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All distinct rational roots of the polynomial with the given
-    coefficients (highest degree first)."""
+    coefficients (highest degree first).
+
+    With denominators cleared and the root 0 taken out, the polynomial
+    a_n x^n + ... + a_0 becomes, under y = a_n x, the monic integer
+    polynomial y^n + a_(n-1) y^(n-1) + a_(n-2) a_n y^(n-2) + ... +
+    a_0 a_n^(n-1).  Its rational roots are integers, found by
+    _integer_roots without factoring any coefficient, and x = y / a_n.
+    """
     if not coeffs or all(c == 0 for c in coeffs):
         raise ValueError("zero polynomial")
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den_lcm) for c in coeffs]
     while ints and ints[0] == 0:
         ints.pop(0)
@@ -222,23 +309,11 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         ints.pop()
         if Fraction(0) not in roots:
             roots.append(Fraction(0))
-        if len(ints) == 0:
-            return sorted(roots)
-
-    def value(r: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in ints:
-            acc = acc * r + c
-        return acc
-
-    lead, const = ints[0], ints[-1]
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and value(cand) == 0:
-                    roots.append(cand)
+    if len(ints) == 1:
+        return roots
+    lead = ints[0]
+    monic = [1] + [c * lead ** (i - 1) for i, c in enumerate(ints[1:], 1)]
+    roots += [Fraction(y, lead) for y in _integer_roots(monic)]
     return sorted(roots)
 
 

@@ -37,6 +37,7 @@ from ._kernel import impl as _k
 from .diffops import _adjoint_op, _apply_op, _DerivCache
 from .errors import NotNormal, NotOnSolutionSpace
 from .expr import DiffExpr, _as_jet_index
+from .grammar import format_brief
 
 _acc = _k._acc
 
@@ -291,6 +292,6 @@ def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
     rest = _rewrite(f._d, pde, quotients)
     if rest:
         raise NotOnSolutionSpace(
-            f"does not vanish on the solution space: {DiffExpr._raw(rest)}"
+            f"does not vanish on the solution space: {format_brief(DiffExpr._raw(rest))}"
         )
     return LinDiffOp({K: DiffExpr._raw(q) for K, q in quotients.items()})

@@ -30,12 +30,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conslaw import check_multiplier, check_adjoint_symmetry
+from .conslaw import (
+    Ansatz,
+    _factored_images,
+    _monomial_equations,
+    _require_low_order,
+    ansatz_monomials,
+    check_adjoint_symmetry,
+    check_multiplier,
+    solve_determining_system,
+)
 from .diffops import (
     ConservedCurrent,
     boundary_current,
     frechet,
     frechet_adjoint,
+    frechet_pieces,
     total_derivative,
 )
 from .errors import (
@@ -47,15 +57,10 @@ from .errors import (
     TrivialMultiplier,
 )
 from .expr import DiffExpr, jet
+from .grammar import format_brief
 from ._kernel import impl as _k
 from .ratlin import QMatrix, rational_eigenpairs
 from .soln import NormalPDE, extract_operator, restrict
-from .conslaw import (
-    Ansatz,
-    _monomial_equations,
-    ansatz_monomials,
-    solve_determining_system,
-)
 
 
 @dataclass(frozen=True)
@@ -99,13 +104,25 @@ def solve_symmetries(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
     determining equation on the solution space as an exact linear
     system.  Unlike multiplier candidates, the ansatz monomials may
     involve any jet (u_t is needed for time translation), so the
-    ansatz order must still be below the PDE order."""
-    from .conslaw import _require_low_order
+    ansatz order must still be below the PDE order.
 
+    restrict is linear over polynomials in t and x, so the Leibniz rule
+    gives the image of each ansatz monomial p m0, with p = t^a x^b, from
+    one rewrite per jet part m0 and multi-index K:
+
+        restrict(frechet(G, p m0)) = sum_K D^K(p) restrict(F_K(m0)),
+
+    F_K(m0) = sum_{J>=K} C(J, K) (dG/du_J) D^(J-K) m0 (frechet_pieces).
+    """
     _require_low_order(pde, ansatz)
     basis = ansatz_monomials(pde, ansatz, include_consequences=True)
-    images = [restrict(frechet(pde.G, m), pde) for m in basis]
-    return solve_determining_system(basis, images)
+
+    def pieces(m0, kmax):
+        return {
+            K: restrict(f, pde)._d for K, f in frechet_pieces(pde.G, m0, kmax).items()
+        }
+
+    return solve_determining_system(basis, _factored_images(basis, ansatz, pieces))
 
 
 def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:
@@ -150,9 +167,9 @@ def act_on_multiplier(gen, q: DiffExpr, pde: NormalPDE) -> DiffExpr:
     symmetry and Q a multiplier."""
     p = characteristic(gen)
     if not check_symmetry(p, pde):
-        raise NotASymmetry(f"determining equation fails for P = {p}")
+        raise NotASymmetry(f"determining equation fails for P = {format_brief(p)}")
     if not check_multiplier(q, pde):
-        raise NotAMultiplier(f"E_u(q G) != 0 for q = {q}")
+        raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(q)}")
     r_p, r_q = _operator_pair(p, q, pde)
     return r_p.adjoint(q) - r_q.adjoint(p)
 
@@ -167,9 +184,9 @@ def psi_current(gen, q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     space."""
     p = characteristic(gen)
     if not check_symmetry(p, pde):
-        raise NotASymmetry(f"determining equation fails for P = {p}")
+        raise NotASymmetry(f"determining equation fails for P = {format_brief(p)}")
     if not check_adjoint_symmetry(q, pde):
-        raise NotAdjointSymmetry(f"not an adjoint-symmetry: {q}")
+        raise NotAdjointSymmetry(f"not an adjoint-symmetry: {format_brief(q)}")
     return boundary_current(pde.G, p, q)
 
 
@@ -202,7 +219,7 @@ def classify(
     else:
         compare_dq, compare_q = restrict(dq, pde), restrict(q, pde)
     if compare_q.is_zero:
-        raise TrivialMultiplier(f"q vanishes on the solution space: {q}")
+        raise TrivialMultiplier(f"q vanishes on the solution space: {format_brief(q)}")
     if compare_dq.is_zero:
         return ClassificationResult("Invariant", Fraction(0), compare_dq)
     key = min(compare_q._d)
@@ -248,7 +265,7 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
     # The first pivot right of B is the first image outside span(B).
     if len(pivots) > n:
         raise NotClosed(
-            f"action leaves the span of the basis on element {basis[pivots[n] - n]}"
+            f"action leaves the span of the basis on element {format_brief(basis[pivots[n] - n])}"
         )
     # Pivot row i holds coordinate i of every image.
     zero = Fraction(0)

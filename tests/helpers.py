@@ -16,21 +16,26 @@ def random_expr(
     max_tx_degree=2,
     coeff_bound=9,
     allow_fractions=False,
+    jets=None,
 ):
     """A random differential polynomial within the given bounds.
 
     Coefficients are nonzero integers in [-coeff_bound, coeff_bound]
     (or small fractions when allow_fractions is set); jets have total
-    order at most max_order and each monomial has total jet degree at
-    most max_jet_degree.
+    order at most max_order, or are drawn from the list jets when it is
+    given, and each monomial has total jet degree at most
+    max_jet_degree.
     """
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         powers = {}
         for _ in range(rng.randint(0, max_jet_degree)):
-            order = rng.randint(0, max_order)
-            nt = rng.randint(0, order)
-            idx = (nt, order - nt)
+            if jets:
+                idx = rng.choice(jets)
+            else:
+                order = rng.randint(0, max_order)
+                nt = rng.randint(0, order)
+                idx = (nt, order - nt)
             powers[idx] = powers.get(idx, 0) + 1
         mono = Monomial(
             t_deg=rng.randint(0, max_tx_degree),

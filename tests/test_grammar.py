@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import forbid_huge_powers_and_jets, forbid_large_products, random_expr
+from jetlaw import grammar
 from jetlaw.errors import DivisionByZero, ExprSyntaxError, JetLawError, NonPolynomial
 from jetlaw.expr import const, jet, t, u, x
 from jetlaw.grammar import (
     MAX_EXPONENT,
     MAX_JET_ORDER,
     MAX_PRODUCTS,
+    format_brief,
     format_expr,
     parse_expr,
 )
@@ -147,6 +149,23 @@ def test_printer_digit_limit():
     ):
         with pytest.raises(JetLawError, match="coefficient exceeds 4300 digits"):
             format_expr(e)
+
+
+def test_brief_printer_is_bounded():
+    # short expressions print as format_expr prints them; long ones are
+    # cut after BRIEF_TERMS terms and oversized integers are abbreviated
+    rng = random.Random(2025)
+    for _ in range(20):
+        f = random_expr(rng, max_terms=grammar.BRIEF_TERMS, allow_fractions=True)
+        assert format_brief(f) == format_expr(f)
+    assert format_brief(const(0)) == "0"
+    assert format_brief(const(10**39) * u) == format_expr(const(10**39) * u)
+    assert format_brief(const(10**40) * u) == "<~41 digits>*u"
+    assert format_brief(-const(Fraction(7, 10**5000)) * u) == "-7/<~5001 digits>*u"
+    assert format_brief(const(10**100000) * t) == "<~100001 digits>*t"
+    long = sum((x**k for k in range(100)), const(0))
+    want = " + ".join(f"x^{k}" for k in range(99, 99 - grammar.BRIEF_TERMS, -1))
+    assert format_brief(long) == want + " + ... (88 more terms)"
 
 
 def test_round_trip_random():

@@ -1,0 +1,112 @@
+"""The factored images of the two solves: each ansatz monomial
+p m0, p = t^a x^b, gets its image from pieces computed once per jet part
+m0 (the Leibniz rule for the determining equation of symmetries, the
+higher Euler operators for multipliers).  The images must equal the
+per-monomial definitions restrict(frechet(G, m)) and euler(m G) term for
+term."""
+
+import random
+
+import oracle
+from helpers import random_expr
+from jetlaw import conslaw, soln, symmetry
+from jetlaw.conslaw import Ansatz, solve_multipliers
+from jetlaw.diffops import euler, frechet, frechet_pieces, higher_euler
+from jetlaw.expr import t, x
+from jetlaw.soln import make_pde, restrict
+from jetlaw.symmetry import solve_symmetries
+
+LEADS = [(1, 0), (2, 0), (1, 1), (2, 1)]
+
+
+def _images(module, solve, pde, ansatz, monkeypatch):
+    """The (basis, images) pair a solve hands to solve_determining_system."""
+    seen = []
+    real = module.solve_determining_system
+
+    def capture(basis, images):
+        seen.append((basis, images))
+        return real(basis, images)
+
+    monkeypatch.setattr(module, "solve_determining_system", capture)
+    solve(pde, ansatz)
+    monkeypatch.undo()
+    (pair,) = seen
+    return pair
+
+
+def test_factored_images_equal_the_per_monomial_definitions(monkeypatch):
+    # random normal PDEs with t-, x-dependent fractional right-hand sides
+    rng = random.Random(61)
+    for i in range(12):
+        lead = LEADS[i % len(LEADS)]
+        below = [(nt, o - nt) for o in range(4) for nt in range(o + 1) if (nt, o - nt) < lead]
+        rhs = random_expr(rng, max_terms=4, max_jet_degree=2, allow_fractions=True, jets=below)
+        pde = make_pde(lead, rhs)
+        top = min(2, pde.G.max_order() - 1)
+        ansatz = Ansatz(rng.randint(0, top), rng.randint(1, 2), rng.randint(0, 2), rng.randint(0, 2))
+        basis, images = _images(conslaw, solve_multipliers, pde, ansatz, monkeypatch)
+        assert images == [euler(m * pde.G) for m in basis]
+        basis, images = _images(symmetry, solve_symmetries, pde, ansatz, monkeypatch)
+        assert images == [restrict(frechet(pde.G, m), pde) for m in basis]
+
+
+def _shifts(kmax):
+    return [(a, b) for a in range(kmax[0] + 1) for b in range(kmax[1] + 1)]
+
+
+def test_higher_euler_identity_matches_reference():
+    # euler(p f) = sum_K (-1)^|K| D^K(p) E^K(f), checked against the sympy
+    # transcription of the Euler operator and of D^K
+    rng = random.Random(62)
+    for _ in range(6):
+        f = random_expr(rng, max_terms=3, max_order=2, max_jet_degree=2, allow_fractions=True)
+        pieces = higher_euler(f, (2, 2))
+        assert pieces.get((0, 0), 0) == euler(f)
+        for a, b in _shifts((2, 2)):
+            p = oracle.to_sympy(t**a * x**b)
+            want = oracle.euler(oracle.to_sympy(t**a * x**b * f))
+            got = sum(
+                (-1) ** (kt + kx) * oracle.DJ(p, kt, kx) * oracle.to_sympy(e)
+                for (kt, kx), e in pieces.items()
+            )
+            assert (want - got).expand() == 0
+
+
+def test_frechet_leibniz_identity_matches_reference(kdv):
+    # frechet(f, p g) = sum_K D^K(p) F_K, and restrict is linear over
+    # polynomials in t and x, so the same holds after restriction
+    rng = random.Random(63)
+    rhs = oracle.to_sympy(kdv.rhs)
+    for _ in range(4):
+        f = random_expr(rng, max_terms=3, max_order=2, max_jet_degree=2, allow_fractions=True)
+        g = random_expr(rng, max_terms=2, max_order=1, max_jet_degree=2, max_tx_degree=0)
+        pieces = frechet_pieces(f, g, (1, 2))
+        assert pieces.get((0, 0), 0) == frechet(f, g)
+        for a, b in _shifts((1, 2)):
+            p = oracle.to_sympy(t**a * x**b)
+            pg = oracle.to_sympy(t**a * x**b * g)
+            dps = {K: oracle.DJ(p, *K) for K in pieces}
+            want = oracle.frechet(oracle.to_sympy(f), pg)
+            got = sum(dps[K] * oracle.to_sympy(e) for K, e in pieces.items())
+            assert (want - got).expand() == 0
+            want = oracle.restrict(want, (1, 0), rhs)
+            got = sum(dps[K] * oracle.to_sympy(restrict(e, kdv)) for K, e in pieces.items())
+            assert (want - got).expand() == 0
+
+
+def test_symmetry_solve_rewrites_once_per_jet_part(kdv, monkeypatch):
+    # A(2,3,1,1) has 336 monomials over 84 jet parts; a per-monomial
+    # restrict(frechet(G, m)) runs the rewriting loop 336 times
+    calls = []
+    rewrite = soln._rewrite
+
+    def counted(d, pde, quotients):
+        calls.append(1)
+        return rewrite(d, pde, quotients)
+
+    monkeypatch.setattr(soln, "_rewrite", counted)
+    basis = solve_symmetries(kdv, Ansatz(2, 3, 1, 1))
+    monkeypatch.undo()
+    assert len(basis) == 4
+    assert len(calls) < 336

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,41 @@ def test_rational_roots():
     assert rational_roots([F(1, 3), F(-1, 6)]) == [F(1, 2)]
     with pytest.raises(ValueError):
         rational_roots([F(0)])
+
+
+def test_rational_roots_match_sympy():
+    # random products of linear factors, irreducible quadratics and
+    # repeated factors, with a common rational denominator
+    rng = random.Random(37)
+    x = sp.Symbol("x")
+    for _ in range(60):
+        expr = sp.Integer(rng.choice([1, -1, 3, -7]))
+        for _ in range(rng.randint(1, 5)):
+            k = rng.random()
+            if k < 0.6:
+                expr *= (rng.randint(1, 30) * x - rng.randint(-60, 60)) ** rng.randint(1, 2)
+            elif k < 0.8:
+                expr *= x**2 + rng.randint(1, 50)
+            else:
+                expr *= rng.randint(1, 9) * x**2 - rng.choice([2, 3, 5, 7]) * rng.randint(1, 5) ** 2
+        poly = sp.Poly(sp.expand(expr), x, domain="QQ")
+        den = rng.randint(1, 5)
+        coeffs = [F(int(c.p), int(c.q) * den) for c in poly.all_coeffs()]
+        want = sorted(F(int(r.p), int(r.q)) for r in poly.ground_roots())
+        assert rational_roots(coeffs) == want
+
+
+def test_rational_roots_of_huge_constants_are_fast():
+    # trial division up to sqrt|c| would take about 10^20 steps here
+    p, q = 10**20 + 39, -(10**20 + 129)
+    x = sp.Symbol("x")
+    poly = sp.Poly(sp.expand((x - p) * (3 * x - q) * (x**2 + 5) * (2 * x**2 - 7)), x)
+    coeffs = [F(int(c)) for c in poly.all_coeffs()]
+    assert abs(coeffs[-1]) > 10**40
+    start = time.perf_counter()
+    roots = rational_roots(coeffs)
+    assert time.perf_counter() - start < 1.0
+    assert roots == [F(q, 3), F(p)]
 
 
 def test_rational_eigenpairs_examples():
