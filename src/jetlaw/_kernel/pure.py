@@ -324,20 +324,55 @@ def rref(rows):
     (the pivot entry 1 included, zeros absent) together with their
     pivot columns, so it does not depend on the order of the input rows.
 
-    The rows are consumed one at a time.  The pivot rows found so far
-    are kept fully reduced, so subtracting their multiples clears every
-    pivot column of an incoming row and leaves only free columns.  If
-    anything remains, its lowest column becomes a new pivot: the row is
-    scaled to 1 there and that column is cleared from the earlier pivot
-    rows.  After each input row the pivot rows are the reduced echelon
-    form of the rows seen so far, so their coefficients stay as small
-    as those of that form.
+    First, singleton rows are peeled.  A row whose only nonzero entry
+    outside the peeled columns lies in column c puts e_c in the row
+    space, so c is peeled: its row of the result is e_c.  Every row
+    holding c then loses one live entry, and a row left with one joins
+    the peel, so the peel cascades.  This takes a column -> rows index
+    and a live count per row; no row is copied.  In a determining
+    system nearly every unknown is peeled this way.
+
+    The residual rows, those with two or more live entries, are then
+    consumed one at a time, fewest live entries first (Markowitz's
+    order for sparsity), without their peeled columns.  The pivot rows
+    found so far are kept fully reduced, so subtracting their multiples
+    clears every pivot column of an incoming row and leaves only free
+    columns.  If anything remains, its lowest column becomes a new
+    pivot: the row is scaled to 1 there and that column is cleared from
+    the earlier pivot rows.  After each input row the pivot rows are
+    the reduced echelon form of the residual rows seen so far, so their
+    coefficients stay as small as those of that form.  No peeled column
+    occurs in them, so with the rows e_c of the peeled columns they
+    form the reduced echelon form of the whole system.
     """
+    rows = list(rows)
+    count = []
+    holders = {}
+    for i, row in enumerate(rows):
+        n = 0
+        for c, v in row.items():
+            if v:
+                n += 1
+                holders.setdefault(c, []).append(i)
+        count.append(n)
+    peeled = set()
+    stack = [i for i, n in enumerate(count) if n == 1]
+    while stack:
+        i = stack.pop()
+        if count[i] != 1:
+            continue
+        c = next(c for c, v in rows[i].items() if v and c not in peeled)
+        peeled.add(c)
+        for j in holders[c]:
+            count[j] -= 1
+            if count[j] == 1:
+                stack.append(j)
+    residual = sorted((i for i, n in enumerate(count) if n > 1), key=count.__getitem__)
     # pivot column -> the pivot row without its entry 1; only free
     # columns occur in these tails
     tails = {}
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
+    for i in residual:
+        r = {c: v for c, v in rows[i].items() if v and c not in peeled}
         for p in [c for c in r if c in tails]:
             _sub_multiple(r, r.pop(p), tails[p])
         if not r:
@@ -354,5 +389,7 @@ def rref(rows):
             if f is not None:
                 _sub_multiple(tail, f, r)
         tails[p] = r
+    for c in peeled:
+        tails[c] = {}
     pivot_cols = sorted(tails)
     return [{p: _ONE, **tails[p]} for p in pivot_cols], pivot_cols

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .conslaw import (
     Ansatz,
-    check_multiplier,
     current_from_multiplier,
     is_trivial_current,
     multiplier_from_current,

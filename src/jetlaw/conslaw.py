@@ -43,7 +43,6 @@ from .diffops import (
     ConservedCurrent,
     divergence,
     euler,
-    frechet,
     frechet_adjoint,
     higher_euler,
     invert_divergence,
@@ -57,7 +56,7 @@ from .errors import (
 from .expr import DiffExpr, JetIndex, const
 from .grammar import format_brief
 from .ratlin import sparse_nullspace
-from .soln import LinDiffOp, NormalPDE, extract_operator, restrict
+from .soln import NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
 _acc, _mul_frac, _mul_frac_int = _k._acc, _k._mul_frac, _k._mul_frac_int

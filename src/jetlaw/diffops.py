@@ -33,7 +33,7 @@ from math import comb
 
 from ._kernel import impl as _k
 from .errors import NotADivergence
-from .expr import DiffExpr, JetIndex
+from .expr import DiffExpr
 from .grammar import format_brief
 
 from typing import NamedTuple

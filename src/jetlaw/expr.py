@@ -283,7 +283,10 @@ class DiffExpr:
         return format_expr(self)
 
     def __repr__(self) -> str:
-        return f"DiffExpr({str(self)!r})"
+        # brief, so that a repr never fails on an unprintable coefficient
+        from .grammar import format_brief
+
+        return f"DiffExpr({format_brief(self)!r})"
 
 
 def const(value: Scalar) -> DiffExpr:

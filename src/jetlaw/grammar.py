@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DivisionByZero, ExprSyntaxError, JetLawError, NonPolynomial
-from .expr import DiffExpr, Monomial, const, jet, t, x
+from .expr import DiffExpr, const, jet, t, x
 
 MAX_EXPONENT = 256
 MAX_JET_ORDER = 64

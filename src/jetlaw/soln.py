@@ -110,7 +110,7 @@ class NormalPDE:
         return hash((self.lead, self.rhs))
 
     def __repr__(self) -> str:
-        return f"NormalPDE({self.lead} = {self.rhs})"
+        return f"NormalPDE({self.lead} = {format_brief(self.rhs)})"
 
     def __str__(self) -> str:
         return f"{self.lead} = {self.rhs}"
@@ -267,7 +267,7 @@ class LinDiffOp:
         bits = []
         for (kt, kx), c in sorted(self.coeffs.items()):
             op = "D_t^%d D_x^%d" % (kt, kx) if (kt or kx) else "1"
-            bits.append(f"({c}) {op}")
+            bits.append(f"({format_brief(c)}) {op}")
         return "LinDiffOp(" + " + ".join(bits) + ")"
 
 

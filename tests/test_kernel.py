@@ -9,6 +9,8 @@ import sympy as sp
 import oracle
 from helpers import random_expr
 from jetlaw._kernel import pure
+from jetlaw.conslaw import Ansatz
+from jetlaw.symmetry import solve_symmetries
 
 
 def _q(v):
@@ -123,11 +125,85 @@ def test_rref_degenerate_inputs():
     assert pure.rref([{4: Fraction(-2, 3)}]) == ([{4: Fraction(1)}], [4])
 
 
+def _peeling_system(rng):
+    """A sparse system most of whose unknowns are forced to zero in
+    cascades: a chain of rows e_a, a + b, b + c, ... peels one column per
+    row, and the rest are random rows of two to four entries, singleton
+    rows, explicit zeros, zero rows and scaled copies."""
+    n = rng.randint(2, 9)
+    chain = rng.sample(range(n), rng.randint(1, n))
+    rows = [[Fraction(0)] * n for _ in chain]
+    rows[0][chain[0]] = _random_entry(rng) or Fraction(-3)
+    for row, a, b in zip(rows[1:], chain, chain[1:]):
+        row[a] = _random_entry(rng) or Fraction(2)
+        row[b] = _random_entry(rng) or Fraction(1, 5)
+    for _ in range(rng.randint(0, 2 * n)):
+        row = [Fraction(0)] * n
+        kind = rng.random()
+        if kind < 0.2:
+            row[rng.randrange(n)] = _random_entry(rng)
+        elif kind < 0.35:
+            row = [Fraction(-5, 2) * v for v in rng.choice(rows)]
+        elif kind > 0.45:
+            for j in rng.sample(range(n), min(n, rng.randint(2, 4))):
+                row[j] = _random_entry(rng)
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows, n
+
+
+def test_rref_matches_reference_on_peeling_cascades():
+    rng = random.Random(35)
+    for _ in range(40):
+        rows, n = _peeling_system(rng)
+        _check_against_sympy(rows, n)
+
+
+def _exact(result):
+    """An rref result with every entry as its (numerator, denominator)."""
+    rows, pivots = result
+    return [sorted((k, v.numerator, v.denominator) for k, v in row.items()) for row in rows], pivots
+
+
+def test_rref_does_not_depend_on_row_order():
+    rng = random.Random(36)
+    for i in range(60):
+        rows, _ = _peeling_system(rng) if i % 2 else _tall_sparse_system(rng)
+        rows = _sparse(rows)
+        want = _exact(pure.rref(rows))
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert _exact(pure.rref(rows)) == want
+
+
 def test_rref_does_not_modify_its_input():
-    rows = [{0: Fraction(2), 2: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}]
+    rows = [
+        {0: Fraction(2), 2: Fraction(1)},
+        {0: Fraction(1), 1: Fraction(3)},
+        {3: Fraction(0), 4: Fraction(7)},
+        {4: Fraction(1), 5: Fraction(-1), 6: Fraction(0)},
+        {5: Fraction(2, 3), 6: Fraction(1), 7: Fraction(1)},
+    ]
     copy = [dict(r) for r in rows]
-    pure.rref(rows)
+    assert pure.rref(rows)[1] == [0, 1, 4, 5, 6]
     assert rows == copy
+    assert [list(r) for r in rows] == [list(r) for r in copy]
+
+
+def test_rref_peels_the_kdv_symmetry_system(kdv, monkeypatch):
+    # nearly every unknown of a determining system is forced to zero by
+    # an equation holding only it; peeling those leaves a handful of
+    # rows for the fill-in loop (2,116 subtractions in column order)
+    calls = []
+    sub_multiple = pure._sub_multiple
+
+    def counted(row, f, other):
+        calls.append(len(other))
+        sub_multiple(row, f, other)
+
+    monkeypatch.setattr(pure, "_sub_multiple", counted)
+    assert len(solve_symmetries(kdv, Ansatz(2, 2, 1, 1))) == 4
+    assert len(calls) < 100
 
 
 def _same_fraction(got, want):

@@ -288,3 +288,13 @@ def test_extract_operator_rejects_off_solution_input(kdv):
 def test_pde_str(kdv):
     assert str(kdv) == "u_t = -u_xxx - u*u_x"
     assert repr(parse_expr("u") * 0 + kdv.G) == repr(kdv.G)
+
+
+def test_repr_never_raises():
+    # the printer refuses coefficients above 4300 digits; a repr shows
+    # them abbreviated instead, and short expressions in full
+    huge = const(10**5000) * u
+    assert repr(huge) == "DiffExpr('<~5001 digits>*u')"
+    assert repr(u * u + t) == "DiffExpr('t + u^2')"
+    assert repr(LinDiffOp({(0, 1): huge, (0, 0): u})) == "LinDiffOp((u) 1 + (<~5001 digits>*u) D_t^0 D_x^1)"
+    assert repr(make_pde((1, 0), huge)) == "NormalPDE(u_t = <~5001 digits>*u)"
