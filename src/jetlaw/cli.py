@@ -51,12 +51,14 @@ from .symmetry import (
 )
 
 _NAME_LINE = re.compile(r"^name\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
-_ANSATZ_KEYS = {
-    "order": "max_order",
-    "jet-degree": "max_jet_degree",
-    "t-degree": "max_t_degree",
-    "x-degree": "max_x_degree",
-}
+# (Ansatz field, session key and flag, help) of each ansatz bound
+_ANSATZ_FIELDS = (
+    ("max_order", "order", "max differential order of the ansatz"),
+    ("max_jet_degree", "jet-degree", "max total degree in the jets"),
+    ("max_t_degree", "t-degree", "max degree in t"),
+    ("max_x_degree", "x-degree", "max degree in x"),
+)
+_ANSATZ_KEYS = {key: field for field, key, _ in _ANSATZ_FIELDS}
 _RESERVED = {"t", "x", "u"}
 
 
@@ -136,13 +138,8 @@ def _resolve(text: str, session: Session) -> DiffExpr:
 
 def _ansatz_from_args(args, session: Session) -> Ansatz:
     kw = {}
-    for flag, field in (
-        ("order", "max_order"),
-        ("jet_degree", "max_jet_degree"),
-        ("t_degree", "max_t_degree"),
-        ("x_degree", "max_x_degree"),
-    ):
-        v = getattr(args, flag, None)
+    for field, key, _ in _ANSATZ_FIELDS:
+        v = getattr(args, key.replace("-", "_"))
         kw[field] = v if v is not None else getattr(session.ansatz, field)
     return Ansatz(**kw)
 
@@ -156,12 +153,7 @@ def _header(cmd: str, session: Session) -> list[tuple[str, str]]:
 
 
 def _ansatz_lines(ansatz: Ansatz) -> list[tuple[str, str]]:
-    return [
-        ("order", str(ansatz.max_order)),
-        ("jet-degree", str(ansatz.max_jet_degree)),
-        ("t-degree", str(ansatz.max_t_degree)),
-        ("x-degree", str(ansatz.max_x_degree)),
-    ]
+    return [(key, str(getattr(ansatz, field))) for field, key, _ in _ANSATZ_FIELDS]
 
 
 def _cmd_check_conslaw(args, session: Session):
@@ -181,23 +173,15 @@ def _cmd_multiplier_of(args, session: Session):
     return 0, lines
 
 
-def _cmd_multipliers(args, session: Session):
+def _cmd_solve(args, session: Session):
+    """The multipliers or symmetries command, as args.cmd names."""
+    solve = solve_multipliers if args.cmd == "multipliers" else solve_symmetries
     ansatz = _ansatz_from_args(args, session)
-    basis = solve_multipliers(session.pde, ansatz)
-    lines = _header("multipliers", session) + _ansatz_lines(ansatz)
+    basis = solve(session.pde, ansatz)
+    lines = _header(args.cmd, session) + _ansatz_lines(ansatz)
     lines.append(("dimension", str(len(basis))))
-    for i, q in enumerate(basis):
-        lines.append((f"basis[{i}]", format_expr(q)))
-    return 0, lines
-
-
-def _cmd_symmetries(args, session: Session):
-    ansatz = _ansatz_from_args(args, session)
-    basis = solve_symmetries(session.pde, ansatz)
-    lines = _header("symmetries", session) + _ansatz_lines(ansatz)
-    lines.append(("dimension", str(len(basis))))
-    for i, p in enumerate(basis):
-        lines.append((f"basis[{i}]", format_expr(p)))
+    for i, b in enumerate(basis):
+        lines.append((f"basis[{i}]", format_expr(b)))
     return 0, lines
 
 
@@ -288,10 +272,8 @@ def _cmd_action_matrix(args, session: Session):
 
 
 def _add_ansatz_flags(sub):
-    sub.add_argument("--order", type=int, help="max differential order of the ansatz")
-    sub.add_argument("--jet-degree", dest="jet_degree", type=int, help="max total degree in the jets")
-    sub.add_argument("--t-degree", dest="t_degree", type=int, help="max degree in t")
-    sub.add_argument("--x-degree", dest="x_degree", type=int, help="max degree in x")
+    for _, key, text in _ANSATZ_FIELDS:
+        sub.add_argument(f"--{key}", type=int, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multipliers", help="solve for all multipliers in an ansatz")
     _add_ansatz_flags(p)
-    p.set_defaults(func=_cmd_multipliers)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("symmetries", help="solve for all symmetry characteristics in an ansatz")
     _add_ansatz_flags(p)
-    p.set_defaults(func=_cmd_symmetries)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("current", help="conserved current of a multiplier")
     p.add_argument("--Q", required=True)
@@ -354,16 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {
-    "--P",
-    "--Q",
-    "--T",
-    "--X",
-    "--basis",
-    "--order",
-    "--jet-degree",
-    "--t-degree",
-    "--x-degree",
+_VALUE_FLAGS = {"--P", "--Q", "--T", "--X", "--basis"} | {
+    f"--{key}" for _, key, _ in _ANSATZ_FIELDS
 }
 
 

@@ -21,11 +21,12 @@ monomial, and both solves get the images of all (T+1)(X+1) monomials
 sharing a jet part m0 from pieces computed once for m0
 (_factored_images), by two Leibniz-rule identities:
 
-    E_u(p m0 G) = sum_K (-1)^|K| D^K(p) E^K(m0 G)              (multipliers)
+    E_u(p m0 G) = sum_K D^K(p) A_K(m0 G)                    (multipliers)
     restrict(G'(p m0)) = sum_K D^K(p) restrict(F_K(m0))    (symmetries)
 
-with E^K the higher Euler operators and F_K the Leibniz pieces of the
-Fréchet derivative (diffops.higher_euler, diffops.frechet_pieces), and
+with A_K the standard coefficients of the adjoint Fréchet derivative
+(E_u(p f) = f'*(p)) and F_K the Leibniz pieces of the Fréchet derivative
+(diffops.euler_pieces, diffops.frechet_pieces), and
 D^K(t^a x^b) = a^(kt) b^(kx) t^(a-kt) x^(b-kx) in falling factorials.
 restrict is linear over polynomials in t and x, so the second identity
 holds on the solution space too.
@@ -36,15 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import perm
+from math import comb, perm
 
 from ._kernel import impl as _k
 from .diffops import (
     ConservedCurrent,
     divergence,
     euler,
+    euler_pieces,
     frechet_adjoint,
-    higher_euler,
     invert_divergence,
 )
 from .errors import (
@@ -60,6 +61,9 @@ from .soln import NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
 _acc, _mul_frac, _mul_frac_int = _k._acc, _k._mul_frac, _k._mul_frac_int
+# the most monomials an ansatz may have: the solves in use have up to
+# 1,890, and KdV symmetries in A(2,5,2,2), 4,158, already take seconds
+MAX_ANSATZ = 10_000
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,11 @@ class Ansatz:
                 raise AnsatzError(f"{name} must be a non-negative integer, got {v!r}")
 
 
+def _jet_count(order: int) -> int:
+    """The number of jets (i, j) with i + j <= order."""
+    return (order + 1) * (order + 2) // 2 if order >= 0 else 0
+
+
 def ansatz_monomials(
     pde: NormalPDE, ansatz: Ansatz, *, include_consequences: bool = False
 ) -> list[DiffExpr]:
@@ -93,7 +102,23 @@ def ansatz_monomials(
     Consequence jets of the PDE lead are omitted unless requested:
     multiplier candidates are canonical representatives on the solution
     space, while symmetry characteristics may involve any jet.
+
+    Raises AnsatzError, before building any monomial, when there would
+    be more than MAX_ANSATZ of them.
     """
+    n = _jet_count(ansatz.max_order)
+    if not include_consequences:
+        n -= _jet_count(ansatz.max_order - pde.lead.order)
+    d = ansatz.max_jet_degree
+    size = (ansatz.max_t_degree + 1) * (ansatz.max_x_degree + 1)
+    # C(n + d, d) jet parts; it is at least n + d when n, d >= 1, which
+    # bounds the cost of computing it
+    if (
+        size > MAX_ANSATZ
+        or (n and d and n + d > MAX_ANSATZ)
+        or size * comb(n + d, d) > MAX_ANSATZ
+    ):
+        raise AnsatzError(f"the ansatz has more than {MAX_ANSATZ} monomials")
     jets = [
         JetIndex(i, o - i)
         for o in range(ansatz.max_order + 1)
@@ -259,17 +284,12 @@ def solve_multipliers(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
     exactly for the rational ansatz coefficients.
 
     The image of each ansatz monomial p m0, with p = t^a x^b, comes from
-    the higher Euler operators of m0 G, computed once per jet part m0:
+    the standard coefficients A_K of the adjoint Fréchet derivative of
+    m0 G, computed once per jet part m0:
 
-        E_u(p m0 G) = sum_K (-1)^|K| D^K(p) E^K(m0 G).
+        E_u(p m0 G) = sum_K D^K(p) A_K(m0 G).
     """
     _require_low_order(pde, ansatz)
     basis = ansatz_monomials(pde, ansatz)
-
-    def pieces(m0, kmax):
-        return {
-            K: e._d if (K[0] + K[1]) % 2 == 0 else _k.neg(e._d)
-            for K, e in higher_euler(m0 * pde.G, kmax).items()
-        }
-
-    return solve_determining_system(basis, _factored_images(basis, ansatz, pieces))
+    images = _factored_images(basis, ansatz, lambda m0, kmax: euler_pieces(m0 * pde.G, kmax))
+    return solve_determining_system(basis, images)

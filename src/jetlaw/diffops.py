@@ -8,18 +8,27 @@ total derivatives:
     euler(f)               E_u(f) = f'*(1)
 
 A differential polynomial is a total divergence D_t T + D_x X exactly
-when its Euler operator image vanishes.  For p a polynomial in t and x
-alone, the Leibniz rule D^J(p g) = sum_{K<=J} C(J, K) D^K(p) D^(J-K) g,
-with C(J, K) = C(jt, kt) C(jx, kx), splits both operators over p:
+when its Euler operator image vanishes.
 
-    f'(p g)   = sum_K D^K(p) F_K,   F_K = sum_{J>=K} C(J, K) (df/du_J) D^(J-K) g
-    E_u(p f)  = sum_K (-1)^|K| D^K(p) E^K(f),
-                E^K(f) = sum_{J>=K} C(J, K) (-D)^(J-K) df/du_J
+Every standard coefficient of an operator comes from one Leibniz sum.
+For p a polynomial in t and x alone, D^J(p g) = sum_{K<=J} C(J, K)
+D^K(p) D^(J-K) g, with C(J, K) = C(jt, kt) C(jx, kx), splits the
+Fréchet derivative over p, and it gives the standard coefficients a_A
+of the adjoint of R = sum_K c_K D^K:
 
-where E^K are the higher Euler operators (Olver, Applications of Lie
-Groups to Differential Equations, 2nd ed., section 5.4); frechet_pieces
-and higher_euler compute the F_K and E^K.  boundary_current produces the
-current certifying the integration-by-parts identity
+    f'(p g) = sum_K D^K(p) F_K,  F_K = sum_{J>=K} C(J, K) (df/du_J) D^(J-K) g
+    R*(h)   = sum_A a_A D^A h,   a_A = sum_{K>=A} (-1)^|K| C(K, A) D^(K-A) c_K
+
+E_u(p f) = f'*(p), so the A_K, the standard coefficients of f'*, split
+the Euler operator the same way:
+
+    E_u(p f) = sum_K D^K(p) A_K(f)
+
+where (-1)^|K| A_K are the higher Euler operators (Olver, Applications
+of Lie Groups to Differential Equations, 2nd ed., section 5.4).
+frechet_pieces and euler_pieces compute the F_K and A_K.
+boundary_current produces the current certifying the integration-by-parts
+identity
 
     h f'(g) - g f'*(h) = D_t Psi^t + D_x Psi^x
 
@@ -68,12 +77,13 @@ def divergence(current) -> DiffExpr:
 
 
 class _DerivCache:
-    """Mixed total derivatives D_t^i D_x^j of one expression, computed
-    incrementally and memoized.  Derivatives commute, so each entry is
-    reached by raising j from (i, 0), which itself is raised from (0, 0)."""
+    """Mixed total derivatives D_t^i D_x^j of one expression's raw terms,
+    computed incrementally and memoized.  Derivatives commute, so each
+    entry is reached by raising j from (i, 0), which itself is raised
+    from (0, 0)."""
 
-    def __init__(self, f: DiffExpr):
-        self._cache = {(0, 0): f._d}
+    def __init__(self, d: dict):
+        self._cache = {(0, 0): d}
 
     def get(self, i: int, j: int) -> dict:
         d = self._cache.get((i, j))
@@ -87,31 +97,69 @@ class _DerivCache:
         return d
 
 
-def _apply_op(coeffs: dict, g: DiffExpr) -> dict:
+def _acc_times(out: dict, d: dict, c: int) -> None:
+    """Accumulate c * d into out in place, for a nonzero int c."""
+    if c == 1:
+        for mono, coeff in d.items():
+            _acc(out, mono, coeff)
+    elif c == -1:
+        for mono, coeff in d.items():
+            _acc(out, mono, -coeff)
+    else:
+        n = abs(c)
+        for mono, coeff in d.items():
+            v = _mul_frac_int(coeff, n)
+            _acc(out, mono, v if c > 0 else -v)
+
+
+def _apply_op(coeffs: dict, g: dict) -> dict:
     """Raw terms of sum_K c_K D_t^kt D_x^kx g for raw coefficients
-    {K: c_K}, accumulated in place."""
+    {K: c_K} and raw g."""
     dg = _DerivCache(g)
     out: dict = {}
     for (kt, kx), c in coeffs.items():
-        for mono, coeff in _k.mul(c, dg.get(kt, kx)).items():
-            _acc(out, mono, coeff)
+        _acc_times(out, _k.mul(c, dg.get(kt, kx)), 1)
     return out
 
 
-def _adjoint_op(coeffs: dict, h: DiffExpr) -> dict:
+def _adjoint_op(coeffs: dict, h: dict) -> dict:
     """Raw terms of sum_K (-D_t)^kt (-D_x)^kx (c_K h) for raw
-    coefficients {K: c_K}, accumulated in place."""
+    coefficients {K: c_K} and raw h."""
     out: dict = {}
     for (kt, kx), c in coeffs.items():
-        w = _k.mul(c, h._d)
+        w = _k.mul(c, h)
         for _ in range(kt):
             w = _k.total_t(w)
         for _ in range(kx):
             w = _k.total_x(w)
-        odd = (kt + kx) % 2
-        for mono, coeff in w.items():
-            _acc(out, mono, -coeff if odd else coeff)
+        _acc_times(out, w, -1 if (kt + kx) % 2 else 1)
     return out
+
+
+def _leibniz(keys, kmax, term, signed: bool) -> dict:
+    """Raw {K: terms} of sum_{J>=K} s_J C(J, K) term(J, it, ix) over the
+    multi-indices J in keys, with (it, ix) = J - K, for every K <= kmax
+    with a nonzero sum, where s_J = (-1)^|J| if signed and 1 otherwise."""
+    kt_max, kx_max = kmax
+    out: dict = {}
+    for jt, jx in keys:
+        s = -1 if signed and (jt + jx) % 2 else 1
+        for kt in range(min(jt, kt_max) + 1):
+            for kx in range(min(jx, kx_max) + 1):
+                c = s * comb(jt, kt) * comb(jx, kx)
+                _acc_times(out.setdefault((kt, kx), {}), term((jt, jx), jt - kt, jx - kx), c)
+    return {K: d for K, d in out.items() if d}
+
+
+def _adjoint_coeffs(coeffs: dict, kmax) -> dict:
+    """Raw standard coefficients {A: a_A} of the adjoint of the operator
+    sum_K c_K D^K given by raw {K: c_K},
+
+        a_A = sum_{K>=A} (-1)^|K| C(K, A) D^(K-A) c_K,
+
+    for every A <= kmax with a nonzero a_A."""
+    derivs = {K: _DerivCache(c) for K, c in coeffs.items()}
+    return _leibniz(coeffs, kmax, lambda K, it, ix: derivs[K].get(it, ix), True)
 
 
 def _partials(f: DiffExpr) -> dict:
@@ -124,12 +172,12 @@ def _partials(f: DiffExpr) -> dict:
 
 def frechet(f: DiffExpr, g: DiffExpr) -> DiffExpr:
     """Fréchet derivative of f in the direction g."""
-    return DiffExpr._raw(_apply_op(_partials(f), g))
+    return DiffExpr._raw(_apply_op(_partials(f), g._d))
 
 
 def frechet_adjoint(f: DiffExpr, h: DiffExpr) -> DiffExpr:
     """Adjoint Fréchet derivative of f applied to h."""
-    return DiffExpr._raw(_adjoint_op(_partials(f), h))
+    return DiffExpr._raw(_adjoint_op(_partials(f), h._d))
 
 
 _ONE = DiffExpr._raw({_k.ONE_MONO: Fraction(1)})
@@ -140,56 +188,29 @@ def euler(f: DiffExpr) -> DiffExpr:
     return frechet_adjoint(f, _ONE)
 
 
-def _acc_times(out: dict, d: dict, c: int) -> None:
-    """Accumulate c * d into out in place, for a nonzero int c."""
-    n = abs(c)
-    for mono, coeff in d.items():
-        v = coeff if n == 1 else _mul_frac_int(coeff, n)
-        _acc(out, mono, v if c > 0 else -v)
-
-
-def _leibniz_pieces(jets, kmax, term, alternating: bool) -> dict:
-    """{K: DiffExpr} of sum_{J>=K} C(J, K) s term(J, J - K) over the jets
-    J, for every K <= kmax with a nonzero sum, where s = (-1)^|J-K| if
-    alternating and 1 otherwise."""
-    kt_max, kx_max = kmax
-    out: dict = {}
-    for jt, jx in jets:
-        for kt in range(min(jt, kt_max) + 1):
-            for kx in range(min(jx, kx_max) + 1):
-                it, ix = jt - kt, jx - kx
-                c = comb(jt, kt) * comb(jx, kx)
-                if alternating and (it + ix) % 2:
-                    c = -c
-                _acc_times(out.setdefault((kt, kx), {}), term((jt, jx), it, ix), c)
-    return {K: DiffExpr._raw(d) for K, d in out.items() if d}
-
-
 def frechet_pieces(f: DiffExpr, g: DiffExpr, kmax) -> dict:
     """The Leibniz pieces F_K = sum_{J>=K} C(J, K) (df/du_J) D^(J-K) g of
     the Fréchet derivative, for every K <= kmax with a nonzero F_K, as
-    {K: DiffExpr}.  For p = t^a x^b with (a, b) <= kmax,
+    raw {K: terms}.  For p = t^a x^b with (a, b) <= kmax,
 
         frechet(f, p g) = sum_K D^K(p) F_K,
 
     and F_(0,0) = frechet(f, g)."""
     partials = _partials(f)
-    dg = _DerivCache(g)
-    return _leibniz_pieces(
-        partials, kmax, lambda J, it, ix: _k.mul(partials[J], dg.get(it, ix)), False
-    )
+    dg = _DerivCache(g._d)
+    return _leibniz(partials, kmax, lambda J, it, ix: _k.mul(partials[J], dg.get(it, ix)), False)
 
 
-def higher_euler(f: DiffExpr, kmax) -> dict:
-    """The higher Euler operators E^K(f) = sum_{J>=K} C(J, K)
-    (-D)^(J-K) df/du_J, for every K <= kmax with a nonzero E^K(f), as
-    {K: DiffExpr}.  For p = t^a x^b with (a, b) <= kmax,
+def euler_pieces(f: DiffExpr, kmax) -> dict:
+    """The standard coefficients A_K(f) = sum_{J>=K} (-1)^|J| C(J, K)
+    D^(J-K) df/du_J of the adjoint Fréchet derivative of f, for every
+    K <= kmax with a nonzero A_K(f), as raw {K: terms}.  For p = t^a x^b
+    with (a, b) <= kmax,
 
-        euler(p f) = sum_K (-1)^|K| D^K(p) E^K(f),
+        euler(p f) = sum_K D^K(p) A_K(f),
 
-    and E^(0,0) = euler(f)."""
-    derivs = {J: _DerivCache(DiffExpr._raw(d)) for J, d in _partials(f).items()}
-    return _leibniz_pieces(derivs, kmax, lambda J, it, ix: derivs[J].get(it, ix), True)
+    and A_(0,0)(f) = euler(f)."""
+    return _adjoint_coeffs(_partials(f), kmax)
 
 
 def is_divergence(f: DiffExpr) -> bool:
@@ -210,23 +231,15 @@ def boundary_current(f: DiffExpr, g: DiffExpr, h: DiffExpr) -> ConservedCurrent:
     with w = h df/du_J.  The identity holds exactly, not merely on a
     solution space.
     """
-    dg = _DerivCache(g)
+    dg = _DerivCache(g._d)
     psi_t: dict = {}
     psi_x: dict = {}
-    for idx in sorted(f.jet_indices()):
-        i, j = idx.nt, idx.nx
-        pf = _k.diff_jet(f._d, i, j)
-        if not pf:
-            continue
-        dw = _DerivCache(DiffExpr._raw(_k.mul(h._d, pf)))
+    for (i, j), pf in _partials(f).items():
+        dw = _DerivCache(_k.mul(h._d, pf))
         for k in range(i):
-            piece = _k.mul(dw.get(k, 0), dg.get(i - 1 - k, j))
-            for mono, coeff in piece.items():
-                _acc(psi_t, mono, -coeff if k % 2 else coeff)
+            _acc_times(psi_t, _k.mul(dw.get(k, 0), dg.get(i - 1 - k, j)), -1 if k % 2 else 1)
         for l in range(j):
-            piece = _k.mul(dw.get(i, l), dg.get(0, j - 1 - l))
-            for mono, coeff in piece.items():
-                _acc(psi_x, mono, -coeff if (i + l) % 2 else coeff)
+            _acc_times(psi_x, _k.mul(dw.get(i, l), dg.get(0, j - 1 - l)), -1 if (i + l) % 2 else 1)
     return ConservedCurrent(DiffExpr._raw(psi_t), DiffExpr._raw(psi_x))
 
 

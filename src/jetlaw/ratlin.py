@@ -39,16 +39,6 @@ class QMatrix:
             if any(len(r) != w for r in self.rows):
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "QMatrix":
-        z = Fraction(0)
-        return cls([[z] * ncols for _ in range(nrows)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -79,12 +69,6 @@ class QMatrix:
                 ]
                 for row in self.rows
             ]
-        )
-
-    def matvec(self, v) -> Vector:
-        return tuple(
-            sum((a * Fraction(x) for a, x in zip(row, v)), Fraction(0))
-            for row in self.rows
         )
 
     def trace(self) -> Fraction:

@@ -31,20 +31,14 @@ operator R with R(G) = f identically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from ._kernel import impl as _k
-from .diffops import _adjoint_op, _apply_op, _DerivCache
+from .diffops import _adjoint_coeffs, _adjoint_op, _apply_op, _DerivCache
 from .errors import NotNormal, NotOnSolutionSpace
 from .expr import DiffExpr, _as_jet_index
 from .grammar import format_brief
 
 _acc = _k._acc
-
-
-def _acc_all(out: dict, d: dict) -> None:
-    for mono, coeff in d.items():
-        _acc(out, mono, coeff)
 
 
 class NormalPDE:
@@ -76,7 +70,7 @@ class NormalPDE:
         self.rhs = rhs
         lead_expr = DiffExpr._raw({(0, 0, ((lead.nt, lead.nx, 1),)): Fraction(1)})
         self.G = lead_expr - rhs
-        self._drhs = _DerivCache(rhs)
+        self._drhs = _DerivCache(rhs._d)
         self._pow: dict = {}
 
     def is_consequence(self, idx) -> bool:
@@ -223,16 +217,19 @@ class LinDiffOp:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def _raw_coeffs(self) -> dict:
+        return {K: c._d for K, c in self.coeffs.items()}
+
     def order(self) -> int:
         return max((kt + kx for kt, kx in self.coeffs), default=-1)
 
     def apply(self, f: DiffExpr) -> DiffExpr:
         """R(f) = sum_K c_K D^K f."""
-        return DiffExpr._raw(_apply_op({K: c._d for K, c in self.coeffs.items()}, f))
+        return DiffExpr._raw(_apply_op(self._raw_coeffs(), f._d))
 
     def adjoint(self, h: DiffExpr) -> DiffExpr:
         """R*(h) = sum_K (-D_t)^kt (-D_x)^kx (c_K h)."""
-        return DiffExpr._raw(_adjoint_op({K: c._d for K, c in self.coeffs.items()}, h))
+        return DiffExpr._raw(_adjoint_op(self._raw_coeffs(), h._d))
 
     def adjoint_coeffs(self) -> dict[tuple[int, int], DiffExpr]:
         """Standard-form coefficients of the adjoint operator.
@@ -242,21 +239,10 @@ class LinDiffOp:
 
             a_A = sum_{K >= A} (-1)^|K| C(kt, at) C(kx, ax) D^{K-A} c_K.
         """
-        out: dict = {}
-        for (kt, kx), c in self.coeffs.items():
-            sign = -1 if (kt + kx) % 2 else 1
-            dc = _DerivCache(c)
-            for at in range(kt + 1):
-                for ax in range(kx + 1):
-                    w = _k.scale(
-                        dc.get(kt - at, kx - ax),
-                        Fraction(sign * comb(kt, at) * comb(kx, ax)),
-                    )
-                    if w:
-                        _acc_all(out.setdefault((at, ax), {}), w)
-        return {
-            A: DiffExpr._raw(d) for A, d in out.items() if d
-        }
+        if not self.coeffs:
+            return {}
+        kmax = tuple(map(max, zip(*self.coeffs)))
+        return {A: DiffExpr._raw(d) for A, d in _adjoint_coeffs(self._raw_coeffs(), kmax).items()}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinDiffOp) and self.coeffs == other.coeffs

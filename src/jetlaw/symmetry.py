@@ -119,7 +119,8 @@ def solve_symmetries(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
 
     def pieces(m0, kmax):
         return {
-            K: restrict(f, pde)._d for K, f in frechet_pieces(pde.G, m0, kmax).items()
+            K: restrict(DiffExpr._raw(f), pde)._d
+            for K, f in frechet_pieces(pde.G, m0, kmax).items()
         }
 
     return solve_determining_system(basis, _factored_images(basis, ansatz, pieces))

@@ -1,4 +1,5 @@
 import os
+import time
 
 from helpers import forbid_huge_powers_and_jets, forbid_large_products
 from jetlaw.cli import load_session, main
@@ -268,6 +269,21 @@ def test_huge_literals_and_expansions_exit_2(capsys, monkeypatch):
         assert out == ""
         assert err.startswith("error: ExprSyntaxError: " + msg)
         assert err.count("\n") == 1
+
+
+def test_oversized_ansatz_exits_2_quickly(capsys):
+    # the ansatz is counted before any monomial is built
+    for argv in (
+        ("multipliers", "--t-degree", "100000"),
+        ("multipliers", "--jet-degree", "400"),
+        ("symmetries", "--order", "2", "--jet-degree", "60"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "-s", KDV_SESSION, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == "error: AnsatzError: the ansatz has more than 10000 monomials\n"
 
 
 def test_oversized_coefficients_exit_2(capsys):

@@ -1,10 +1,13 @@
 import random
+import time
+from math import comb
 
 import pytest
 import sympy as sp
 
 import oracle
 from helpers import random_expr
+from jetlaw import conslaw
 from jetlaw.conslaw import (
     Ansatz,
     ansatz_monomials,
@@ -146,6 +149,30 @@ def test_trivial_currents(kdv):
     # genuine laws are not trivial
     assert not is_trivial_current(ConservedCurrent(u, u_xx + u**2 / 2), kdv)
     assert not is_trivial_current(current_from_multiplier(u, kdv), kdv)
+
+
+def test_ansatz_size_is_capped_before_building(kdv, monkeypatch):
+    # (T+1)(X+1) C(n + D, D) monomials in the n = 3 jets u, u_x, u_xx
+    assert len(ansatz_monomials(kdv, Ansatz(2, 2, 1, 1))) == 4 * comb(3 + 2, 2)
+    monkeypatch.setattr(conslaw, "MAX_ANSATZ", 40)
+    assert len(ansatz_monomials(kdv, Ansatz(2, 2, 1, 1))) == 40
+    monkeypatch.setattr(conslaw, "MAX_ANSATZ", 39)
+    with pytest.raises(AnsatzError, match="more than 39 monomials"):
+        ansatz_monomials(kdv, Ansatz(2, 2, 1, 1))
+    monkeypatch.undo()
+    # counted in closed form, so even absurd bounds are refused at once
+    for ansatz, consequences in (
+        (Ansatz(1, 1, 100000, 0), False),
+        (Ansatz(2, 400, 1, 1), False),
+        (Ansatz(2, 60, 1, 1), True),
+        (Ansatz(10**6, 10**6, 0, 0), False),
+        (Ansatz(10**6, 10**6, 0, 0), True),
+        (Ansatz(0, 10**4000, 0, 0), True),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(AnsatzError, match="more than 10000 monomials"):
+            ansatz_monomials(kdv, ansatz, include_consequences=consequences)
+        assert time.perf_counter() - start < 1
 
 
 def test_ansatz_must_stay_below_equation_order(heat, kdv):

@@ -1,7 +1,8 @@
 """The factored images of the two solves: each ansatz monomial
 p m0, p = t^a x^b, gets its image from pieces computed once per jet part
 m0 (the Leibniz rule for the determining equation of symmetries, the
-higher Euler operators for multipliers).  The images must equal the
+standard coefficients of the adjoint Fréchet derivative for
+multipliers).  The images must equal the
 per-monomial definitions restrict(frechet(G, m)) and euler(m G) term for
 term."""
 
@@ -11,8 +12,8 @@ import oracle
 from helpers import random_expr
 from jetlaw import conslaw, soln, symmetry
 from jetlaw.conslaw import Ansatz, solve_multipliers
-from jetlaw.diffops import euler, frechet, frechet_pieces, higher_euler
-from jetlaw.expr import t, x
+from jetlaw.diffops import euler, euler_pieces, frechet, frechet_pieces
+from jetlaw.expr import DiffExpr, t, x
 from jetlaw.soln import make_pde, restrict
 from jetlaw.symmetry import solve_symmetries
 
@@ -55,20 +56,20 @@ def _shifts(kmax):
     return [(a, b) for a in range(kmax[0] + 1) for b in range(kmax[1] + 1)]
 
 
-def test_higher_euler_identity_matches_reference():
-    # euler(p f) = sum_K (-1)^|K| D^K(p) E^K(f), checked against the sympy
+def test_euler_pieces_identity_matches_reference():
+    # euler(p f) = sum_K D^K(p) A_K(f), checked against the sympy
     # transcription of the Euler operator and of D^K
     rng = random.Random(62)
     for _ in range(6):
         f = random_expr(rng, max_terms=3, max_order=2, max_jet_degree=2, allow_fractions=True)
-        pieces = higher_euler(f, (2, 2))
-        assert pieces.get((0, 0), 0) == euler(f)
+        pieces = euler_pieces(f, (2, 2))
+        assert pieces.get((0, 0), {}) == euler(f)._d
         for a, b in _shifts((2, 2)):
             p = oracle.to_sympy(t**a * x**b)
             want = oracle.euler(oracle.to_sympy(t**a * x**b * f))
             got = sum(
-                (-1) ** (kt + kx) * oracle.DJ(p, kt, kx) * oracle.to_sympy(e)
-                for (kt, kx), e in pieces.items()
+                oracle.DJ(p, *K) * oracle.to_sympy(DiffExpr._raw(e))
+                for K, e in pieces.items()
             )
             assert (want - got).expand() == 0
 
@@ -81,7 +82,7 @@ def test_frechet_leibniz_identity_matches_reference(kdv):
     for _ in range(4):
         f = random_expr(rng, max_terms=3, max_order=2, max_jet_degree=2, allow_fractions=True)
         g = random_expr(rng, max_terms=2, max_order=1, max_jet_degree=2, max_tx_degree=0)
-        pieces = frechet_pieces(f, g, (1, 2))
+        pieces = {K: DiffExpr._raw(e) for K, e in frechet_pieces(f, g, (1, 2)).items()}
         assert pieces.get((0, 0), 0) == frechet(f, g)
         for a, b in _shifts((1, 2)):
             p = oracle.to_sympy(t**a * x**b)

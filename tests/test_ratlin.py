@@ -26,15 +26,17 @@ def _rand_matrix(rng, m, n, bound=4):
     )
 
 
+def matvec(M, v):
+    return tuple(sum((a * F(x) for a, x in zip(row, v)), F(0)) for row in M.rows)
+
+
 def test_qmatrix_basics():
     M = QMatrix([[1, 2], [3, 4]])
     assert M.nrows == 2 and M.ncols == 2
     assert M[0, 1] == 2
     assert M.trace() == 5
-    I = QMatrix.identity(2)
+    I = QMatrix([[1, 0], [0, 1]])
     assert M @ I == M
-    assert M.matvec((1, 0)) == (F(1), F(3))
-    assert QMatrix.zero(2, 3).rows == ((F(0),) * 3,) * 2
     assert M.add_scalar_diag(F(1)) == QMatrix([[2, 2], [3, 5]])
 
 
@@ -76,7 +78,7 @@ def test_nullspace_vectors_are_in_the_kernel():
     for _ in range(15):
         M = _rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         for v in nullspace(M):
-            assert M.matvec(v) == (F(0),) * M.nrows
+            assert matvec(M, v) == (F(0),) * M.nrows
         assert nullspace(M) == nullspace(M)
 
 
@@ -89,7 +91,7 @@ def test_solve_consistent_and_inconsistent():
     wide = QMatrix([[1, 2, 3]])
     xvec = solve(wide, (6,))
     assert xvec == (F(6), F(0), F(0))
-    assert wide.matvec(xvec) == (F(6),)
+    assert matvec(wide, xvec) == (F(6),)
 
 
 def test_solve_random_round_trip():
@@ -98,10 +100,10 @@ def test_solve_random_round_trip():
         n = rng.randint(1, 5)
         M = _rand_matrix(rng, n, n)
         xs = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-        b = M.matvec(xs)
+        b = matvec(M, xs)
         got = solve(M, b)
         assert got is not None
-        assert M.matvec(got) == b
+        assert matvec(M, got) == b
 
 
 def test_charpoly_matches_sympy():
@@ -204,4 +206,4 @@ def test_eigenpairs_satisfy_the_eigen_equation():
         for lam, vecs in pairs:
             assert vecs
             for v in vecs:
-                assert M.matvec(v) == tuple(lam * vi for vi in v)
+                assert matvec(M, v) == tuple(lam * vi for vi in v)

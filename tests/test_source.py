@@ -45,3 +45,52 @@ def test_no_unused_imports():
         for name, line in _unused_imports(ast.parse(path.read_text(), str(path))).items()
     ]
     assert found == []
+
+
+def _module_level_defs(tree):
+    """Private names a module defines at module level, with the node
+    that defines each, looking into if/try blocks but not into
+    functions or classes."""
+    defs = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+            stack += [n for n in ast.iter_child_nodes(node) if isinstance(n, (ast.stmt, ast.ExceptHandler))]
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defs += [(name, node) for name in names if name.startswith("_") and not name.endswith("__")]
+    return defs
+
+
+def test_no_unreferenced_private_names():
+    # a private helper that nothing in the package uses is left over
+    # from a deletion; a name counts as used where its own module loads
+    # it outside its definition, or where any module imports it or
+    # reads it as an attribute (_k._acc)
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.rglob("*.py"))}
+    assert trees
+    imported_or_attr = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported_or_attr.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                imported_or_attr.add(node.attr)
+    found = []
+    for path, tree in trees.items():
+        for name, node in _module_level_defs(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            loaded = any(
+                isinstance(n, ast.Name) and n.id == name and id(n) not in inside
+                for n in ast.walk(tree)
+            )
+            if not loaded and name not in imported_or_attr:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    assert found == []
