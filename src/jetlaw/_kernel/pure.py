@@ -1,7 +1,7 @@
 """Term-level arithmetic kernel and exact sparse elimination.
 
 A differential polynomial is stored as a dict mapping monomials to
-nonzero Fraction coefficients.  A monomial is a tuple
+nonzero rational coefficients.  A monomial is a tuple
 
     (t_deg, x_deg, jets)
 
@@ -10,25 +10,28 @@ with exp > 0.  The triple (nt, nx, exp) stands for the jet variable
 u_(nt,nx) = d^nt/dt^nt d^nx/dx^nx u raised to the power exp.  The empty
 dict is the zero polynomial; ONE_MONO is the unit monomial.
 
-Coefficient arithmetic works on numerator/denominator integer pairs,
-with one gcd reduction per result instead of the full Fraction operator
-protocol per operation.  Results are ordinary, fully reduced Fractions.
-When the running fractions implementation admits it they are built by
-filling the slots of a new Fraction directly; a probe at import time
-checks that such a Fraction compares, adds and hashes like one from the
-constructor, and the constructor is used otherwise.
+A coefficient is an int while only integers made it and a Fraction
+once a Fraction takes part, as in Python's numeric tower; a Fraction is
+never demoted, even when integral.  int and Fraction agree in ==, hash
+and str, so canonical forms and printing do not depend on the type.
+int op int needs no gcd.  Otherwise the arithmetic works on
+numerator/denominator integer pairs, with one gcd reduction per result
+instead of the full Fraction operator protocol per operation, and
+returns ordinary, fully reduced Fractions.  When the running fractions
+implementation admits it they are built by filling the slots of a new
+Fraction directly; a probe at import time checks that such a Fraction
+compares, adds and hashes like one from the constructor, and the
+constructor is used otherwise.
 
 rref is the one exact elimination routine.  It works on sparse rows,
-dicts {col: Fraction} holding only the nonzero entries, and returns the
-unique reduced row echelon form in the same representation.
+dicts {col: int or Fraction} holding only the nonzero entries, and
+returns the unique reduced row echelon form in the same representation.
 """
 
 from fractions import Fraction
 from math import gcd
 
 ONE_MONO = (0, 0, ())
-
-_ONE = Fraction(1)
 
 
 def _slots_work() -> bool:
@@ -64,7 +67,10 @@ else:
 
 
 def _mul_frac(a, b):
-    """Exact product of two Fractions via integer pairs."""
+    """Exact product of two coefficients: an int for two ints, otherwise
+    a Fraction via integer pairs."""
+    if a.__class__ is int is b.__class__:
+        return a * b
     na = a.numerator
     da = a.denominator
     nb = b.numerator
@@ -81,7 +87,10 @@ def _mul_frac(a, b):
 
 
 def _add_frac(a, b):
-    """Exact sum of two Fractions via integer pairs (Knuth's method)."""
+    """Exact sum of two coefficients: an int for two ints, otherwise a
+    Fraction via integer pairs (Knuth's method)."""
+    if a.__class__ is int is b.__class__:
+        return a + b
     na = a.numerator
     da = a.denominator
     nb = b.numerator
@@ -98,7 +107,9 @@ def _add_frac(a, b):
 
 
 def _mul_frac_int(a, k):
-    """Exact product of a Fraction and a positive int."""
+    """Exact product of a coefficient and a positive int."""
+    if a.__class__ is int:
+        return a * k
     da = a.denominator
     g = gcd(k, da)
     if g > 1:
@@ -189,7 +200,7 @@ def mul(a, b):
 
 def pow_(a, n):
     if n == 0:
-        return {ONE_MONO: _ONE}
+        return {ONE_MONO: 1}
     if n == 1:
         return dict(a)
     half = pow_(a, n // 2)
@@ -280,18 +291,27 @@ def total_x(a):
 
 
 def _sub_multiple(row, f, other):
-    """row -= f * other, in place, for sparse rows {col: Fraction};
+    """row -= f * other, in place, for sparse rows {col: coefficient};
     entries that cancel are dropped.  This is the elimination's inner
-    loop, so the integer-pair arithmetic of _mul_frac and _add_frac is
-    inlined here."""
+    loop, so the arithmetic of _mul_frac and _add_frac, int fast path
+    and integer pairs, is inlined here."""
+    f_int = f.__class__ is int
     fn, fd = -f.numerator, f.denominator
     for k, v in other.items():
+        a = row.get(k)
+        if f_int and v.__class__ is int and (a is None or a.__class__ is int):
+            # f and v are nonzero, so only a sum can cancel
+            t = fn * v if a is None else a + fn * v
+            if t:
+                row[k] = t
+            else:
+                del row[k]
+            continue
         vn, vd = v.numerator, v.denominator
         g1 = gcd(fn, vd)
         g2 = gcd(vn, fd)
         pn = (fn // g1) * (vn // g2)
         pd = (fd // g2) * (vd // g1)
-        a = row.get(k)
         if a is None:
             row[k] = _frac(pn, pd)
             continue
@@ -314,10 +334,10 @@ def _sub_multiple(row, f, other):
 
 
 def rref(rows):
-    """Reduced row echelon form of sparse rows over Fraction, returning
-    (rows, pivot_cols).
+    """Reduced row echelon form of sparse rows over the rationals,
+    returning (rows, pivot_cols).
 
-    rows is an iterable of dicts {col: Fraction}, with col a
+    rows is an iterable of dicts {col: int or Fraction}, with col a
     non-negative int; absent columns and zero values are zero, and the
     dicts are not modified.  The result lists the nonzero rows of the
     unique reduced row echelon form as dicts in ascending pivot order
@@ -379,7 +399,7 @@ def rref(rows):
             continue
         p = min(r)
         pv = r.pop(p)
-        if pv != _ONE:
+        if pv != 1:
             # pv is reduced, so its reciprocal only needs a positive denominator
             n, d = pv.denominator, pv.numerator
             inv = _frac(-n, -d) if d < 0 else _frac(n, d)
@@ -392,4 +412,4 @@ def rref(rows):
     for c in peeled:
         tails[c] = {}
     pivot_cols = sorted(tails)
-    return [{p: _ONE, **tails[p]} for p in pivot_cols], pivot_cols
+    return [{p: 1, **tails[p]} for p in pivot_cols], pivot_cols

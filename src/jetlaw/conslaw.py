@@ -35,7 +35,6 @@ holds on the solution space too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, perm
 
@@ -137,7 +136,7 @@ def ansatz_monomials(
                 for b in range(ansatz.max_x_degree + 1):
                     keys.append((a, b, jet_part))
     keys.sort()
-    return [DiffExpr._raw({k: Fraction(1)}) for k in keys]
+    return [DiffExpr._raw({k: 1}) for k in keys]
 
 
 def verify_conservation_law(current, pde: NormalPDE) -> bool:
@@ -233,7 +232,7 @@ def _factored_images(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[Diff
     kmax = (ansatz.max_t_degree, ansatz.max_x_degree)
     images: list = [None] * len(basis)
     for jets, members in groups.items():
-        ps = pieces(DiffExpr._raw({(0, 0, jets): Fraction(1)}), kmax)
+        ps = pieces(DiffExpr._raw({(0, 0, jets): 1}), kmax)
         for j, a, b in members:
             out: dict = {}
             for (kt, kx), piece in ps.items():

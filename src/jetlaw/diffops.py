@@ -180,7 +180,7 @@ def frechet_adjoint(f: DiffExpr, h: DiffExpr) -> DiffExpr:
     return DiffExpr._raw(_adjoint_op(_partials(f), h._d))
 
 
-_ONE = DiffExpr._raw({_k.ONE_MONO: Fraction(1)})
+_ONE = DiffExpr._raw({_k.ONE_MONO: 1})
 
 
 def euler(f: DiffExpr) -> DiffExpr:
@@ -249,7 +249,7 @@ def _integrate_x(d: dict) -> dict:
     for (a, b, jets), c in d.items():
         if jets:
             raise AssertionError("x-integration of a jet-dependent term")
-        out[(a, b + 1, ())] = c / (b + 1)
+        out[(a, b + 1, ())] = Fraction(c, b + 1)
     return out
 
 
@@ -275,14 +275,14 @@ def invert_divergence(f: DiffExpr) -> ConservedCurrent:
         else:
             jet_free[k] = c
     psi_t, psi_x = boundary_current(
-        DiffExpr._raw(jet_part), DiffExpr._raw({(0, 0, ((0, 0, 1),)): Fraction(1)}), _ONE
+        DiffExpr._raw(jet_part), DiffExpr._raw({(0, 0, ((0, 0, 1),)): 1}), _ONE
     )
 
     def weight(d: dict) -> dict:
         out = {}
         for k, c in d.items():
             deg = sum(e for _, _, e in k[2])
-            out[k] = c / deg
+            out[k] = Fraction(c, deg)
         return out
 
     T = DiffExpr._raw(weight(psi_t._d))

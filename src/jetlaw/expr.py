@@ -5,7 +5,10 @@ variables t, x and the jet variables u_(nt,nx), where u_(nt,nx) denotes
 the mixed derivative d^nt/dt^nt d^nx/dx^nx u and u_(0,0) is u itself.
 Expressions are kept in a canonical sparse form (monomial -> nonzero
 coefficient), so equality of expressions is equality of the maps and
-the zero polynomial has no terms.
+the zero polynomial has no terms.  A coefficient is stored as an int
+while only integers made it and as a Fraction once a Fraction or a
+division took part (see jetlaw._kernel); the accessors terms,
+sorted_terms, coefficient and constant_value return Fractions.
 
 Term arithmetic is delegated to jetlaw._kernel.
 """
@@ -18,6 +21,11 @@ from typing import Mapping, NamedTuple, Union
 from ._kernel import impl as _k
 
 Scalar = Union[int, Fraction]
+
+
+def _scalar(v) -> Scalar:
+    """A coefficient for an int or a rational value: integers stay int."""
+    return int(v) if isinstance(v, int) else Fraction(v)
 
 
 class JetIndex(NamedTuple):
@@ -117,7 +125,7 @@ class DiffExpr:
         d = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _scalar(coeff)
                 if c:
                     d[mono.key] = c
         self._d = d
@@ -134,7 +142,7 @@ class DiffExpr:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        return {Monomial._from_key(k): c for k, c in self._d.items()}
+        return {Monomial._from_key(k): Fraction(c) for k, c in self._d.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -148,11 +156,11 @@ class DiffExpr:
         if not self._d:
             return Fraction(0)
         if self.is_constant():
-            return self._d[_k.ONE_MONO]
+            return Fraction(self._d[_k.ONE_MONO])
         raise ValueError("expression is not constant")
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._d.get(mono.key, Fraction(0))
+        return Fraction(self._d.get(mono.key, 0))
 
     def jet_indices(self) -> set[JetIndex]:
         """All jet variables occurring with nonzero exponent."""
@@ -236,7 +244,7 @@ class DiffExpr:
         if isinstance(other, DiffExpr):
             return DiffExpr._raw(_k.mul(self._d, other._d))
         if isinstance(other, (int, Fraction)):
-            return DiffExpr._raw(_k.scale(self._d, Fraction(other)))
+            return DiffExpr._raw(_k.scale(self._d, _scalar(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -245,7 +253,7 @@ class DiffExpr:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of an expression by zero")
-            return DiffExpr._raw(_k.scale(self._d, Fraction(1, 1) / Fraction(other)))
+            return DiffExpr._raw(_k.scale(self._d, Fraction(1, other)))
         return NotImplemented
 
     def __pow__(self, n):
@@ -273,7 +281,7 @@ class DiffExpr:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending monomial order (the printing order)."""
         return [
-            (Monomial._from_key(k), self._d[k])
+            (Monomial._from_key(k), Fraction(self._d[k]))
             for k in sorted(self._d, reverse=True)
         ]
 
@@ -290,18 +298,18 @@ class DiffExpr:
 
 
 def const(value: Scalar) -> DiffExpr:
-    c = Fraction(value)
+    c = _scalar(value)
     return DiffExpr._raw({_k.ONE_MONO: c} if c else {})
 
 
 def jet(nt: int = 0, nx: int = 0) -> DiffExpr:
     """The jet variable u_(nt,nx) as an expression."""
     idx = _as_jet_index((nt, nx))
-    return DiffExpr._raw({(0, 0, ((idx.nt, idx.nx, 1),)): Fraction(1)})
+    return DiffExpr._raw({(0, 0, ((idx.nt, idx.nx, 1),)): 1})
 
 
 ZERO = const(0)
 ONE = const(1)
-t = DiffExpr._raw({(1, 0, ()): Fraction(1)})
-x = DiffExpr._raw({(0, 1, ()): Fraction(1)})
+t = DiffExpr._raw({(1, 0, ()): 1})
+x = DiffExpr._raw({(0, 1, ()): 1})
 u = jet(0, 0)

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-All elimination runs on sparse rows, dicts {col: Fraction} holding
-only the nonzero entries, through the kernel's rref.  Large systems
+All elimination runs on sparse rows, dicts {col: coefficient} holding
+only the nonzero entries, through the kernel's rref; a coefficient is
+an int or a Fraction, as in jetlaw._kernel.  Large systems
 (the determining systems of conslaw and symmetry) are built as sparse
 rows directly and solved by sparse_nullspace; rref, rank, nullspace and
 solve on a dense QMatrix convert its rows and call the same routine.
@@ -107,24 +108,24 @@ def rank(M: QMatrix) -> int:
     return len(pivots)
 
 
-def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
+def sparse_nullspace(rows, ncols: int) -> list[dict[int, int | Fraction]]:
     """Canonical basis of the right nullspace of a system of sparse rows
-    {col: Fraction} in ncols unknowns, read off the rref.
+    {col: int or Fraction} in ncols unknowns, read off the rref.
 
     For each free column j the basis vector has 1 in coordinate j,
     minus the rref entry in each pivot coordinate, and 0 elsewhere; the
     vectors are ordered by free column and returned as sparse dicts
-    with ascending keys.  Deterministic because the rref is unique.
-    With no rows the basis is the identity.
+    with ascending keys, their entries ints where the rref's are.
+    Deterministic because the rref is unique.  With no rows the basis is
+    the identity.
     """
     rref_rows, pivots = _k.rref(rows)
     pivot_set = set(pivots)
-    one = Fraction(1)
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        v = {j: one}
+        v = {j: 1}
         for row, pc in zip(rref_rows, pivots):
             c = row.get(j)
             if c is not None:
@@ -136,9 +137,8 @@ def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
 def nullspace(M: QMatrix) -> list[Vector]:
     """Canonical basis of the right nullspace as dense vectors; see
     sparse_nullspace."""
-    zero = Fraction(0)
     return [
-        tuple(v.get(j, zero) for j in range(M.ncols))
+        tuple(Fraction(v.get(j, 0)) for j in range(M.ncols))
         for v in sparse_nullspace(_sparse_rows(M.rows), M.ncols)
     ]
 

@@ -30,13 +30,11 @@ operator R with R(G) = f identically.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._kernel import impl as _k
 from .diffops import _adjoint_coeffs, _adjoint_op, _apply_op, _DerivCache
-from .errors import NotNormal, NotOnSolutionSpace
+from .errors import JetLawError, NotNormal, NotOnSolutionSpace
 from .expr import DiffExpr, _as_jet_index
-from .grammar import format_brief
+from .grammar import MAX_PRODUCTS, _power_products, format_brief
 
 _acc = _k._acc
 
@@ -68,7 +66,7 @@ class NormalPDE:
                 )
         self.lead = lead
         self.rhs = rhs
-        lead_expr = DiffExpr._raw({(0, 0, ((lead.nt, lead.nx, 1),)): Fraction(1)})
+        lead_expr = DiffExpr._raw({(0, 0, ((lead.nt, lead.nx, 1),)): 1})
         self.G = lead_expr - rhs
         self._drhs = _DerivCache(rhs._d)
         self._pow: dict = {}
@@ -89,7 +87,10 @@ class NormalPDE:
         key = (idx, e)
         p = self._pow.get(key)
         if p is None:
-            p = _k.pow_(self.consequence_raw(idx), e)
+            base = self.consequence_raw(idx)
+            if _power_products(len(base), e) > MAX_PRODUCTS:
+                raise _too_much_work()
+            p = _k.pow_(base, e)
             self._pow[key] = p
         return p
 
@@ -119,6 +120,10 @@ def make_pde(lead, rhs: DiffExpr) -> NormalPDE:
 _NO_JET = (-1, -1)
 
 
+def _too_much_work() -> JetLawError:
+    return JetLawError(f"restriction exceeds {MAX_PRODUCTS} term products")
+
+
 def _top_consequence(jets: tuple, lt: int, lx: int):
     """The lex-greatest consequence jet (nt, nx) of a sorted jet tuple
     for the lead (lt, lx), or _NO_JET if there is none."""
@@ -145,6 +150,8 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
     """
     lt, lx = pde.lead
     acc, mul_frac, merge = _acc, _k._mul_frac, _k._merge_jets
+    # term products left; a high-order jet can demand unbounded work
+    budget = MAX_PRODUCTS
     out: dict = {}
     # greatest consequence jet -> terms; the terms without one are the result
     buckets: dict = {_NO_JET: out}
@@ -173,6 +180,9 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
                     (pt, px, pj, pc, _top_consequence(pj, lt, lx))
                     for (pt, px, pj), pc in pde.consequence_pow(m, e).items()
                 ]
+            budget -= len(terms)
+            if budget < 0:
+                raise _too_much_work()
             for pt, px, pj, pc, ptop in terms:
                 top = btop if btop > ptop else ptop
                 tgt = buckets.get(top)
@@ -182,7 +192,11 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
             if quotient is not None:
                 for k in range(e):
                     jk = head + ((mt, mx, k),) + tail if k else base
-                    for (pt, px, pj), pc in pde.consequence_pow(m, e - 1 - k).items():
+                    p = pde.consequence_pow(m, e - 1 - k)
+                    budget -= len(p)
+                    if budget < 0:
+                        raise _too_much_work()
+                    for (pt, px, pj), pc in p.items():
                         acc(quotient, (td + pt, xd + px, merge(jk, pj)), mul_frac(coeff, pc))
 
 

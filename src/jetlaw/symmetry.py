@@ -224,7 +224,7 @@ def classify(
     if compare_dq.is_zero:
         return ClassificationResult("Invariant", Fraction(0), compare_dq)
     key = min(compare_q._d)
-    lam = compare_dq._d.get(key, Fraction(0)) / compare_q._d[key]
+    lam = Fraction(compare_dq._d.get(key, 0), compare_q._d[key])
     if lam and compare_dq == compare_q * lam:
         return ClassificationResult("Homogeneous", lam, compare_dq)
     return ClassificationResult("NotHomogeneous", None, compare_dq)

@@ -20,8 +20,9 @@ def random_expr(
 ):
     """A random differential polynomial within the given bounds.
 
-    Coefficients are nonzero integers in [-coeff_bound, coeff_bound]
-    (or small fractions when allow_fractions is set); jets have total
+    Coefficients are nonzero ints in [-coeff_bound, coeff_bound] (or
+    small Fractions, some of them integral, when allow_fractions is
+    set); jets have total
     order at most max_order, or are drawn from the list jets when it is
     given, and each monomial has total jet degree at most
     max_jet_degree.
@@ -43,8 +44,7 @@ def random_expr(
             jet_powers=powers,
         )
         num = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
-        den = rng.randint(1, 4) if allow_fractions else 1
-        terms[mono] = Fraction(num, den)
+        terms[mono] = Fraction(num, rng.randint(1, 4)) if allow_fractions else num
     return DiffExpr(terms)
 
 

@@ -181,3 +181,33 @@ def test_str_uses_canonical_format():
     assert str(u**2 * Fraction(1, 2) + jet(0, 2)) == "u_xx + 1/2*u^2"
     assert str(-u) == "-u"
     assert str(ZERO) == "0"
+
+
+# Integral coefficients are stored as ints inside the kernel; the public
+# accessors hand out Fractions, so that a caller dividing one never gets
+# a float.
+
+
+def test_terms_returns_fractions():
+    f = 3 * t * u - 2 * x + u / 2
+    assert type(next(iter(u._d.values()))) is int
+    terms = f.terms
+    assert terms == {Monomial(1, 0, {(0, 0): 1}): 3, Monomial(0, 1): -2, Monomial(0, 0, {(0, 0): 1}): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in terms.values())
+    assert terms[Monomial(0, 1)] / 4 == Fraction(-1, 2)
+    assert all(type(c) is Fraction for _, c in f.sorted_terms())
+
+
+def test_coefficient_returns_fractions():
+    f = 3 * t * u
+    c = f.coefficient(Monomial(1, 0, {(0, 0): 1}))
+    assert type(c) is Fraction and c / 2 == Fraction(3, 2)
+    zero = f.coefficient(Monomial(5, 5))
+    assert type(zero) is Fraction and zero == 0
+
+
+def test_constant_value_returns_fractions():
+    for e, want in ((const(7), 7), (ONE, 1), (ZERO, 0), (const(Fraction(2, 3)), Fraction(2, 3))):
+        c = e.constant_value()
+        assert type(c) is Fraction and c == want
+    assert const(7).constant_value() / 2 == Fraction(7, 2)

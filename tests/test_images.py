@@ -10,7 +10,7 @@ import random
 
 import oracle
 from helpers import random_expr
-from jetlaw import conslaw, soln, symmetry
+from jetlaw import conslaw, parse_expr, soln, symmetry
 from jetlaw.conslaw import Ansatz, solve_multipliers
 from jetlaw.diffops import euler, euler_pieces, frechet, frechet_pieces
 from jetlaw.expr import DiffExpr, t, x
@@ -111,3 +111,18 @@ def test_symmetry_solve_rewrites_once_per_jet_part(kdv, monkeypatch):
     monkeypatch.undo()
     assert len(basis) == 4
     assert len(calls) < 336
+
+
+def test_images_of_integer_pdes_hold_only_ints(kdv, monkeypatch):
+    # KdV and KdV5 have integer coefficients, and so do their ansatz
+    # monomials and every image; a stray Fraction(1) source would make
+    # the images pay for Fraction arithmetic
+    kdv5 = make_pde((1, 0), parse_expr("-u_xxxxx - 10*u*u_xxx - 25*u_x*u_xx - 20*u^2*u_x"))
+    for module, solve, pde, ansatz in (
+        (symmetry, solve_symmetries, kdv, Ansatz(2, 3, 1, 1)),
+        (conslaw, solve_multipliers, kdv5, Ansatz(4, 3, 1, 1)),
+    ):
+        basis, images = _images(module, solve, pde, ansatz, monkeypatch)
+        assert len(basis) == (336 if solve is solve_symmetries else 224)
+        for e in basis + images:
+            assert all(type(c) is int for c in e._d.values())

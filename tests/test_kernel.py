@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy as sp
 
@@ -55,8 +55,8 @@ def _dense(rows, n):
 def _check_against_sympy(rows, n):
     """Kernel rref of the sparse form of dense rows against sympy: the
     same pivots, the nonzero rows equal to sympy's leading rows, and
-    sympy's remaining rows zero; every stored entry nonzero and reduced
-    with a positive denominator."""
+    sympy's remaining rows zero; every stored entry nonzero, and an int
+    or a Fraction reduced with a positive denominator."""
     got, pivots = pure.rref(_sparse(rows))
     want, want_pivots = sp.Matrix(len(rows), n, [_q(v) for row in rows for v in row]).rref()
     assert tuple(pivots) == want_pivots
@@ -66,7 +66,7 @@ def _check_against_sympy(rows, n):
     for row in got:
         assert all(0 <= j < n for j in row)
         for v in row.values():
-            assert type(v) is Fraction and v
+            assert type(v) in (int, Fraction) and v
             assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
 
 
@@ -80,6 +80,32 @@ def test_rref_matches_reference():
         if m > 1 and rng.random() < 0.3:
             rows[1] = [3 * v for v in rows[0]]
         _check_against_sympy(rows, n)
+
+
+def _integral(rows):
+    """Each row scaled by the lcm of its denominators, as ints."""
+    out = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        out.append([int(v * den) for v in row])
+    return out
+
+
+def test_rref_matches_reference_on_int_rows():
+    # determining systems arrive as int rows; the result is the exact
+    # rref of their Fraction twins
+    rng = random.Random(37)
+    for i in range(60):
+        if i % 3 == 0:
+            m, n = rng.randint(1, 6), rng.randint(1, 7)
+            rows = [[Fraction(rng.choice([0, 0, -2, -1, 1, 1, 3])) for _ in range(n)] for _ in range(m)]
+        else:
+            rows, n = _peeling_system(rng) if i % 3 == 1 else _tall_sparse_system(rng)
+        ints = _integral(rows)
+        assert all(type(v) is int for row in ints for v in row)
+        _check_against_sympy(ints, n)
+        twins = [[Fraction(v) for v in row] for row in ints]
+        assert _exact(pure.rref(_sparse(ints))) == _exact(pure.rref(_sparse(twins)))
 
 
 def _tall_sparse_system(rng):
@@ -227,3 +253,29 @@ def test_built_fractions_equal_constructed_ones():
     assert pure._add_frac(Fraction(1, 6), Fraction(-1, 6)) == 0
     assert hash(pure._add_frac(Fraction(1, 6), Fraction(-1, 6))) == hash(0)
     assert pure.add({(0, 0, ()): Fraction(1, 6)}, {(0, 0, ()): Fraction(-1, 6)}) == {}
+
+
+def test_int_coefficients_stay_int_and_fractions_stay_fractions():
+    # int op int is an int; a Fraction operand makes a Fraction, also
+    # when the value is integral
+    assert type(pure._mul_frac(6, -7)) is int and pure._mul_frac(6, -7) == -42
+    assert type(pure._add_frac(6, -6)) is int and pure._add_frac(6, -6) == 0
+    assert type(pure._mul_frac_int(-6, 7)) is int and pure._mul_frac_int(-6, 7) == -42
+    for got, want in (
+        (pure._mul_frac(Fraction(2), 3), Fraction(6)),
+        (pure._mul_frac(3, Fraction(1, 3)), Fraction(1)),
+        (pure._mul_frac(Fraction(2, 3), Fraction(3, 2)), Fraction(1)),
+        (pure._add_frac(Fraction(1, 2), Fraction(1, 2)), Fraction(1)),
+        (pure._add_frac(2, Fraction(0)), Fraction(2)),
+        (pure._mul_frac_int(Fraction(1, 3), 3), Fraction(1)),
+    ):
+        _same_fraction(got, want)
+    row = {0: 5, 1: 2, 2: Fraction(1, 2)}
+    pure._sub_multiple(row, 2, {0: 1, 1: 1, 2: 1, 3: -1})
+    assert row == {0: 3, 2: Fraction(-3, 2), 3: 2}
+    assert [type(row[k]) for k in (0, 2, 3)] == [int, Fraction, int]
+    pure._sub_multiple(row, Fraction(3), {0: 1})
+    assert row == {2: Fraction(-3, 2), 3: 2}
+    pure._sub_multiple(row, Fraction(1), {3: 2, 4: 1})
+    assert row == {2: Fraction(-3, 2), 4: -1} and type(row[4]) is Fraction
+    assert pure.pow_({(0, 0, ((0, 0, 1),)): Fraction(2)}, 0) == {pure.ONE_MONO: 1}

@@ -7,7 +7,8 @@ from helpers import random_expr
 from jetlaw._kernel import impl as kernel
 from jetlaw.conslaw import Ansatz, ansatz_monomials
 from jetlaw.diffops import euler, frechet, total_derivative
-from jetlaw.errors import NotNormal, NotOnSolutionSpace
+from jetlaw import soln
+from jetlaw.errors import JetLawError, NotNormal, NotOnSolutionSpace
 from jetlaw.expr import ONE, ZERO, const, jet, t, u, x
 from jetlaw.grammar import parse_expr
 from jetlaw.soln import LinDiffOp, extract_operator, make_pde, restrict
@@ -283,6 +284,25 @@ def test_extract_operator_rejects_off_solution_input(kdv):
         extract_operator(kdv.G + u, kdv)
     with pytest.raises(NotOnSolutionSpace):
         extract_operator(ONE, kdv)
+
+
+def test_rewriting_work_is_bounded(monkeypatch):
+    # restricting u_(64,0) to KdV, or a high power of u_tx, expands far
+    # beyond any budget; the rewrite refuses them instead of running out
+    # of memory, and the work it does is bounded by MAX_PRODUCTS
+    monkeypatch.setattr(soln, "MAX_PRODUCTS", 5_000)
+    kdv = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
+    calls = []
+    merge = kernel._merge_jets
+    monkeypatch.setattr(kernel, "_merge_jets", lambda a, b: calls.append(1) or merge(a, b))
+    for f in (jet(64, 0), jet(1, 1) ** 200, jet(2, 0) ** 30):
+        for rewrite in (restrict, extract_operator):
+            calls.clear()
+            with pytest.raises(JetLawError, match="restriction exceeds 5000 term products"):
+                rewrite(f, kdv)
+            assert len(calls) <= 5_000
+    f = u * jet(2, 0) ** 3
+    assert extract_operator(f - restrict(f, kdv), kdv).apply(kdv.G) == f - restrict(f, kdv)
 
 
 def test_pde_str(kdv):
