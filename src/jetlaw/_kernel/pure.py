@@ -26,6 +26,8 @@ constructor is used otherwise.
 rref is the one exact elimination routine.  It works on sparse rows,
 dicts {col: int or Fraction} holding only the nonzero entries, and
 returns the unique reduced row echelon form in the same representation.
+Its row updates go through _acc and _mul_frac like every other routine
+here, so the coefficient arithmetic has one copy.
 """
 
 from fractions import Fraction
@@ -292,45 +294,10 @@ def total_x(a):
 
 def _sub_multiple(row, f, other):
     """row -= f * other, in place, for sparse rows {col: coefficient};
-    entries that cancel are dropped.  This is the elimination's inner
-    loop, so the arithmetic of _mul_frac and _add_frac, int fast path
-    and integer pairs, is inlined here."""
-    f_int = f.__class__ is int
-    fn, fd = -f.numerator, f.denominator
+    entries that cancel are dropped."""
+    f = -f
     for k, v in other.items():
-        a = row.get(k)
-        if f_int and v.__class__ is int and (a is None or a.__class__ is int):
-            # f and v are nonzero, so only a sum can cancel
-            t = fn * v if a is None else a + fn * v
-            if t:
-                row[k] = t
-            else:
-                del row[k]
-            continue
-        vn, vd = v.numerator, v.denominator
-        g1 = gcd(fn, vd)
-        g2 = gcd(vn, fd)
-        pn = (fn // g1) * (vn // g2)
-        pd = (fd // g2) * (vd // g1)
-        if a is None:
-            row[k] = _frac(pn, pd)
-            continue
-        an, ad = a.numerator, a.denominator
-        g = gcd(ad, pd)
-        if g == 1:
-            t = an * pd + pn * ad
-            if t:
-                row[k] = _frac(t, ad * pd)
-            else:
-                del row[k]
-        else:
-            s = ad // g
-            t = an * (pd // g) + pn * s
-            if t:
-                g2 = gcd(t, g)
-                row[k] = _frac(t // g2, s * (pd // g2))
-            else:
-                del row[k]
+        _acc(row, k, _mul_frac(f, v))
 
 
 def rref(rows):
@@ -400,9 +367,7 @@ def rref(rows):
         p = min(r)
         pv = r.pop(p)
         if pv != 1:
-            # pv is reduced, so its reciprocal only needs a positive denominator
-            n, d = pv.denominator, pv.numerator
-            inv = _frac(-n, -d) if d < 0 else _frac(n, d)
+            inv = Fraction(pv.denominator, pv.numerator)
             r = {k: _mul_frac(v, inv) for k, v in r.items()}
         for tail in tails.values():
             f = tail.pop(p, None)

@@ -33,14 +33,13 @@ from .conslaw import (
     current_from_multiplier,
     is_trivial_current,
     multiplier_from_current,
-    restrict,
     solve_multipliers,
     verify_conservation_law,
 )
-from .errors import JetLawError, SessionError
+from .errors import JetLawError, NotConserved, SessionError
 from .expr import DiffExpr
 from .grammar import format_expr, parse_expr
-from .soln import NormalPDE, make_pde
+from .soln import NormalPDE, make_pde, restrict
 from .symmetry import (
     act_on_current,
     act_on_multiplier,
@@ -208,8 +207,6 @@ def _cmd_act(args, session: Session):
         raise SessionError("act needs --Q, or both --T and --X")
     cur = (_resolve(args.T, session), _resolve(args.X, session))
     if not verify_conservation_law(cur, session.pde):
-        from .errors import NotConserved
-
         raise NotConserved("the given current is not conserved")
     out = act_on_current(p, cur, session.pde)
     lines.append(("T", format_expr(out.T)))

@@ -41,9 +41,9 @@ from fractions import Fraction
 from math import comb
 
 from ._kernel import impl as _k
-from .errors import NotADivergence
+from .errors import JetLawError, NotADivergence
 from .expr import DiffExpr
-from .grammar import format_brief
+from .grammar import MAX_PRODUCTS, format_brief
 
 from typing import NamedTuple
 
@@ -84,17 +84,30 @@ class _DerivCache:
 
     def __init__(self, d: dict):
         self._cache = {(0, 0): d}
+        self._budget = MAX_PRODUCTS
 
     def get(self, i: int, j: int) -> dict:
         d = self._cache.get((i, j))
         if d is not None:
             return d
         if j:
-            d = _k.total_x(self.get(i, j - 1))
+            d, step = self.get(i, j - 1), _k.total_x
         else:
-            d = _k.total_t(self.get(i - 1, 0))
-        self._cache[(i, j)] = d
+            d, step = self.get(i - 1, 0), _k.total_t
+        d = self._cache[(i, j)] = step(d)
+        # the memo holds at most MAX_PRODUCTS terms
+        self._budget = _spend(self._budget, len(d))
         return d
+
+
+def _spend(budget: int, n: int) -> int:
+    """The term budget of a chain of total derivatives less n terms.  A
+    high-order jet can demand unbounded work, so a chain that goes past
+    MAX_PRODUCTS terms raises JetLawError."""
+    budget -= n
+    if budget < 0:
+        raise JetLawError(f"total derivatives exceed {MAX_PRODUCTS} terms")
+    return budget
 
 
 def _acc_times(out: dict, d: dict, c: int) -> None:
@@ -126,12 +139,14 @@ def _adjoint_op(coeffs: dict, h: dict) -> dict:
     """Raw terms of sum_K (-D_t)^kt (-D_x)^kx (c_K h) for raw
     coefficients {K: c_K} and raw h."""
     out: dict = {}
+    budget = MAX_PRODUCTS
     for (kt, kx), c in coeffs.items():
         w = _k.mul(c, h)
-        for _ in range(kt):
-            w = _k.total_t(w)
-        for _ in range(kx):
-            w = _k.total_x(w)
+        # each step builds at most one term per jet factor of each term
+        # of w, and one for its t or x; count them before it starts
+        for step in (_k.total_t,) * kt + (_k.total_x,) * kx:
+            budget = _spend(budget, len(w) + sum(len(jets) for _, _, jets in w))
+            w = step(w)
         _acc_times(out, w, -1 if (kt + kx) % 2 else 1)
     return out
 

@@ -46,7 +46,8 @@ class NormalPDE:
     memoize the total derivatives of g, and their powers, that the
     rewriting loop of restriction and operator extraction needs, so
     reuse one instance per equation.  The memos grow only with the jets
-    and exponents the inputs use.
+    and exponents the inputs use, the derivatives to at most
+    MAX_PRODUCTS terms.
     """
 
     __slots__ = ("lead", "rhs", "G", "_drhs", "_pow")

@@ -11,10 +11,13 @@ current:
 
     Q_acted = R_P*(Q) - R_Q*(P)
 
-where R_P(G) = frechet(G, P) and R_Q(G) = frechet_adjoint(G, Q).  The
-same multiplier arises, modulo expressions vanishing on the solution
-space, from the boundary current Psi_G(P, Q) and from transforming the
-current itself; psi_current and act_on_current expose those routes.
+where R_P(G) = frechet(G, P) and R_Q(G) = frechet_adjoint(G, Q).  R_P
+is derived once per query, also for a whole basis in action_matrix, and
+its extraction is the symmetry check: the remainder it leaves is
+restrict(frechet(G, P)).  The same multiplier arises, modulo expressions
+vanishing on the solution space, from the boundary current Psi_G(P, Q)
+and from transforming the current itself; psi_current and
+act_on_current expose those routes.
 
 classify compares Q_acted with Q on the solution space: a multiplier
 with Q_acted = 0 is invariant under the symmetry, one with
@@ -54,13 +57,14 @@ from .errors import (
     NotAMultiplier,
     NotASymmetry,
     NotClosed,
+    NotOnSolutionSpace,
     TrivialMultiplier,
 )
 from .expr import DiffExpr, jet
 from .grammar import format_brief
 from ._kernel import impl as _k
 from .ratlin import QMatrix, rational_eigenpairs
-from .soln import NormalPDE, extract_operator, restrict
+from .soln import LinDiffOp, NormalPDE, extract_operator, restrict
 
 
 @dataclass(frozen=True)
@@ -153,10 +157,23 @@ def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:
     return ConservedCurrent(t_new, x_new)
 
 
-def _operator_pair(p: DiffExpr, q: DiffExpr, pde: NormalPDE):
-    r_p = extract_operator(frechet(pde.G, p), pde)
+def _symmetry_operator(p: DiffExpr, pde: NormalPDE) -> LinDiffOp:
+    """R_P with R_P(G) = frechet(G, P).  The remainder of its extraction
+    is restrict(frechet(G, P)), so it decides the determining equation:
+    raises NotASymmetry exactly when check_symmetry(P) is false."""
+    try:
+        return extract_operator(frechet(pde.G, p), pde)
+    except NotOnSolutionSpace:
+        raise NotASymmetry(f"determining equation fails for P = {format_brief(p)}") from None
+
+
+def _act(p: DiffExpr, r_p: LinDiffOp, q: DiffExpr, pde: NormalPDE) -> DiffExpr:
+    """R_P*(Q) - R_Q*(P) for a symmetry P with operator R_P.  Raises
+    NotAMultiplier."""
+    if not check_multiplier(q, pde):
+        raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(q)}")
     r_q = extract_operator(frechet_adjoint(pde.G, q), pde)
-    return r_p, r_q
+    return r_p.adjoint(q) - r_q.adjoint(p)
 
 
 def act_on_multiplier(gen, q: DiffExpr, pde: NormalPDE) -> DiffExpr:
@@ -165,14 +182,9 @@ def act_on_multiplier(gen, q: DiffExpr, pde: NormalPDE) -> DiffExpr:
         R_P*(Q) - R_Q*(P),
 
     computed without building any current.  Requires P to be a
-    symmetry and Q a multiplier."""
+    symmetry and Q a multiplier, checked in that order."""
     p = characteristic(gen)
-    if not check_symmetry(p, pde):
-        raise NotASymmetry(f"determining equation fails for P = {format_brief(p)}")
-    if not check_multiplier(q, pde):
-        raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(q)}")
-    r_p, r_q = _operator_pair(p, q, pde)
-    return r_p.adjoint(q) - r_q.adjoint(p)
+    return _act(p, _symmetry_operator(p, pde), q, pde)
 
 
 def psi_current(gen, q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
@@ -254,7 +266,9 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
     if not basis:
         raise AnsatzError("empty multiplier basis")
     restricted = [restrict(b, pde) for b in basis]
-    acted = [restrict(act_on_multiplier(gen, b, pde), pde) for b in basis]
+    p = characteristic(gen)
+    r_p = _symmetry_operator(p, pde)
+    acted = [restrict(_act(p, r_p, b, pde), pde) for b in basis]
     # One sparse elimination of [B | A], one equation per monomial:
     # column j holds restricted basis element j, column n + j its image.
     n = len(basis)

@@ -286,6 +286,21 @@ def test_oversized_ansatz_exits_2_quickly(capsys):
         assert err == "error: AnsatzError: the ansatz has more than 10000 monomials\n"
 
 
+def test_high_order_jet_powers_exit_2_quickly(capsys):
+    # D_t^64 of a power of u[64,0] builds terms without end; the total
+    # derivatives count what they build and stop at the product bound
+    for argv in (
+        ("current", "--Q", "u[64,0]^6"),
+        ("act", "--P", "-u_x", "--Q", "u[64,0]^6"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "-s", KDV_SESSION, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert err == "error: JetLawError: total derivatives exceed 250000 terms\n"
+
+
 def test_oversized_coefficients_exit_2(capsys):
     # a result coefficient too long to print is reported on one line,
     # not as an internal ValueError

@@ -1,8 +1,8 @@
 """Seeded fuzzing of the command line.  Session files and expressions
 are mutated token by token (literal sizes, exponents, jet orders,
-nesting, chains of products), and every command must end with exit
-code 0, 1 or 2 and never report an internal error, all within a
-wall-clock budget."""
+nesting, chains of products, powers of high jets), and every command
+must end with exit code 0, 1 or 2 and never report an internal error,
+all within a wall-clock budget."""
 
 import random
 import re
@@ -37,6 +37,9 @@ TOKENS = [
 EXPRESSIONS = ["u", "u_x", "u^2/2 + u_xx", "1 - t*u_x", "x - t*u", "3*t*u_t + x*u_x + 2*u", "mass", "energy"]
 LEADS = ["u_t", "u_tt", "u_tx", "u_x", "u", "2*u_t", "u_t^2", "u[1,0]", "u_t + u", "t", "0"]
 ANSATZ_VALUES = ["0", "1", "2", "-1", "x", "", "99999", "1" * 50]
+# jets at or near the order cap, whose powers make total derivatives
+# build terms without end
+HIGH_JETS = ["u[64,0]", "u[0,64]", "u[60,4]", "u_" + "x" * 60]
 
 
 def _mutate_tokens(rng, text):
@@ -76,6 +79,16 @@ def _expression(rng):
     return _mutate_tokens(rng, base)
 
 
+def _multiplier(rng):
+    """An expression for --Q: now and then a power, exponent 2 to 8, of
+    a high jet.  Refusing one runs the total derivatives up to the
+    product bound, which takes a good part of a second, so they are
+    rare."""
+    if rng.randrange(12):
+        return _expression(rng)
+    return f"{rng.choice(HIGH_JETS)}^{rng.randint(2, 8)}"
+
+
 def _session(rng):
     lines = SESSION.splitlines()
     for _ in range(rng.choice([0, 0, 1, 2])):
@@ -101,15 +114,16 @@ def _session(rng):
 
 def _command(rng):
     e = lambda: _expression(rng)
+    q = lambda: _multiplier(rng)
     small = ["--order", str(rng.randint(0, 2)), "--jet-degree", str(rng.randint(0, 2)),
              "--t-degree", str(rng.randint(0, 1)), "--x-degree", str(rng.randint(0, 1))]
     return rng.choice([
         lambda: ["check-conslaw", "--T", e(), "--X", e()],
         lambda: ["multiplier-of", "--T", e(), "--X", e()],
-        lambda: ["current", "--Q", e()],
-        lambda: ["act", "--P", e(), "--Q", e()],
+        lambda: ["current", "--Q", q()],
+        lambda: ["act", "--P", e(), "--Q", q()],
         lambda: ["act", "--P", e(), "--T", e(), "--X", e()],
-        lambda: ["psi", "--P", e(), "--Q", e()],
+        lambda: ["psi", "--P", e(), "--Q", q()],
         lambda: ["classify", "--P", e(), "--Q", e()] + rng.choice([[], ["--strict-off-e"]]),
         lambda: ["action-matrix", "--P", e(), "--basis", f"{e()};{e()}"],
         lambda: ["action-matrix", "--P", e()] + small,

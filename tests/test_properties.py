@@ -1,14 +1,36 @@
-"""Invariants of the two solves on seeded random normal PDEs: every
-solved multiplier is a multiplier and passes the Helmholtz-type check,
-and every solved symmetry satisfies the determining equation."""
+"""Invariants on seeded random normal PDEs: every solved multiplier is
+a multiplier and passes the Helmholtz-type check, and every solved
+symmetry satisfies the determining equation; the multiplier action
+equals the multiplier of the boundary current Psi_G(P, Q), and the
+current <-> multiplier round trip holds, on the solution space; each
+query raises its typed error exactly when the public check of its
+precondition is false."""
 
+import functools
 import random
 
 from helpers import random_expr
-from jetlaw.conslaw import Ansatz, check_multiplier, helmholtz_check, solve_multipliers
-from jetlaw.expr import jet
-from jetlaw.soln import make_pde
-from jetlaw.symmetry import check_symmetry, solve_symmetries
+from jetlaw.conslaw import (
+    Ansatz,
+    check_adjoint_symmetry,
+    check_multiplier,
+    current_from_multiplier,
+    helmholtz_check,
+    multiplier_from_current,
+    solve_multipliers,
+    verify_conservation_law,
+)
+from jetlaw.diffops import ConservedCurrent, total_derivative
+from jetlaw.errors import (
+    JetLawError,
+    NotAdjointSymmetry,
+    NotAMultiplier,
+    NotASymmetry,
+    NotConserved,
+)
+from jetlaw.expr import DiffExpr, jet
+from jetlaw.soln import make_pde, restrict
+from jetlaw.symmetry import act_on_multiplier, check_symmetry, psi_current, solve_symmetries
 
 LEADS = [(1, 0), (2, 0), (1, 1)]
 
@@ -35,15 +57,108 @@ def _random_problems(rng, count):
         yield pde, ansatz
 
 
+@functools.cache
+def _solved():
+    """(pde, ansatz, multipliers, symmetries) of the seeded problems."""
+    return [
+        (pde, ansatz, solve_multipliers(pde, ansatz), solve_symmetries(pde, ansatz))
+        for pde, ansatz in _random_problems(random.Random(71), 30)
+    ]
+
+
 def test_solved_bases_pass_their_checks():
     multipliers = symmetries = 0
-    for pde, ansatz in _random_problems(random.Random(71), 30):
-        for q in solve_multipliers(pde, ansatz):
+    for pde, ansatz, qs, ps in _solved():
+        for q in qs:
             assert check_multiplier(q, pde), (pde, ansatz, q)
             assert helmholtz_check(q, pde), (pde, ansatz, q)
             multipliers += 1
-        for p in solve_symmetries(pde, ansatz):
+        for p in ps:
             assert check_symmetry(p, pde), (pde, ansatz, p)
             symmetries += 1
     # the checks are not vacuous
     assert multipliers > 30 and symmetries > 60
+
+
+def _pairs(rng):
+    """(pde, P, Q): up to two solved symmetries and two solved
+    multipliers of each problem, drawn at random."""
+    for pde, _, qs, ps in _solved():
+        for p in rng.sample(ps, min(2, len(ps))):
+            for q in rng.sample(qs, min(2, len(qs))):
+                yield pde, p, q
+
+
+def test_multiplier_action_equals_the_boundary_current_multiplier():
+    # the multiplier action R_P*(Q) - R_Q*(P) is the multiplier of
+    # Ibragimov's current Psi_G(P, Q), on the solution space
+    pairs = 0
+    for pde, p, q in _pairs(random.Random(72)):
+        acted = restrict(act_on_multiplier(p, q, pde), pde)
+        assert acted == restrict(multiplier_from_current(psi_current(p, q, pde), pde), pde), (pde, p, q)
+        pairs += 1
+    assert pairs > 30
+
+
+def test_current_multiplier_round_trip():
+    multipliers = 0
+    for pde, _, qs, _ in _solved():
+        for q in qs[:3]:
+            back = multiplier_from_current(current_from_multiplier(q, pde), pde)
+            assert restrict(back, pde) == restrict(q, pde), (pde, q)
+            multipliers += 1
+    assert multipliers > 20
+
+
+def _error(call, *args):
+    """The type of the JetLawError call(*args) raises, or None."""
+    try:
+        call(*args)
+    except JetLawError as ex:
+        return type(ex)
+    return None
+
+
+def _small(rng):
+    return random_expr(rng, max_terms=2, max_order=2, max_jet_degree=2, max_tx_degree=1, allow_fractions=True)
+
+
+def _candidates(rng, pde, solved):
+    """Solved elements, a sum of two, one plus a multiple of G (which
+    leaves it unchanged on the solution space), one plus a random
+    expression, and random expressions."""
+    out = solved[:2]
+    if solved:
+        out += [solved[0] + solved[-1], solved[-1] + _small(rng) * pde.G, solved[0] + _small(rng)]
+    return out + [_small(rng) for _ in range(3)]
+
+
+def test_queries_raise_exactly_when_their_checks_fail():
+    rng = random.Random(73)
+    seen = set()
+    for pde, _, qs, ps in _solved()[:12]:
+        q0 = qs[0] if qs else DiffExpr()
+        p0 = ps[0] if ps else DiffExpr()
+        for p in _candidates(rng, pde, ps):
+            ok = check_symmetry(p, pde)
+            assert (_error(act_on_multiplier, p, q0, pde) is NotASymmetry) is not ok, (pde, p)
+            seen.add(("symmetry", ok))
+        for q in _candidates(rng, pde, qs):
+            ok = check_multiplier(q, pde)
+            assert (_error(current_from_multiplier, q, pde) is NotAMultiplier) is not ok, (pde, q)
+            assert (_error(act_on_multiplier, p0, q, pde) is NotAMultiplier) is not ok, (pde, q)
+            seen.add(("multiplier", ok))
+            ok = check_adjoint_symmetry(q, pde)
+            assert (_error(helmholtz_check, q, pde) is NotAdjointSymmetry) is not ok, (pde, q)
+            seen.add(("adjoint-symmetry", ok))
+        currents = [current_from_multiplier(q, pde) for q in qs[:2]]
+        currents += [ConservedCurrent(_small(rng), _small(rng)) for _ in range(2)]
+        for T, X in currents:
+            f = _small(rng)
+            # a multiple of G and a curl keep a current conserved
+            for c in ((T, X), (T + f * pde.G, X), (T + total_derivative(f, "x"), X - total_derivative(f, "t"))):
+                ok = verify_conservation_law(c, pde)
+                assert (_error(multiplier_from_current, c, pde) is NotConserved) is not ok, (pde, c)
+                seen.add(("current", ok))
+    # every equivalence is met from both sides
+    assert len(seen) == 8, seen

@@ -1,0 +1,52 @@
+"""Each fact is decided once: a query whose precondition is decided by
+the computation it guards runs that computation once.  The extraction
+of R_P is the symmetry check, the extraction of a current's divergence
+is the conservation check, and the Euler image inside the divergence
+inversion of q G is the multiplier check."""
+
+from jetlaw import diffops, soln, symmetry
+from jetlaw.conslaw import current_from_multiplier, multiplier_from_current
+from jetlaw.expr import ONE, jet, t, u, x
+from jetlaw.symmetry import act_on_multiplier, action_matrix
+
+GALILEAN = 1 - t * jet(0, 1)
+ENERGY = jet(0, 2) + u**2 / 2
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls of module.name, recording their arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_queries_rewrite_once_per_operator(kdv, monkeypatch):
+    calls = _counted(monkeypatch, soln, "_rewrite")
+    cur = current_from_multiplier(ENERGY, kdv)
+    calls.clear()
+    multiplier_from_current(cur, kdv)
+    # the extraction of R with R(G) = D_t T + D_x X, and no restrict
+    assert len(calls) == 1
+    calls.clear()
+    act_on_multiplier(GALILEAN, ENERGY, kdv)
+    # the extractions of R_P and R_Q, and no restrict for the check on P
+    assert len(calls) == 2
+
+
+def test_action_matrix_derives_the_symmetry_operator_once(kdv, monkeypatch):
+    calls = _counted(monkeypatch, symmetry, "frechet")
+    action_matrix(GALILEAN, [ONE, u, t * u - x], kdv)
+    assert calls == [(kdv.G, GALILEAN)]
+
+
+def test_current_from_multiplier_takes_one_euler_image(kdv, monkeypatch):
+    calls = _counted(monkeypatch, diffops, "frechet_adjoint")
+    current_from_multiplier(ENERGY, kdv)
+    # frechet_adjoint(f, 1) is the Euler image E_u(f)
+    assert [f for f, h in calls] == [ENERGY * kdv.G]
