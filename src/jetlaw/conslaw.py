@@ -30,6 +30,13 @@ with A_K the standard coefficients of the adjoint Fréchet derivative
 D^K(t^a x^b) = a^(kt) b^(kx) t^(a-kt) x^(b-kx) in falling factorials.
 restrict is linear over polynomials in t and x, so the second identity
 holds on the solution space too.
+
+The queries are linear: current_from_multiplier in Q and
+multiplier_from_current in the pair (T, X).  Each runs on the integral
+primitive part d Q (or d T, d X with one d; expr.primitive_parts),
+where the kernel makes no Fraction, and divides its result by d once;
+a predicate such as is_trivial_current keeps the primitive part.  An
+error message shows the input as given.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .errors import (
     NotConserved,
     NotOnSolutionSpace,
 )
-from .expr import DiffExpr, JetIndex, const
+from .expr import DiffExpr, JetIndex, const, primitive_parts
 from .grammar import format_brief
 from .ratlin import sparse_nullspace
 from .soln import NormalPDE, extract_operator, restrict
@@ -146,22 +153,37 @@ def verify_conservation_law(current, pde: NormalPDE) -> bool:
     return restrict(divergence(current), pde).is_zero
 
 
+def _divided(e: DiffExpr, d: int) -> DiffExpr:
+    """e / d; e itself for d = 1, whose int coefficients dividing by
+    Fraction(1, 1) would turn into Fractions."""
+    return e / d if d > 1 else e
+
+
+def _primitive_multiplier(current, pde: NormalPDE) -> tuple[int, DiffExpr]:
+    """(d, d Q) for the multiplier Q of a current (T, X), d the common
+    denominator of T and X: R*(1) for the operator R with
+    R(G) = D_t (d T) + D_x (d X).  Raises NotConserved, showing the
+    divergence of the current as given."""
+    d, parts = primitive_parts(*current)
+    try:
+        r = extract_operator(divergence(parts), pde)
+    except NotOnSolutionSpace:
+        div = format_brief(divergence(current))
+        raise NotConserved(f"not conserved: D_t T + D_x X = {div} off the solution space") from None
+    return d, r.adjoint(_ONE)
+
+
 def multiplier_from_current(current, pde: NormalPDE) -> DiffExpr:
     """The multiplier Q of a conserved current, via Q = R*(1) for the
     operator R with R(G) = D_t T + D_x X.  Raises NotConserved."""
-    div = divergence(current)
-    try:
-        r = extract_operator(div, pde)
-    except NotOnSolutionSpace:
-        raise NotConserved(f"not conserved: D_t T + D_x X = {format_brief(div)} off the solution space") from None
-    return r.adjoint(_ONE)
+    d, q = _primitive_multiplier(current, pde)
+    return _divided(q, d)
 
 
 def is_trivial_current(current, pde: NormalPDE) -> bool:
     """Whether a conserved current is trivial, which holds exactly when
     its multiplier vanishes on the solution space."""
-    q = multiplier_from_current(current, pde)
-    return restrict(q, pde).is_zero
+    return restrict(_primitive_multiplier(current, pde)[1], pde).is_zero
 
 
 def check_multiplier(q: DiffExpr, pde: NormalPDE) -> bool:
@@ -201,10 +223,12 @@ def helmholtz_check(q: DiffExpr, pde: NormalPDE) -> bool:
 def current_from_multiplier(q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     """A conserved current with divergence q G, by exact divergence
     inversion.  Raises NotAMultiplier."""
+    d, (qd,) = primitive_parts(q)
     try:
-        return invert_divergence(q * pde.G)
+        T, X = invert_divergence(qd * pde.G)
     except NotADivergence:
         raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(q)}") from None
+    return ConservedCurrent(_divided(T, d), _divided(X, d))
 
 
 def _monomial_equations(exprs: list[DiffExpr]) -> list[dict]:

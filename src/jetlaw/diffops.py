@@ -43,7 +43,7 @@ from math import comb
 from ._kernel import impl as _k
 from .errors import JetLawError, NotADivergence
 from .expr import DiffExpr
-from .grammar import MAX_PRODUCTS, format_brief
+from .grammar import MAX_PRODUCTS
 
 from typing import NamedTuple
 
@@ -271,17 +271,17 @@ def _integrate_x(d: dict) -> dict:
 def invert_divergence(f: DiffExpr) -> ConservedCurrent:
     """A current (T, X) with D_t T + D_x X = f, if one exists.
 
-    Raises NotADivergence when euler(f) != 0.  The jet-dependent part of
-    f is inverted through the boundary current Psi_f(u, 1) with each
-    monomial weighted by the reciprocal of its jet degree (the scaling
-    homotopy in the dependent variable, evaluated in closed form); the
-    jet-free remainder is integrated in x.  The construction is exact
+    Raises NotADivergence, carrying euler(f), when that is nonzero.  The
+    jet-dependent part of f is inverted through the boundary current
+    Psi_f(u, 1) with each monomial weighted by the reciprocal of its jet
+    degree (the scaling homotopy in the dependent variable, evaluated in
+    closed form); the jet-free remainder is integrated in x.  The construction is exact
     and deterministic, and the result is one representative of the
     current's equivalence class.
     """
     e = euler(f)
     if not e.is_zero:
-        raise NotADivergence(f"euler image is nonzero: {format_brief(e)}")
+        raise NotADivergence(e)
     jet_free: dict = {}
     jet_part: dict = {}
     for k, c in f._d.items():

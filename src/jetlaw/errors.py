@@ -31,12 +31,35 @@ class NotNormal(JetLawError):
     """The pair (lead, rhs) is not a normal PDE in solved form."""
 
 
-class NotOnSolutionSpace(JetLawError):
-    """An expression expected to vanish on the solution space does not."""
+class _ShowsExpression(JetLawError):
+    """An error whose message ends in an expression, printed by
+    grammar.format_brief only when the message is read: a caller that
+    translates the error into one of its own pays nothing for it."""
+
+    prefix = ""
+
+    def __init__(self, expr):
+        super().__init__(expr)
+        self.expr = expr
+
+    def __str__(self) -> str:
+        from .grammar import format_brief
+
+        return self.prefix + format_brief(self.expr)
 
 
-class NotADivergence(JetLawError):
-    """The expression is not a total divergence D_t T + D_x X."""
+class NotOnSolutionSpace(_ShowsExpression):
+    """An expression expected to vanish on the solution space does not;
+    expr is its restriction."""
+
+    prefix = "does not vanish on the solution space: "
+
+
+class NotADivergence(_ShowsExpression):
+    """The expression is not a total divergence D_t T + D_x X; expr is
+    its Euler image."""
+
+    prefix = "euler image is nonzero: "
 
 
 class NotConserved(JetLawError):

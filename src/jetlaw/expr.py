@@ -16,6 +16,7 @@ Term arithmetic is delegated to jetlaw._kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Union
 
 from ._kernel import impl as _k
@@ -261,6 +262,12 @@ class DiffExpr:
             return NotImplemented
         if n < 0:
             raise ValueError("negative exponent leaves the polynomial ring")
+        if n > 1:
+            for c in self._d.values():
+                if c.__class__ is not int:
+                    # (e / d)^n = e^n / d^n for the primitive part e, on ints
+                    d, (e,) = primitive_parts(self)
+                    return DiffExpr._raw(_k.scale(_k.pow_(e._d, n), Fraction(1, d**n)))
         return DiffExpr._raw(_k.pow_(self._d, n))
 
     def __eq__(self, other) -> bool:
@@ -295,6 +302,25 @@ class DiffExpr:
         from .grammar import format_brief
 
         return f"DiffExpr({format_brief(self)!r})"
+
+
+def primitive_parts(*exprs: DiffExpr) -> tuple[int, tuple[DiffExpr, ...]]:
+    """(d, parts) with d the least common multiple of the denominators
+    of all coefficients of exprs, and parts the exprs times d, whose
+    coefficients are then ints (content and primitive part: Knuth, TAOCP
+    vol. 2, section 4.6.1; the integer content is not divided out).
+    With d = 1 the exprs are returned as they are.
+
+    A query linear in each argument runs on the parts, where the kernel
+    makes no Fraction, and divides its result by the d's once.
+    """
+    d = lcm(*(c.denominator for e in exprs for c in e._d.values()))
+    if d == 1:
+        return 1, exprs
+    return d, tuple(
+        DiffExpr._raw({k: c.numerator * (d // c.denominator) for k, c in e._d.items()})
+        for e in exprs
+    )
 
 
 def const(value: Scalar) -> DiffExpr:

@@ -11,9 +11,10 @@ Everything here is deterministic: rref is the (unique) reduced row
 echelon form, nullspace returns the canonical basis read off the rref
 with free coordinates in identity pattern, and eigenvalues are found as
 rational roots of the characteristic polynomial, isolated by a Sturm
-sequence rather than by factoring its coefficients.  Irrational or complex
-eigenvalues are outside the scope of rational_eigenpairs and are simply
-not reported.
+sequence rather than by factoring its coefficients.  Both work on the
+integer matrix d M, d the lcm of the denominators of M.  Irrational or
+complex eigenvalues are outside the scope of rational_eigenpairs and
+are simply not reported.
 """
 
 from __future__ import annotations
@@ -57,29 +58,6 @@ class QMatrix:
 
     def __hash__(self) -> int:
         return hash(self.rows)
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.ncols
-        return QMatrix(
-            [
-                [
-                    sum((a * other.rows[k][j] for k, a in enumerate(row)), Fraction(0))
-                    for j in range(cols)
-                ]
-                for row in self.rows
-            ]
-        )
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
-
-    def add_scalar_diag(self, c: Fraction) -> "QMatrix":
-        rows = [list(r) for r in self.rows]
-        for i in range(len(rows)):
-            rows[i][i] = rows[i][i] + c
-        return QMatrix(rows)
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -164,20 +142,79 @@ def solve(M: QMatrix, b) -> Vector | None:
     return tuple(x)
 
 
-def charpoly(M: QMatrix) -> list[Fraction]:
-    """Coefficients [1, c1, ..., cn] of det(lambda I - M), computed by
-    the Faddeev-LeVerrier recurrence."""
-    n = M.nrows
-    if n != M.ncols:
+def _integral(M: QMatrix) -> tuple[int, list[list[int]]]:
+    """(d, d M) for a square M, d the lcm of its denominators, with the
+    entries of d M as ints."""
+    if M.nrows != M.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    coeffs = [Fraction(1)]
-    Mk = M
-    for k in range(1, n + 1):
-        ck = -Mk.trace() / k
-        coeffs.append(ck)
-        if k < n:
-            Mk = M @ Mk.add_scalar_diag(ck)
-    return coeffs
+    d = lcm(*(v.denominator for row in M.rows for v in row))
+    return d, [[v.numerator * (d // v.denominator) for v in row] for row in M.rows]
+
+
+def _int_charpoly(A: list[list[int]]) -> list[int]:
+    """Coefficients [1, c1, ..., cn] of det(lambda I - A) for a square
+    integer matrix A (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9).
+
+    A is reduced to upper Hessenberg form H by similarity, a row and
+    column swap bringing a nonzero entry onto the sub-diagonal where the
+    pivot is 0; a matrix already in that form, an upper triangular one
+    for instance, is left as it is.  Then p_0 = 1 and
+
+        p_m = (lambda - h_mm) p_(m-1)
+              - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1)
+
+    gives det(lambda I - A) = p_n in O(n^3) operations.  The entries of
+    H are Fractions only where the reduction divided; the coefficients
+    of p_n are integers.
+    """
+    n = len(A)
+    H = [list(row) for row in A]
+    for m in range(1, n - 1):
+        # the rows at or below the sub-diagonal that are nonzero in column
+        # m - 1; the first is swapped onto the sub-diagonal
+        nonzero = [i for i in range(m, n) if H[i][m - 1]]
+        if not nonzero or nonzero == [m]:
+            continue
+        i = nonzero[0]
+        if i > m:
+            H[i], H[m] = H[m], H[i]
+            for row in H:
+                row[i], row[m] = row[m], row[i]
+        pivot = H[m][m - 1]
+        for i in range(m + 1, n):
+            if H[i][m - 1]:
+                f = Fraction(H[i][m - 1], pivot)
+                H[i] = [a - f * b for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] += f * row[i]
+    p = [[1]]
+    for m in range(n):
+        # p_(m+1) = (lambda - h_mm) p_m - sum_(i<m) h_im t_i p_i, with
+        # t_i = h_(i+1,i) h_(i+2,i+1) ... h_(m,m-1)
+        nxt = p[m] + [0]
+        for k, c in enumerate(p[m]):
+            nxt[k + 1] -= H[m][m] * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t *= H[i + 1][i]
+            if not t:
+                break
+            f = H[i][m] * t
+            if f:
+                off = m + 1 - i
+                for k, c in enumerate(p[i]):
+                    nxt[k + off] -= f * c
+        p.append(nxt)
+    return [int(c) for c in p[n]]
+
+
+def charpoly(M: QMatrix) -> list[Fraction]:
+    """Coefficients [1, c1, ..., cn] of det(lambda I - M): with d the lcm
+    of the denominators of M, c_k = e_k / d^k for the coefficients e_k
+    of the integer matrix d M (_int_charpoly)."""
+    d, A = _integral(M)
+    return [Fraction(c, d**k) for k, c in enumerate(_int_charpoly(A))]
 
 
 def _horner(p: list, v):
@@ -303,11 +340,26 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
 
 def rational_eigenpairs(M: QMatrix) -> list[tuple[Fraction, list[Vector]]]:
     """Rational eigenvalues of M with canonical eigenspace bases,
-    sorted by eigenvalue.  Non-rational eigenvalues are not reported."""
+    sorted by eigenvalue.  Non-rational eigenvalues are not reported.
+
+    With d the lcm of the denominators of M, the integer matrix d M has
+    the eigenvalues d lambda, integers since its characteristic
+    polynomial is monic, and the same eigenvectors; each eigenspace is
+    the canonical nullspace of the integer rows of d M - d lambda I,
+    which scaling a system does not change."""
+    d, A = _integral(M)
+    n = len(A)
     pairs = []
-    for lam in rational_roots(charpoly(M)):
-        vecs = nullspace(M.add_scalar_diag(-lam))
+    for mu in rational_roots(_int_charpoly(A)):
+        mu = int(mu)
+        rows = []
+        for i, row in enumerate(A):
+            row = list(row)
+            row[i] -= mu
+            rows.append({j: v for j, v in enumerate(row) if v})
+        vecs = sparse_nullspace(rows, n)
         if not vecs:
             raise AssertionError("eigenvalue without eigenvector")
-        pairs.append((lam, vecs))
+        vecs = [tuple(Fraction(v.get(j, 0)) for j in range(n)) for v in vecs]
+        pairs.append((Fraction(mu, d), vecs))
     return pairs

@@ -282,17 +282,16 @@ def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
         f = restrict(f) + sum_K c_K D_t^kt D_x^kx G    identically.
 
     If the remainder restrict(f) is nonzero the function raises
-    NotOnSolutionSpace; otherwise R = sum_K c_K D^K.  Polynomial rings
-    have no zero divisors, so each c_K is unique: it is the part of f,
-    written in the variables D^K G in place of the consequence jets,
-    whose greatest such variable is D^K G, divided by it.  Different
+    NotOnSolutionSpace, which carries it; otherwise R = sum_K c_K D^K.
+    Polynomial rings have no zero divisors, so each c_K is unique: it is
+    the part of f, written in the variables D^K G in place of the
+    consequence jets, whose greatest such variable is D^K G, divided by
+    it.  Different
     valid operators for the same f differ only by operators whose
     coefficients vanish on the solution space.
     """
     quotients: dict = {}
     rest = _rewrite(f._d, pde, quotients)
     if rest:
-        raise NotOnSolutionSpace(
-            f"does not vanish on the solution space: {format_brief(DiffExpr._raw(rest))}"
-        )
+        raise NotOnSolutionSpace(DiffExpr._raw(rest))
     return LinDiffOp({K: DiffExpr._raw(q) for K, q in quotients.items()})

@@ -26,6 +26,14 @@ of weight lambda, anything else is inhomogeneous.  action_matrix does
 the same for a whole multiplier space at once and reports the rational
 eigenvalues: the eigenvectors are exactly the combinations on which
 the symmetry acts homogeneously.
+
+The action and Psi_G(P, Q) are bilinear in (P, Q), and the weight
+lambda scales with P and not with Q.  So each query runs on the
+integral primitive parts d_P P and d_Q Q (expr.primitive_parts), where
+the kernel makes no Fraction, and divides its result by d_P d_Q, and
+lambda by d_P, once.  action_matrix scales only P, since coordinates
+are taken in the caller's basis.  An error message shows the inputs as
+given.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from fractions import Fraction
 
 from .conslaw import (
     Ansatz,
+    _divided,
     _factored_images,
     _monomial_equations,
     _require_low_order,
@@ -60,7 +69,7 @@ from .errors import (
     NotOnSolutionSpace,
     TrivialMultiplier,
 )
-from .expr import DiffExpr, jet
+from .expr import DiffExpr, jet, primitive_parts
 from .grammar import format_brief
 from ._kernel import impl as _k
 from .ratlin import QMatrix, rational_eigenpairs
@@ -157,23 +166,35 @@ def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:
     return ConservedCurrent(t_new, x_new)
 
 
-def _symmetry_operator(p: DiffExpr, pde: NormalPDE) -> LinDiffOp:
+def _symmetry_operator(p: DiffExpr, pde: NormalPDE, given: DiffExpr) -> LinDiffOp:
     """R_P with R_P(G) = frechet(G, P).  The remainder of its extraction
     is restrict(frechet(G, P)), so it decides the determining equation:
-    raises NotASymmetry exactly when check_symmetry(P) is false."""
+    raises NotASymmetry exactly when check_symmetry(P) is false.  Its
+    message shows given, the caller's P, of which p is a multiple."""
     try:
         return extract_operator(frechet(pde.G, p), pde)
     except NotOnSolutionSpace:
-        raise NotASymmetry(f"determining equation fails for P = {format_brief(p)}") from None
+        raise NotASymmetry(f"determining equation fails for P = {format_brief(given)}") from None
 
 
-def _act(p: DiffExpr, r_p: LinDiffOp, q: DiffExpr, pde: NormalPDE) -> DiffExpr:
+def _act(p: DiffExpr, r_p: LinDiffOp, q: DiffExpr, pde: NormalPDE, given: DiffExpr) -> DiffExpr:
     """R_P*(Q) - R_Q*(P) for a symmetry P with operator R_P.  Raises
-    NotAMultiplier."""
+    NotAMultiplier, showing given, the caller's Q, of which q is a
+    multiple."""
     if not check_multiplier(q, pde):
-        raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(q)}")
+        raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(given)}")
     r_q = extract_operator(frechet_adjoint(pde.G, q), pde)
     return r_p.adjoint(q) - r_q.adjoint(p)
+
+
+def _primitive_action(gen, q: DiffExpr, pde: NormalPDE):
+    """(d_P, d_Q, d_Q Q, A) with A = d_P d_Q (R_P*(Q) - R_Q*(P)), the
+    action computed on the primitive parts d_P P and d_Q Q; it is
+    bilinear in (P, Q).  Raises as act_on_multiplier."""
+    p = characteristic(gen)
+    dp, (pd,) = primitive_parts(p)
+    dq, (qd,) = primitive_parts(q)
+    return dp, dq, qd, _act(pd, _symmetry_operator(pd, pde, p), qd, pde, q)
 
 
 def act_on_multiplier(gen, q: DiffExpr, pde: NormalPDE) -> DiffExpr:
@@ -183,8 +204,8 @@ def act_on_multiplier(gen, q: DiffExpr, pde: NormalPDE) -> DiffExpr:
 
     computed without building any current.  Requires P to be a
     symmetry and Q a multiplier, checked in that order."""
-    p = characteristic(gen)
-    return _act(p, _symmetry_operator(p, pde), q, pde)
+    dp, dq, _, acted = _primitive_action(gen, q, pde)
+    return _divided(acted, dp * dq)
 
 
 def psi_current(gen, q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
@@ -196,11 +217,14 @@ def psi_current(gen, q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     its multiplier agrees with act_on_multiplier(P, Q) on the solution
     space."""
     p = characteristic(gen)
-    if not check_symmetry(p, pde):
+    dp, (pd,) = primitive_parts(p)
+    dq, (qd,) = primitive_parts(q)
+    if not check_symmetry(pd, pde):
         raise NotASymmetry(f"determining equation fails for P = {format_brief(p)}")
-    if not check_adjoint_symmetry(q, pde):
+    if not check_adjoint_symmetry(qd, pde):
         raise NotAdjointSymmetry(f"not an adjoint-symmetry: {format_brief(q)}")
-    return boundary_current(pde.G, p, q)
+    T, X = boundary_current(pde.G, pd, qd)
+    return ConservedCurrent(_divided(T, dp * dq), _divided(X, dp * dq))
 
 
 @dataclass(frozen=True)
@@ -226,20 +250,23 @@ def classify(
     A trivial multiplier (vanishing on the solution space) cannot be
     classified and raises TrivialMultiplier.
     """
-    dq = act_on_multiplier(gen, q, pde)
+    # on the primitive parts the action is d_P d_Q times the caller's,
+    # and its weight d_P times the caller's
+    dp, dq, qd, acted = _primitive_action(gen, q, pde)
     if strict_off_e:
-        compare_dq, compare_q = dq, q
+        compare_dq, compare_q = acted, qd
     else:
-        compare_dq, compare_q = restrict(dq, pde), restrict(q, pde)
+        compare_dq, compare_q = restrict(acted, pde), restrict(qd, pde)
     if compare_q.is_zero:
         raise TrivialMultiplier(f"q vanishes on the solution space: {format_brief(q)}")
+    action = _divided(compare_dq, dp * dq)
     if compare_dq.is_zero:
-        return ClassificationResult("Invariant", Fraction(0), compare_dq)
+        return ClassificationResult("Invariant", Fraction(0), action)
     key = min(compare_q._d)
     lam = Fraction(compare_dq._d.get(key, 0), compare_q._d[key])
     if lam and compare_dq == compare_q * lam:
-        return ClassificationResult("Homogeneous", lam, compare_dq)
-    return ClassificationResult("NotHomogeneous", None, compare_dq)
+        return ClassificationResult("Homogeneous", lam / dp, action)
+    return ClassificationResult("NotHomogeneous", None, action)
 
 
 @dataclass(frozen=True)
@@ -266,9 +293,12 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
     if not basis:
         raise AnsatzError("empty multiplier basis")
     restricted = [restrict(b, pde) for b in basis]
+    # coordinates are taken in the caller's basis, so only P is scaled:
+    # the images, and with them the matrix, are d_P times the caller's
     p = characteristic(gen)
-    r_p = _symmetry_operator(p, pde)
-    acted = [restrict(_act(p, r_p, b, pde), pde) for b in basis]
+    dp, (pd,) = primitive_parts(p)
+    r_p = _symmetry_operator(pd, pde, p)
+    acted = [restrict(_act(pd, r_p, b, pde, b), pde) for b in basis]
     # One sparse elimination of [B | A], one equation per monomial:
     # column j holds restricted basis element j, column n + j its image.
     n = len(basis)
@@ -283,6 +313,5 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
             f"action leaves the span of the basis on element {format_brief(basis[pivots[n] - n])}"
         )
     # Pivot row i holds coordinate i of every image.
-    zero = Fraction(0)
-    m = QMatrix([[rows[i].get(n + j, zero) for j in range(n)] for i in range(n)])
+    m = QMatrix([[Fraction(rows[i].get(n + j, 0), dp) for j in range(n)] for i in range(n)])
     return SymmetryAction(m, rational_eigenpairs(m))

@@ -33,8 +33,15 @@ TOKENS = [
     "u[0,0]", "u[1,2]", "u[64,0]", "u[65,0]", "u[", "]", ",",
     "t", "x", "mass", "energy", "galilean",
     "+", "-", "*", "/", "^", "(", ")", "@", "u_", "1.5", "uu",
+    "3/7", "5/11", "1/1024",
 ]
-EXPRESSIONS = ["u", "u_x", "u^2/2 + u_xx", "1 - t*u_x", "x - t*u", "3*t*u_t + x*u_x + 2*u", "mass", "energy"]
+# the second row holds fractional expressions with coprime denominators,
+# valid and not, so that the queries meet inputs with a common
+# denominator d > 1 on their valid and their error paths
+EXPRESSIONS = [
+    "u", "u_x", "u^2/2 + u_xx", "1 - t*u_x", "x - t*u", "3*t*u_t + x*u_x + 2*u", "mass", "energy",
+    "u/9 + u_xx/13", "3/7*u_xx + 3/14*u^2", "1/1024 - t*u_x/1024", "5/11*u_x", "x/3 - t*u/3",
+]
 LEADS = ["u_t", "u_tt", "u_tx", "u_x", "u", "2*u_t", "u_t^2", "u[1,0]", "u_t + u", "t", "0"]
 ANSATZ_VALUES = ["0", "1", "2", "-1", "x", "", "99999", "1" * 50]
 # jets at or near the order cap, whose powers make total derivatives
@@ -72,7 +79,7 @@ def _expression(rng):
     if shape == 2:
         return f"({base})^{rng.choice([0, 1, 3, 64, 256, 257, 10**6])}"
     if shape == 3:
-        return f"{rng.choice(['1', '7' * 300, '9' * 4301])}*{base}"
+        return f"{rng.choice(['1', '3/7', '1/1024', '7' * 300, '9' * 4301])}*({base})"
     if shape == 4:
         factors = [f"({rng.choice(EXPRESSIONS)} + {rng.randint(1, 9)})" for _ in range(rng.randint(2, 6))]
         return "*".join(factors)

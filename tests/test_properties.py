@@ -4,10 +4,15 @@ symmetry satisfies the determining equation; the multiplier action
 equals the multiplier of the boundary current Psi_G(P, Q), and the
 current <-> multiplier round trip holds, on the solution space; each
 query raises its typed error exactly when the public check of its
-precondition is false."""
+precondition is false; every query scales exactly with the scalar
+multiples of its arguments, and its errors show the arguments as
+given."""
 
 import functools
 import random
+from fractions import Fraction
+
+import pytest
 
 from helpers import random_expr
 from jetlaw.conslaw import (
@@ -21,6 +26,7 @@ from jetlaw.conslaw import (
     verify_conservation_law,
 )
 from jetlaw.diffops import ConservedCurrent, total_derivative
+from jetlaw.diffops import divergence
 from jetlaw.errors import (
     JetLawError,
     NotAdjointSymmetry,
@@ -29,8 +35,16 @@ from jetlaw.errors import (
     NotConserved,
 )
 from jetlaw.expr import DiffExpr, jet
+from jetlaw.grammar import format_brief
 from jetlaw.soln import make_pde, restrict
-from jetlaw.symmetry import act_on_multiplier, check_symmetry, psi_current, solve_symmetries
+from jetlaw.symmetry import (
+    act_on_multiplier,
+    action_matrix,
+    check_symmetry,
+    classify,
+    psi_current,
+    solve_symmetries,
+)
 
 LEADS = [(1, 0), (2, 0), (1, 1)]
 
@@ -162,3 +176,89 @@ def test_queries_raise_exactly_when_their_checks_fail():
                 seen.add(("current", ok))
     # every equivalence is met from both sides
     assert len(seen) == 8, seen
+
+
+def _scalar(rng):
+    """A random nonzero rational p/q, integral now and then."""
+    return Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 12]), rng.choice([1, 1, 3, 4, 9, 35]))
+
+
+def _scaled(cur, c):
+    return ConservedCurrent(cur.T * c, cur.X * c)
+
+
+def test_queries_scale_with_their_arguments():
+    # each query is linear in each argument: f(c P, Q) = c f(P, Q) and
+    # f(P, c Q) = c f(P, Q) exactly; classify's weight scales with P and
+    # not with Q, and action_matrix(c P) has matrix c M, eigenvalues
+    # c lambda and the same eigenvectors
+    rng = random.Random(74)
+    pairs = matrices = 0
+    for pde, p, q in _pairs(random.Random(75)):
+        c = _scalar(rng)
+        cur = current_from_multiplier(q, pde)
+        assert current_from_multiplier(q * c, pde) == _scaled(cur, c), (pde, q, c)
+        assert multiplier_from_current(_scaled(cur, c), pde) == multiplier_from_current(cur, pde) * c
+        acted = act_on_multiplier(p, q, pde)
+        assert act_on_multiplier(p * c, q, pde) == acted * c, (pde, p, q, c)
+        assert act_on_multiplier(p, q * c, pde) == acted * c, (pde, p, q, c)
+        psi = psi_current(p, q, pde)
+        assert psi_current(p * c, q, pde) == _scaled(psi, c)
+        assert psi_current(p, q * c, pde) == _scaled(psi, c)
+        res = classify(p, q, pde)
+        by_p, by_q = classify(p * c, q, pde), classify(p, q * c, pde)
+        assert by_p.verdict == by_q.verdict == res.verdict
+        assert by_p.action == by_q.action == res.action * c
+        if res.lam is not None:
+            assert by_p.lam == res.lam * c and by_q.lam == res.lam
+        pairs += 1
+    for pde, _, qs, ps in _solved():
+        for p in ps[:2]:
+            c = _scalar(rng)
+            try:
+                m = action_matrix(p, qs, pde)
+            except JetLawError as ex:
+                with pytest.raises(type(ex)) as info:
+                    action_matrix(p * c, qs, pde)
+                assert str(info.value) == str(ex)
+                continue
+            mc = action_matrix(p * c, qs, pde)
+            n = len(qs)
+            assert [[mc.matrix[i, j] for j in range(n)] for i in range(n)] == [
+                [m.matrix[i, j] * c for j in range(n)] for i in range(n)
+            ]
+            assert sorted(mc.eigenpairs) == sorted((lam * c, vecs) for lam, vecs in m.eigenpairs)
+            matrices += 1
+    assert pairs > 30 and matrices > 10
+
+
+def test_errors_show_the_fractional_arguments_as_given():
+    rng = random.Random(76)
+    seen = set()
+
+    def shows(error, call, *args, given):
+        with pytest.raises(error) as info:
+            call(*args)
+        assert format_brief(given) in str(info.value), (info.value, given)
+        seen.add(error)
+
+    for pde, _, qs, ps in _solved()[:12]:
+        q0 = qs[0] if qs else DiffExpr()
+        for _ in range(3):
+            c = Fraction(rng.choice([1, 2, 5]), rng.choice([3, 7, 11]))
+            e = _small(rng) * c
+            if not check_symmetry(e, pde):
+                shows(NotASymmetry, act_on_multiplier, e, q0, pde, given=e)
+                shows(NotASymmetry, psi_current, e, q0, pde, given=e)
+                shows(NotASymmetry, classify, e, q0, pde, given=e)
+                shows(NotASymmetry, action_matrix, e, [q0 or jet(0, 0)], pde, given=e)
+            if ps and not check_multiplier(e, pde):
+                shows(NotAMultiplier, current_from_multiplier, e, pde, given=e)
+                shows(NotAMultiplier, act_on_multiplier, ps[0], e, pde, given=e)
+                shows(NotAMultiplier, classify, ps[0], e, pde, given=e)
+            if ps and not check_adjoint_symmetry(e, pde):
+                shows(NotAdjointSymmetry, psi_current, ps[0], e, pde, given=e)
+            cur = ConservedCurrent(_small(rng) * c, _small(rng) * c)
+            if not verify_conservation_law(cur, pde):
+                shows(NotConserved, multiplier_from_current, cur, pde, given=divergence(cur))
+    assert len(seen) == 4, seen

@@ -34,10 +34,11 @@ def test_qmatrix_basics():
     M = QMatrix([[1, 2], [3, 4]])
     assert M.nrows == 2 and M.ncols == 2
     assert M[0, 1] == 2
-    assert M.trace() == 5
-    I = QMatrix([[1, 0], [0, 1]])
-    assert M @ I == M
-    assert M.add_scalar_diag(F(1)) == QMatrix([[2, 2], [3, 5]])
+    assert all(type(v) is F for row in M.rows for v in row)
+    assert M == QMatrix([[F(1), F(2)], [F(3), F(4)]]) != QMatrix([[1, 2], [3, 5]])
+    assert hash(M) == hash(QMatrix([[1, 2], [3, 4]]))
+    with pytest.raises(ValueError):
+        QMatrix([[1, 2], [3]])
 
 
 def test_rref_known_case():
@@ -106,27 +107,81 @@ def test_solve_random_round_trip():
         assert matvec(M, got) == b
 
 
-def test_charpoly_matches_sympy():
+def _sympy_matrix(M):
+    return sp.Matrix(M.nrows, M.ncols, lambda i, j: sp.Rational(M[i, j].numerator, M[i, j].denominator))
+
+
+def _charpoly_battery():
+    """Square matrices with n = 0..7: dense, upper triangular, with zero
+    sub-diagonal entries that force a pivot swap in the Hessenberg
+    reduction, and with large coprime denominators."""
     rng = random.Random(35)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        M = _rand_matrix(rng, n, n)
+    primes = [101, 103, 107, 109, 113, 127, 2**31 - 1, 2**61 - 1]
+    out = [QMatrix([])]
+    for n in range(1, 8):
+        for _ in range(3):
+            out.append(_rand_matrix(rng, n, n))
+            M = _rand_matrix(rng, n, n)
+            out.append(QMatrix([[v if i <= j else 0 for j, v in enumerate(row)] for i, row in enumerate(M.rows)]))
+            # a zero sub-diagonal entry with nonzero entries below it
+            M = [list(row) for row in _rand_matrix(rng, n, n).rows]
+            for i in range(1, n):
+                M[i][i - 1] = F(0)
+            if n > 2:
+                M[n - 1][0] = F(rng.choice([-3, -1, 1, 2]))
+            out.append(QMatrix(M))
+            out.append(QMatrix([[F(rng.randint(-10**6, 10**6), rng.choice(primes)) for _ in range(n)] for _ in range(n)]))
+    # integer spectra, so that every eigenvalue is rational
+    for n in range(1, 6):
+        diag = [rng.randint(-3, 3) for _ in range(n)]
+        P = sp.eye(n)
+        for _ in range(4):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                P[i, :] = P[i, :] + sp.Rational(rng.randint(-2, 2), rng.randint(1, 3)) * P[j, :]
+        A = P * sp.diag(*diag) * P.inv()
+        out.append(QMatrix([[F(int(A[i, j].p), int(A[i, j].q)) for j in range(n)] for i in range(n)]))
+    return out
+
+
+def test_charpoly_matches_sympy():
+    lam = sp.Symbol("lam")
+    for M in _charpoly_battery():
         ours = charpoly(M)
-        lam = sp.Symbol("lam")
-        ref = sp.Matrix(n, n, lambda i, j: sp.Rational(M[i, j])).charpoly(lam)
-        ref_coeffs = [sp.Rational(c) for c in ref.all_coeffs()]
-        assert [sp.Rational(c) for c in ours] == ref_coeffs
+        want = _sympy_matrix(M).charpoly(lam).all_coeffs() if M.nrows else [1]
+        assert [sp.Rational(c.numerator, c.denominator) for c in ours] == want, M
+        assert all(type(c) is F for c in ours)
+
+
+def test_eigenpairs_match_sympy():
+    # the rational roots of sympy's characteristic polynomial, each with
+    # sympy's nullspace basis of A - lambda I: it sets one free
+    # coordinate to 1 and the others to 0, the canonical basis
+    lam = sp.Symbol("lam")
+    found = 0
+    for M in _charpoly_battery():
+        A = _sympy_matrix(M)
+        roots = sp.Poly(A.charpoly(lam).as_expr(), lam, domain="QQ").ground_roots() if M.nrows else {}
+        want = []
+        for ev in sorted(roots):
+            space = (A - ev * sp.eye(M.nrows)).nullspace()
+            want.append((F(int(ev.p), int(ev.q)), [tuple(F(int(c.p), int(c.q)) for c in v) for v in space]))
+        assert rational_eigenpairs(M) == want, M
+        found += len(want)
+    assert found > 30
 
 
 def test_charpoly_trace_and_det():
     M = QMatrix([[2, 1], [1, 2]])
     cs = charpoly(M)
     assert cs[0] == 1
-    assert cs[1] == -M.trace()
+    assert cs[1] == -(M[0, 0] + M[1, 1])
     assert cs[2] == 3  # det(M) for n = 2
 
     with pytest.raises(ValueError):
         charpoly(QMatrix([[1, 2, 3]]))
+    with pytest.raises(ValueError):
+        rational_eigenpairs(QMatrix([[1, 2, 3]]))
 
 
 def test_rational_roots():

@@ -6,7 +6,8 @@ inversion of q G is the multiplier check."""
 
 from jetlaw import diffops, soln, symmetry
 from jetlaw.conslaw import current_from_multiplier, multiplier_from_current
-from jetlaw.expr import ONE, jet, t, u, x
+from jetlaw.expr import ONE, DiffExpr, jet, t, u, x
+from jetlaw.soln import restrict
 from jetlaw.symmetry import act_on_multiplier, action_matrix
 
 GALILEAN = 1 - t * jet(0, 1)
@@ -48,5 +49,32 @@ def test_action_matrix_derives_the_symmetry_operator_once(kdv, monkeypatch):
 def test_current_from_multiplier_takes_one_euler_image(kdv, monkeypatch):
     calls = _counted(monkeypatch, diffops, "frechet_adjoint")
     current_from_multiplier(ENERGY, kdv)
-    # frechet_adjoint(f, 1) is the Euler image E_u(f)
-    assert [f for f, h in calls] == [ENERGY * kdv.G]
+    # frechet_adjoint(f, 1) is the Euler image E_u(f), taken of the
+    # primitive part 2 ENERGY of the multiplier
+    assert [f for f, h in calls] == [(2 * ENERGY) * kdv.G]
+
+
+def _fractional(calls):
+    """The expression arguments (DiffExprs or raw term dicts) of the
+    recorded calls that hold a coefficient other than an int."""
+    exprs = [a for args in calls for a in args if isinstance(a, DiffExpr)]
+    exprs += [DiffExpr._raw(a) for args in calls for a in args if isinstance(a, dict)]
+    assert exprs
+    return [e for e in exprs if any(type(c) is not int for c in e._d.values())]
+
+
+def test_queries_run_on_integral_primitive_parts(kdv, monkeypatch):
+    q, p = ENERGY / 3, GALILEAN / 5
+    adjoint = _counted(monkeypatch, diffops, "frechet_adjoint")
+    rewrite = _counted(monkeypatch, soln, "_rewrite")
+    cur = current_from_multiplier(q, kdv)
+    back = multiplier_from_current(cur, kdv)
+    acted = act_on_multiplier(p, q, kdv)
+    assert rewrite and adjoint
+    assert _fractional(adjoint) == []
+    assert _fractional([args[:1] for args in rewrite]) == []
+    monkeypatch.undo()
+    whole = current_from_multiplier(ENERGY, kdv)
+    assert cur == (whole.T / 3, whole.X / 3)
+    assert restrict(back, kdv) == restrict(q, kdv)
+    assert acted == act_on_multiplier(GALILEAN, ENERGY, kdv) / 15
