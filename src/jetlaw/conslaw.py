@@ -34,9 +34,10 @@ holds on the solution space too.
 The queries are linear: current_from_multiplier in Q and
 multiplier_from_current in the pair (T, X).  Each runs on the integral
 primitive part d Q (or d T, d X with one d; expr.primitive_parts),
-where the kernel makes no Fraction, and divides its result by d once;
-a predicate such as is_trivial_current keeps the primitive part.  An
-error message shows the input as given.
+where the kernel makes no Fraction, and divides its result by d once
+(the divided result has Fraction coefficients throughout; with d = 1
+nothing is divided).  A predicate such as is_trivial_current keeps the
+primitive part.  An error message shows the input as given.
 """
 
 from __future__ import annotations

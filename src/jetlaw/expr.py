@@ -262,12 +262,6 @@ class DiffExpr:
             return NotImplemented
         if n < 0:
             raise ValueError("negative exponent leaves the polynomial ring")
-        if n > 1:
-            for c in self._d.values():
-                if c.__class__ is not int:
-                    # (e / d)^n = e^n / d^n for the primitive part e, on ints
-                    d, (e,) = primitive_parts(self)
-                    return DiffExpr._raw(_k.scale(_k.pow_(e._d, n), Fraction(1, d**n)))
         return DiffExpr._raw(_k.pow_(self._d, n))
 
     def __eq__(self, other) -> bool:
@@ -306,13 +300,18 @@ class DiffExpr:
 
 def primitive_parts(*exprs: DiffExpr) -> tuple[int, tuple[DiffExpr, ...]]:
     """(d, parts) with d the least common multiple of the denominators
-    of all coefficients of exprs, and parts the exprs times d, whose
-    coefficients are then ints (content and primitive part: Knuth, TAOCP
-    vol. 2, section 4.6.1; the integer content is not divided out).
-    With d = 1 the exprs are returned as they are.
+    of all coefficients of exprs, and parts the exprs times d (content
+    and primitive part: Knuth, TAOCP vol. 2, section 4.6.1; the integer
+    content is not divided out).
+    With d = 1 the exprs are returned as they are, a whole Fraction
+    coefficient included, so that a query keeps the numeric tower: its
+    result is int where only ints made it and a Fraction where a
+    Fraction took part.
 
-    A query linear in each argument runs on the parts, where the kernel
-    makes no Fraction, and divides its result by the d's once.
+    A query linear in each argument runs on the parts and divides its
+    result by the d's once.  For d > 1 the parts have int coefficients,
+    the kernel makes no Fraction on them, and the divided result has
+    Fraction coefficients throughout.
     """
     d = lcm(*(c.denominator for e in exprs for c in e._d.values()))
     if d == 1:

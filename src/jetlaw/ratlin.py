@@ -112,13 +112,18 @@ def sparse_nullspace(rows, ncols: int) -> list[dict[int, int | Fraction]]:
     return basis
 
 
+def _dense_nullspace(rows, ncols: int) -> list[Vector]:
+    """sparse_nullspace with its vectors as dense tuples of Fractions."""
+    return [
+        tuple(Fraction(v.get(j, 0)) for j in range(ncols))
+        for v in sparse_nullspace(rows, ncols)
+    ]
+
+
 def nullspace(M: QMatrix) -> list[Vector]:
     """Canonical basis of the right nullspace as dense vectors; see
     sparse_nullspace."""
-    return [
-        tuple(Fraction(v.get(j, 0)) for j in range(M.ncols))
-        for v in sparse_nullspace(_sparse_rows(M.rows), M.ncols)
-    ]
+    return _dense_nullspace(_sparse_rows(M.rows), M.ncols)
 
 
 def solve(M: QMatrix, b) -> Vector | None:
@@ -142,13 +147,21 @@ def solve(M: QMatrix, b) -> Vector | None:
     return tuple(x)
 
 
+def _cleared(values) -> tuple[int, list[int]]:
+    """(d, d values) for rationals values, d the lcm of their
+    denominators, with the entries of d values as ints."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _integral(M: QMatrix) -> tuple[int, list[list[int]]]:
     """(d, d M) for a square M, d the lcm of its denominators, with the
     entries of d M as ints."""
-    if M.nrows != M.ncols:
+    n = M.nrows
+    if n != M.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    d = lcm(*(v.denominator for row in M.rows for v in row))
-    return d, [[v.numerator * (d // v.denominator) for v in row] for row in M.rows]
+    d, flat = _cleared([v for row in M.rows for v in row])
+    return d, [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
 def _int_charpoly(A: list[list[int]]) -> list[int]:
@@ -248,8 +261,7 @@ def _derivative(p: list) -> list:
 
 def _positive_integral(p: list) -> list[int]:
     """The primitive integer polynomial that is a positive multiple of p."""
-    den = lcm(*(c.denominator for c in p))
-    ints = [int(c * den) for c in p]
+    _, ints = _cleared(p)
     g = gcd(*ints)
     return [c // g for c in ints]
 
@@ -321,8 +333,7 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """
     if not coeffs or all(c == 0 for c in coeffs):
         raise ValueError("zero polynomial")
-    den_lcm = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den_lcm) for c in coeffs]
+    _, ints = _cleared(coeffs)
     while ints and ints[0] == 0:
         ints.pop(0)
     roots = []
@@ -352,14 +363,9 @@ def rational_eigenpairs(M: QMatrix) -> list[tuple[Fraction, list[Vector]]]:
     pairs = []
     for mu in rational_roots(_int_charpoly(A)):
         mu = int(mu)
-        rows = []
-        for i, row in enumerate(A):
-            row = list(row)
-            row[i] -= mu
-            rows.append({j: v for j, v in enumerate(row) if v})
-        vecs = sparse_nullspace(rows, n)
+        shifted = [[v - mu if i == j else v for j, v in enumerate(row)] for i, row in enumerate(A)]
+        vecs = _dense_nullspace(_sparse_rows(shifted), n)
         if not vecs:
             raise AssertionError("eigenvalue without eigenvector")
-        vecs = [tuple(Fraction(v.get(j, 0)) for j in range(n)) for v in vecs]
         pairs.append((Fraction(mu, d), vecs))
     return pairs

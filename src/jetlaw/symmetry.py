@@ -31,7 +31,8 @@ The action and Psi_G(P, Q) are bilinear in (P, Q), and the weight
 lambda scales with P and not with Q.  So each query runs on the
 integral primitive parts d_P P and d_Q Q (expr.primitive_parts), where
 the kernel makes no Fraction, and divides its result by d_P d_Q, and
-lambda by d_P, once.  action_matrix scales only P, since coordinates
+lambda by d_P, once; a divided result has Fraction coefficients
+throughout.  action_matrix scales only P, since coordinates
 are taken in the caller's basis.  An error message shows the inputs as
 given.
 """
