@@ -1,14 +1,38 @@
 """Term-level arithmetic kernel and exact sparse elimination.
 
-A differential polynomial is stored as a dict mapping monomials to
-nonzero rational coefficients.  A monomial is a tuple
+A differential polynomial is stored as a dict mapping monomial keys to
+nonzero rational coefficients; the empty dict is the zero polynomial.
 
-    (t_deg, x_deg, jets)
+A monomial t^a x^b prod u_(nt,nx)^e is one int key made of fields of W
+bits, packed exponent vectors as in Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors"
+(CASC 2007): a in the lowest field, b in the next, then one field per
+jet variable u_(nt,nx) = d^nt/dt^nt d^nx/dx^nx u, at the slot that jet
+was given when first used.  The key of a product is the sum of the
+keys, a derivative step adds a precomputed delta, and ONE_MONO, the
+unit monomial, is 0.
 
-where jets is a tuple of (nt, nx, exp) triples sorted by (nt, nx), each
-with exp > 0.  The triple (nt, nx, exp) stands for the jet variable
-u_(nt,nx) = d^nt/dt^nt d^nx/dx^nx u raised to the power exp.  The empty
-dict is the zero polynomial; ONE_MONO is the unit monomial.
+Slots come from one append-only table per process, (nt, nx) -> slot
+and slot -> (nt, nx), in first-use order, so it holds one entry per
+distinct jet and a key is only as wide as the highest slot it uses.
+Slot numbers differ between processes, so a key never leaves its
+process (a DiffExpr pickles through its decoded terms).
+
+The top bit of each field is a guard that stays 0: a field holds a
+degree or exponent up to CAP = 2^(W-1) - 1, and the sum of two fields
+never carries into the next.  A product whose key has a guard bit set
+raises ExponentOverflow, and so does a derivative step that would raise
+an exponent past CAP.
+
+encode and decode convert between a key and the tuple form
+(t_deg, x_deg, jets), jets the (nt, nx, e) triples sorted by (nt, nx),
+which orders monomials for printing and for the ansatz.  No other
+module builds or takes apart a key: they use encode, decode and the
+helpers below.  The hot loops never decode.  What depends on the jet
+part of a key alone, its sorted factors, its D_t and D_x steps and
+soln's greatest consequence jet, is memoized per jet part, and each of
+these memos is cleared when it reaches MEMO_CAP entries, as the re
+module's cache once was, so none grows without bound.
 
 A coefficient is an int while only integers made it and a Fraction
 once a Fraction takes part, as in Python's numeric tower; a Fraction is
@@ -33,7 +57,23 @@ here, so the coefficient arithmetic has one copy.
 from fractions import Fraction
 from math import gcd
 
-ONE_MONO = (0, 0, ())
+from ..errors import ExponentOverflow
+
+# bits per field; the largest degree or exponent a field holds
+W = 16
+CAP = (1 << (W - 1)) - 1
+# entries at which a memo keyed by jet parts is cleared
+MEMO_CAP = 4096
+ONE_MONO = 0
+_MASK = (1 << W) - 1
+_GUARD = 1 << (W - 1)
+# bit offset of the first jet field; the x field starts at W
+_JETS = 2 * W
+# (nt, nx) -> bit offset of its field, and slot -> (nt, nx)
+_offset: dict = {}
+_jet_at: list = []
+# the guard bits of every field in use
+_guards = _GUARD | _GUARD << W
 
 
 def _slots_work() -> bool:
@@ -133,6 +173,138 @@ def _acc(out, mono, coeff):
             del out[mono]
 
 
+def _overflow() -> ExponentOverflow:
+    return ExponentOverflow(f"a degree or exponent of a monomial exceeds {CAP}")
+
+
+def _intern(nt: int, nx: int) -> int:
+    """The bit offset of the field of u_(nt,nx), giving the jet the next
+    slot on its first use."""
+    off = _offset.get((nt, nx))
+    if off is None:
+        global _guards
+        off = _offset[(nt, nx)] = _JETS + W * len(_jet_at)
+        _jet_at.append((nt, nx))
+        _guards |= _GUARD << off
+    return off
+
+
+def _remember(memo: dict, k, v):
+    """memo[k] = v, first clearing a memo that holds MEMO_CAP entries."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[k] = v
+    return v
+
+
+def _scan(jp: int) -> list:
+    """((nt, nx), e, offset) of each jet factor u_(nt,nx)^e of the jet
+    part jp = key >> _JETS, sorted by (nt, nx), with offset the bit
+    offset of its field in a key.  A bit scan visits only the nonzero
+    fields."""
+    out = []
+    off = _JETS
+    while jp:
+        skip = ((jp & -jp).bit_length() - 1) // W * W
+        jp >>= skip
+        off += skip
+        out.append((_jet_at[(off - _JETS) // W], jp & _MASK, off))
+        jp >>= W
+        off += W
+    out.sort()
+    return out
+
+
+# jet part -> its sorted (nt, nx, e) factors
+_factors: dict = {}
+
+
+def _jets(jp: int) -> tuple:
+    """The (nt, nx, e) factors of the jet part jp = key >> _JETS, sorted
+    by (nt, nx)."""
+    jets = _factors.get(jp)
+    if jets is None:
+        jets = _remember(_factors, jp, tuple((nt, nx, e) for (nt, nx), e, _ in _scan(jp)))
+    return jets
+
+
+def encode(t_deg: int, x_deg: int, jets=()) -> int:
+    """The key of t^t_deg x^x_deg prod u_(nt,nx)^e over the (nt, nx, e)
+    triples of jets, for non-negative degrees and distinct jets.  Raises
+    ExponentOverflow for a degree or exponent above CAP."""
+    if t_deg > CAP or x_deg > CAP:
+        raise _overflow()
+    key = t_deg | x_deg << W
+    for nt, nx, e in jets:
+        if e > CAP:
+            raise _overflow()
+        key |= e << _intern(nt, nx)
+    return key
+
+
+def decode(key: int) -> tuple:
+    """The tuple form (t_deg, x_deg, jets) of a key, jets its
+    (nt, nx, e) factors sorted by (nt, nx)."""
+    return key & _MASK, key >> W & _MASK, _jets(key >> _JETS)
+
+
+def split_tx(key: int) -> tuple:
+    """(t_deg, x_deg, m0) with m0 the key of the jet part alone."""
+    return key & _MASK, key >> W & _MASK, key >> _JETS << _JETS
+
+
+def jet_degree(key: int) -> int:
+    """The total degree of a key in the jet variables."""
+    return sum(e for _, _, e in _jets(key >> _JETS))
+
+
+def derivative_terms(a: dict) -> int:
+    """The most terms a total derivative of a builds: one per term for
+    its t or x and one per jet factor."""
+    # adding 2^(W-1) - 1 to every field sets the guard bit of exactly
+    # the nonzero ones
+    guards = _guards
+    lows = guards - (guards >> (W - 1))
+    return len(a) + sum((((key + lows) & guards) >> _JETS).bit_count() for key in a)
+
+
+def split_jet(key: int, jet) -> tuple:
+    """(e, base) with key = base * u_jet^e and u_jet not in base, for a
+    jet index (nt, nx)."""
+    off = _offset.get(jet)
+    if off is None:
+        return 0, key
+    e = key >> off & _MASK
+    return e, key - (e << off)
+
+
+def times_jet(key: int, jet, k: int) -> int:
+    """The key of key * u_jet^k for a jet index (nt, nx)."""
+    if k > CAP:
+        raise _overflow()
+    key += k << _intern(*jet)
+    if key & _guards:
+        raise _overflow()
+    return key
+
+
+def per_jet_part(fn):
+    """The function key -> fn(jets), jets the sorted (nt, nx, e) factors
+    of the key, memoized per jet part; fn must not return None.  The
+    memo, at most MEMO_CAP entries, is the function's attribute memo."""
+    memo: dict = {}
+
+    def get(key):
+        jp = key >> _JETS
+        v = memo.get(jp)
+        if v is None:
+            v = _remember(memo, jp, fn(_jets(jp)))
+        return v
+
+    get.memo = memo
+    return get
+
+
 def add(a, b):
     if not a:
         return dict(b)
@@ -161,31 +333,16 @@ def scale(a, c):
     return {mono: _mul_frac(coeff, c) for mono, coeff in a.items()}
 
 
-def _merge_jets(ja, jb):
-    """Merge two sorted jet tuples, adding exponents of equal jets."""
-    if not ja:
-        return jb
-    if not jb:
-        return ja
-    out = []
-    i = j = 0
-    na, nb = len(ja), len(jb)
-    while i < na and j < nb:
-        at, ax, ae = ja[i]
-        bt, bx, be = jb[j]
-        if at == bt and ax == bx:
-            out.append((at, ax, ae + be))
-            i += 1
-            j += 1
-        elif (at, ax) < (bt, bx):
-            out.append(ja[i])
-            i += 1
-        else:
-            out.append(jb[j])
-            j += 1
-    out.extend(ja[i:])
-    out.extend(jb[j:])
-    return tuple(out)
+def mul_into(out: dict, key: int, coeff, b: dict) -> None:
+    """Accumulate coeff * (the monomial of key) * b into out in place,
+    one _mul_frac per term product."""
+    guards = _guards
+    mul_frac = _mul_frac
+    for k, c in b.items():
+        k += key
+        if k & guards:
+            raise _overflow()
+        _acc(out, k, mul_frac(coeff, c))
 
 
 def mul(a, b):
@@ -194,9 +351,8 @@ def mul(a, b):
     if len(a) > len(b):
         a, b = b, a
     out = {}
-    for (ta, xa, ja), ca in a.items():
-        for (tb, xb, jb), cb in b.items():
-            _acc(out, (ta + tb, xa + xb, _merge_jets(ja, jb)), _mul_frac(ca, cb))
+    for key, coeff in a.items():
+        mul_into(out, key, coeff, b)
     return out
 
 
@@ -210,86 +366,84 @@ def pow_(a, n):
     return mul(sq, a) if n % 2 else sq
 
 
+def _diff_field(a, off: int) -> dict:
+    """Partial derivative by the variable whose field starts at off."""
+    unit = 1 << off
+    out = {}
+    for key, coeff in a.items():
+        n = key >> off & _MASK
+        if n:
+            _acc(out, key - unit, _mul_frac_int(coeff, n))
+    return out
+
+
 def diff_t(a):
     """Partial derivative with respect to the explicit variable t."""
-    out = {}
-    for (t, x, jets), coeff in a.items():
-        if t:
-            _acc(out, (t - 1, x, jets), _mul_frac_int(coeff, t))
-    return out
+    return _diff_field(a, 0)
 
 
 def diff_x(a):
-    out = {}
-    for (t, x, jets), coeff in a.items():
-        if x:
-            _acc(out, (t, x - 1, jets), _mul_frac_int(coeff, x))
-    return out
+    return _diff_field(a, W)
 
 
 def diff_jet(a, nt, nx):
     """Partial derivative with respect to the jet variable u_(nt,nx)."""
+    off = _offset.get((nt, nx))
+    return {} if off is None else _diff_field(a, off)
+
+
+# jet part -> its steps under D_t, and under D_x
+_steps_t: dict = {}
+_steps_x: dict = {}
+# (nt, nx) -> the delta of its step under D_t, and under D_x; one entry
+# per jet, as in the slot table
+_delta_t: dict = {}
+_delta_x: dict = {}
+
+
+def _steps(jp: int, memo: dict, deltas: dict, dt: int, dx: int) -> tuple:
+    """(e, delta) for each factor u_(nt,nx)^e of the jet part jp, in
+    sorted order: key + delta lowers that exponent by one and raises
+    u_(nt+dt,nx+dx) by one.  Memoized in memo."""
+    factors = _scan(jp)
+    exps = {jet: e for jet, e, _ in factors}
+    steps = []
+    for jet, e, off in factors:
+        nt, nx = up = jet[0] + dt, jet[1] + dx
+        if exps.get(up) == CAP:
+            raise _overflow()
+        delta = deltas.get(jet)
+        if delta is None:
+            delta = deltas[jet] = (1 << _intern(nt, nx)) - (1 << off)
+        steps.append((e, delta))
+    return _remember(memo, jp, tuple(steps))
+
+
+def _total(a, off: int, memo: dict, deltas: dict, dt: int, dx: int) -> dict:
+    """Total derivative: the explicit variable whose field starts at off,
+    plus the chain rule over the jets, each step (dt, dx)."""
+    unit = 1 << off
     out = {}
-    for (t, x, jets), coeff in a.items():
-        for i, (jt, jx, e) in enumerate(jets):
-            if jt == nt and jx == nx:
-                if e == 1:
-                    nj = jets[:i] + jets[i + 1 :]
-                else:
-                    nj = jets[:i] + ((jt, jx, e - 1),) + jets[i + 1 :]
-                _acc(out, (t, x, nj), _mul_frac_int(coeff, e))
-                break
+    for key, coeff in a.items():
+        n = key >> off & _MASK
+        if n:
+            _acc(out, key - unit, _mul_frac_int(coeff, n))
+        jp = key >> _JETS
+        steps = memo.get(jp)
+        if steps is None:
+            steps = _steps(jp, memo, deltas, dt, dx)
+        for e, delta in steps:
+            _acc(out, key + delta, _mul_frac_int(coeff, e))
     return out
-
-
-def _jets_step(jets, i, dt, dx):
-    """Differentiate the i-th jet factor once: its exponent drops by one
-    and the raised jet (nt+dt, nx+dx) gains one, keeping the sort order."""
-    jt, jx, e = jets[i]
-    if e == 1:
-        base = jets[:i] + jets[i + 1 :]
-    else:
-        base = jets[:i] + ((jt, jx, e - 1),) + jets[i + 1 :]
-    rt = jt + dt
-    rx = jx + dx
-    out = []
-    placed = False
-    for bt, bx, be in base:
-        if not placed:
-            if bt == rt and bx == rx:
-                out.append((bt, bx, be + 1))
-                placed = True
-                continue
-            if (bt, bx) > (rt, rx):
-                out.append((rt, rx, 1))
-                placed = True
-        out.append((bt, bx, be))
-    if not placed:
-        out.append((rt, rx, 1))
-    return tuple(out)
 
 
 def total_t(a):
     """Total derivative D_t: explicit t plus the chain rule over jets."""
-    out = {}
-    for (t, x, jets), coeff in a.items():
-        if t:
-            _acc(out, (t - 1, x, jets), _mul_frac_int(coeff, t))
-        for i in range(len(jets)):
-            e = jets[i][2]
-            _acc(out, (t, x, _jets_step(jets, i, 1, 0)), _mul_frac_int(coeff, e))
-    return out
+    return _total(a, 0, _steps_t, _delta_t, 1, 0)
 
 
 def total_x(a):
-    out = {}
-    for (t, x, jets), coeff in a.items():
-        if x:
-            _acc(out, (t, x - 1, jets), _mul_frac_int(coeff, x))
-        for i in range(len(jets)):
-            e = jets[i][2]
-            _acc(out, (t, x, _jets_step(jets, i, 0, 1)), _mul_frac_int(coeff, e))
-    return out
+    return _total(a, W, _steps_x, _delta_x, 0, 1)
 
 
 def _sub_multiple(row, f, other):

@@ -69,7 +69,7 @@ from .ratlin import sparse_nullspace
 from .soln import NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
-_acc, _mul_frac, _mul_frac_int = _k._acc, _k._mul_frac, _k._mul_frac_int
+_acc, _mul_frac = _k._acc, _k._mul_frac
 # the most monomials an ansatz may have: the solves in use have up to
 # 1,890, and KdV symmetries in A(2,5,2,2), 4,158, already take seconds
 MAX_ANSATZ = 10_000
@@ -145,8 +145,9 @@ def ansatz_monomials(
             for a in range(ansatz.max_t_degree + 1):
                 for b in range(ansatz.max_x_degree + 1):
                     keys.append((a, b, jet_part))
+    # sorted in the tuple form, which fixes the column order
     keys.sort()
-    return [DiffExpr._raw({k: 1}) for k in keys]
+    return [DiffExpr._raw({_k.encode(*k): 1}) for k in keys]
 
 
 def verify_conservation_law(current, pde: NormalPDE) -> bool:
@@ -258,24 +259,18 @@ def _factored_images(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[Diff
     """
     groups: dict = {}
     for j, m in enumerate(basis):
-        ((a, b, jets),) = m._d
-        groups.setdefault(jets, []).append((j, a, b))
+        (key,) = m._d
+        a, b, m0 = _k.split_tx(key)
+        groups.setdefault(m0, []).append((j, a, b))
     kmax = (ansatz.max_t_degree, ansatz.max_x_degree)
     images: list = [None] * len(basis)
-    for jets, members in groups.items():
-        ps = pieces(DiffExpr._raw({(0, 0, jets): 1}), kmax)
+    for m0, members in groups.items():
+        ps = pieces(DiffExpr._raw({m0: 1}), kmax)
         for j, a, b in members:
             out: dict = {}
             for (kt, kx), piece in ps.items():
-                if kt > a or kx > b:
-                    continue
-                c = perm(a, kt) * perm(b, kx)
-                sa, sb = a - kt, b - kx
-                if not out and c == 1:
-                    out = {(td + sa, xd + sb, pj): v for (td, xd, pj), v in piece.items()}
-                    continue
-                for (td, xd, pj), coeff in piece.items():
-                    _acc(out, (td + sa, xd + sb, pj), coeff if c == 1 else _mul_frac_int(coeff, c))
+                if kt <= a and kx <= b:
+                    _k.mul_into(out, _k.encode(a - kt, b - kx), perm(a, kt) * perm(b, kx), piece)
             images[j] = DiffExpr._raw(out)
     return images
 

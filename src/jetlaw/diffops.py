@@ -42,7 +42,7 @@ from math import comb
 
 from ._kernel import impl as _k
 from .errors import JetLawError, NotADivergence
-from .expr import DiffExpr
+from .expr import DiffExpr, u
 from .grammar import MAX_PRODUCTS
 
 from typing import NamedTuple
@@ -145,7 +145,7 @@ def _adjoint_op(coeffs: dict, h: dict) -> dict:
         # each step builds at most one term per jet factor of each term
         # of w, and one for its t or x; count them before it starts
         for step in (_k.total_t,) * kt + (_k.total_x,) * kx:
-            budget = _spend(budget, len(w) + sum(len(jets) for _, _, jets in w))
+            budget = _spend(budget, _k.derivative_terms(w))
             w = step(w)
         _acc_times(out, w, -1 if (kt + kx) % 2 else 1)
     return out
@@ -261,10 +261,11 @@ def boundary_current(f: DiffExpr, g: DiffExpr, h: DiffExpr) -> ConservedCurrent:
 def _integrate_x(d: dict) -> dict:
     """Antiderivative in x of a jet-free polynomial in t and x."""
     out = {}
-    for (a, b, jets), c in d.items():
-        if jets:
+    for k, c in d.items():
+        a, b, m0 = _k.split_tx(k)
+        if m0 != _k.ONE_MONO:
             raise AssertionError("x-integration of a jet-dependent term")
-        out[(a, b + 1, ())] = Fraction(c, b + 1)
+        out[_k.encode(a, b + 1)] = Fraction(c, b + 1)
     return out
 
 
@@ -285,20 +286,14 @@ def invert_divergence(f: DiffExpr) -> ConservedCurrent:
     jet_free: dict = {}
     jet_part: dict = {}
     for k, c in f._d.items():
-        if k[2]:
+        if _k.jet_degree(k):
             jet_part[k] = c
         else:
             jet_free[k] = c
-    psi_t, psi_x = boundary_current(
-        DiffExpr._raw(jet_part), DiffExpr._raw({(0, 0, ((0, 0, 1),)): 1}), _ONE
-    )
+    psi_t, psi_x = boundary_current(DiffExpr._raw(jet_part), u, _ONE)
 
     def weight(d: dict) -> dict:
-        out = {}
-        for k, c in d.items():
-            deg = sum(e for _, _, e in k[2])
-            out[k] = Fraction(c, deg)
-        return out
+        return {k: Fraction(c, _k.jet_degree(k)) for k, c in d.items()}
 
     T = DiffExpr._raw(weight(psi_t._d))
     X = DiffExpr._raw(_k.add(weight(psi_x._d), _integrate_x(jet_free)))

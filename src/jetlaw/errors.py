@@ -27,6 +27,11 @@ class ExprSyntaxError(JetLawError):
         self.pos = pos
 
 
+class ExponentOverflow(JetLawError):
+    """A degree in t or x or a jet exponent of a monomial would exceed
+    the kernel's largest, jetlaw._kernel.impl.CAP."""
+
+
 class NotNormal(JetLawError):
     """The pair (lead, rhs) is not a normal PDE in solved form."""
 

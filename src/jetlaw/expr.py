@@ -20,6 +20,7 @@ from math import lcm
 from typing import Mapping, NamedTuple, Union
 
 from ._kernel import impl as _k
+from .errors import ExponentOverflow
 
 Scalar = Union[int, Fraction]
 
@@ -53,9 +54,12 @@ def _as_jet_index(v) -> JetIndex:
 class Monomial:
     """A single monomial t^a * x^b * prod u_J^e, hashable and ordered.
 
-    The ordering key is (t_deg, x_deg, jets) compared left to right,
-    with jets the sorted tuple of (nt, nx, exp) triples; this is the
-    order used everywhere output must be deterministic.
+    Its key is the tuple (t_deg, x_deg, jets), with jets the sorted
+    tuple of (nt, nx, exp) triples, compared left to right; this is the
+    order used everywhere output must be deterministic.  A DiffExpr
+    stores each monomial as the kernel's packed int key instead
+    (jetlaw._kernel.impl.encode) and decodes it to this tuple only at
+    the edges: for Monomial objects, for printing and for sorting.
     """
 
     __slots__ = ("key",)
@@ -128,7 +132,7 @@ class DiffExpr:
             for mono, coeff in terms.items():
                 c = _scalar(coeff)
                 if c:
-                    d[mono.key] = c
+                    d[_k.encode(*mono.key)] = c
         self._d = d
         self._hash = None
 
@@ -143,7 +147,7 @@ class DiffExpr:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        return {Monomial._from_key(k): Fraction(c) for k, c in self._d.items()}
+        return {Monomial._from_key(_k.decode(k)): Fraction(c) for k, c in self._d.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -161,40 +165,38 @@ class DiffExpr:
         raise ValueError("expression is not constant")
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._d.get(mono.key, 0))
+        try:
+            key = _k.encode(*mono.key)
+        except ExponentOverflow:
+            # no expression holds a monomial the kernel cannot encode
+            return Fraction(0)
+        return Fraction(self._d.get(key, 0))
+
+    def _decoded(self) -> list[tuple]:
+        """The (t_deg, x_deg, jets) tuple of every monomial."""
+        return [_k.decode(k) for k in self._d]
 
     def jet_indices(self) -> set[JetIndex]:
         """All jet variables occurring with nonzero exponent."""
-        out = set()
-        for _, _, jets in self._d:
-            for nt, nx, _ in jets:
-                out.add(JetIndex(nt, nx))
-        return out
+        return {JetIndex(nt, nx) for _, _, jets in self._decoded() for nt, nx, _ in jets}
 
     def max_order(self) -> int:
         """Highest total order nt + nx of any jet present; -1 if jet-free."""
-        best = -1
-        for _, _, jets in self._d:
-            for nt, nx, _ in jets:
-                if nt + nx > best:
-                    best = nt + nx
-        return best
+        return max((idx.order for idx in self.jet_indices()), default=-1)
 
     def depends_on(self, v) -> bool:
         """Whether the expression involves 't', 'x', or a given jet index."""
         if v == "t":
-            return any(k[0] for k in self._d)
+            return any(t_deg for t_deg, _, _ in self._decoded())
         if v == "x":
-            return any(k[1] for k in self._d)
-        nt, nx = _as_jet_index(v)
-        return any(jt == nt and jx == nx for k in self._d for jt, jx, _ in k[2])
+            return any(x_deg for _, x_deg, _ in self._decoded())
+        return _as_jet_index(v) in self.jet_indices()
 
     def jet_degree_split(self) -> dict[int, "DiffExpr"]:
         """Split into jet-degree homogeneous parts; zero maps to {}."""
         parts: dict[int, dict] = {}
         for k, c in self._d.items():
-            d = sum(e for _, _, e in k[2])
-            parts.setdefault(d, {})[k] = c
+            parts.setdefault(_k.jet_degree(k), {})[k] = c
         return {d: DiffExpr._raw(p) for d, p in sorted(parts.items())}
 
     # -- calculus -----------------------------------------------------
@@ -279,12 +281,18 @@ class DiffExpr:
     def __bool__(self) -> bool:
         return bool(self._d)
 
+    def _sorted_items(self) -> list[tuple]:
+        """(monomial tuple, stored coefficient) pairs in descending
+        monomial order (the printing order)."""
+        return sorted(((_k.decode(k), c) for k, c in self._d.items()), reverse=True)
+
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending monomial order (the printing order)."""
-        return [
-            (Monomial._from_key(k), Fraction(self._d[k]))
-            for k in sorted(self._d, reverse=True)
-        ]
+        return [(Monomial._from_key(m), Fraction(c)) for m, c in self._sorted_items()]
+
+    def __reduce__(self):
+        # keys hold slot numbers of this process; pickle the tuple form
+        return _from_items, ([(_k.decode(k), c) for k, c in self._d.items()],)
 
     def __str__(self) -> str:
         from .grammar import format_expr
@@ -322,6 +330,11 @@ def primitive_parts(*exprs: DiffExpr) -> tuple[int, tuple[DiffExpr, ...]]:
     )
 
 
+def _from_items(items) -> DiffExpr:
+    """The DiffExpr of (monomial tuple, coefficient) pairs, as pickled."""
+    return DiffExpr._raw({_k.encode(*m): c for m, c in items})
+
+
 def const(value: Scalar) -> DiffExpr:
     c = _scalar(value)
     return DiffExpr._raw({_k.ONE_MONO: c} if c else {})
@@ -330,11 +343,11 @@ def const(value: Scalar) -> DiffExpr:
 def jet(nt: int = 0, nx: int = 0) -> DiffExpr:
     """The jet variable u_(nt,nx) as an expression."""
     idx = _as_jet_index((nt, nx))
-    return DiffExpr._raw({(0, 0, ((idx.nt, idx.nx, 1),)): 1})
+    return DiffExpr._raw({_k.encode(0, 0, ((idx.nt, idx.nx, 1),)): 1})
 
 
 ZERO = const(0)
 ONE = const(1)
-t = DiffExpr._raw({(1, 0, ()): 1})
-x = DiffExpr._raw({(0, 1, ()): 1})
+t = DiffExpr._raw({_k.encode(1, 0): 1})
+x = DiffExpr._raw({_k.encode(0, 1): 1})
 u = jet(0, 0)

@@ -256,8 +256,7 @@ def _format_jet(nt: int, nx: int) -> str:
     return "u_" + "t" * nt + "x" * nx
 
 
-def _format_monomial(key) -> str:
-    t_deg, x_deg, jets = key
+def _format_monomial(t_deg: int, x_deg: int, jets) -> str:
     parts = []
     if t_deg:
         parts.append("t" if t_deg == 1 else f"t^{t_deg}")
@@ -269,14 +268,13 @@ def _format_monomial(key) -> str:
     return "*".join(parts)
 
 
-def _format_terms(e: DiffExpr, keys, digits) -> str:
-    """The terms of e under the given monomial keys, in that order, each
-    coefficient magnitude rendered by digits."""
+def _format_terms(items, digits) -> str:
+    """The (monomial tuple, coefficient) pairs items as terms, in their
+    order, each coefficient magnitude rendered by digits."""
     out = []
-    for key in keys:
-        coeff = e._d[key]
+    for mono, coeff in items:
         mag = abs(coeff)
-        body = _format_monomial(key)
+        body = _format_monomial(*mono)
         if body and mag == 1:
             piece = body
         else:
@@ -307,7 +305,7 @@ def format_expr(e: DiffExpr) -> str:
     """
     if e.is_zero:
         return "0"
-    return _format_terms(e, sorted(e._d, reverse=True), _exact_digits)
+    return _format_terms(e._sorted_items(), _exact_digits)
 
 
 # format_brief shows at most BRIEF_TERMS terms and abbreviates integers
@@ -339,6 +337,6 @@ def format_brief(e: DiffExpr) -> str:
     """
     if e.is_zero:
         return "0"
-    text = _format_terms(e, sorted(e._d, reverse=True)[:BRIEF_TERMS], _brief_digits)
+    text = _format_terms(e._sorted_items()[:BRIEF_TERMS], _brief_digits)
     rest = len(e._d) - BRIEF_TERMS
     return f"{text} + ... ({rest} more terms)" if rest > 0 else text

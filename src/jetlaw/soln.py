@@ -15,7 +15,11 @@ work in buckets: every term is filed under its lex-greatest consequence
 jet, and the buckets are emptied from the greatest down, each exactly
 once, because the products of a bucket's terms with powers of D^K g only
 land in lower buckets or in the result.  The powers (D^K g)^e are
-memoized on the NormalPDE, next to the derivatives D^K g themselves.
+memoized on the NormalPDE, next to the derivatives D^K g themselves,
+and so is the greatest consequence jet of each jet part (in a memo of
+the kernel's capped kind): the kernel's keys give jets slots in
+first-use order, not in lex order, so that jet is found from the
+decoded factors once per jet part and then looked up.
 
 extract_operator runs the same loop and keeps what each substitution
 takes away.  Since u_m - D^K g = D^K G for m = L + K,
@@ -33,11 +37,8 @@ from __future__ import annotations
 from ._kernel import impl as _k
 from .diffops import _adjoint_coeffs, _adjoint_op, _apply_op, _DerivCache
 from .errors import JetLawError, NotNormal, NotOnSolutionSpace
-from .expr import DiffExpr, _as_jet_index
+from .expr import DiffExpr, _as_jet_index, jet
 from .grammar import MAX_PRODUCTS, _power_products, format_brief
-
-_acc = _k._acc
-
 
 class NormalPDE:
     """A scalar PDE u_L = g in normal solved form.
@@ -50,7 +51,7 @@ class NormalPDE:
     MAX_PRODUCTS terms.
     """
 
-    __slots__ = ("lead", "rhs", "G", "_drhs", "_pow")
+    __slots__ = ("lead", "rhs", "G", "_drhs", "_pow", "_top")
 
     def __init__(self, lead, rhs: DiffExpr):
         lead = _as_jet_index(lead)
@@ -67,10 +68,11 @@ class NormalPDE:
                 )
         self.lead = lead
         self.rhs = rhs
-        lead_expr = DiffExpr._raw({(0, 0, ((lead.nt, lead.nx, 1),)): 1})
-        self.G = lead_expr - rhs
+        self.G = jet(lead.nt, lead.nx) - rhs
         self._drhs = _DerivCache(rhs._d)
         self._pow: dict = {}
+        # monomial key -> its greatest consequence jet
+        self._top = _k.per_jet_part(lambda jets: _top_consequence(jets, lead.nt, lead.nx))
 
     def is_consequence(self, idx) -> bool:
         """Whether u_idx is solved by a differential consequence of G."""
@@ -126,8 +128,8 @@ def _too_much_work() -> JetLawError:
 
 
 def _top_consequence(jets: tuple, lt: int, lx: int):
-    """The lex-greatest consequence jet (nt, nx) of a sorted jet tuple
-    for the lead (lt, lx), or _NO_JET if there is none."""
+    """The lex-greatest consequence jet (nt, nx) among sorted (nt, nx, e)
+    factors for the lead (lt, lx), or _NO_JET if there is none."""
     for nt, nx, _ in reversed(jets):
         if nt < lt:
             break
@@ -150,55 +152,51 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
     exactly.
     """
     lt, lx = pde.lead
-    acc, mul_frac, merge = _acc, _k._mul_frac, _k._merge_jets
+    top, split, mul_into = pde._top, _k.split_jet, _k.mul_into
     # term products left; a high-order jet can demand unbounded work
     budget = MAX_PRODUCTS
     out: dict = {}
     # greatest consequence jet -> terms; the terms without one are the result
     buckets: dict = {_NO_JET: out}
     for mono, coeff in d.items():
-        buckets.setdefault(_top_consequence(mono[2], lt, lx), {})[mono] = coeff
+        buckets.setdefault(top(mono), {})[mono] = coeff
     while True:
         m = max(buckets)
         if m == _NO_JET:
             return out
-        mt, mx = m
         quotient = None
         if quotients is not None:
-            quotient = quotients.setdefault((mt - lt, mx - lx), {})
-        # exponent -> terms of (D^K g)^e with their greatest consequence jets
+            quotient = quotients.setdefault((m[0] - lt, m[1] - lx), {})
+        # exponent e -> the number of terms of (D^K g)^e, and its terms
+        # grouped by their greatest consequence jet
         powers: dict = {}
-        for (td, xd, jets), coeff in buckets.pop(m).items():
-            for i, (nt, nx, e) in enumerate(jets):
-                if nt == mt and nx == mx:
-                    break
-            head, tail = jets[:i], jets[i + 1 :]
-            base = head + tail
-            btop = _top_consequence(base, lt, lx)
-            terms = powers.get(e)
-            if terms is None:
-                terms = powers[e] = [
-                    (pt, px, pj, pc, _top_consequence(pj, lt, lx))
-                    for (pt, px, pj), pc in pde.consequence_pow(m, e).items()
-                ]
-            budget -= len(terms)
+        for mono, coeff in buckets.pop(m).items():
+            e, base = split(mono, m)
+            btop = top(base)
+            filed = powers.get(e)
+            if filed is None:
+                p = pde.consequence_pow(m, e)
+                groups: dict = {}
+                for pk, pc in p.items():
+                    groups.setdefault(top(pk), {})[pk] = pc
+                filed = powers[e] = (len(p), list(groups.items()))
+            n, groups = filed
+            budget -= n
             if budget < 0:
                 raise _too_much_work()
-            for pt, px, pj, pc, ptop in terms:
-                top = btop if btop > ptop else ptop
-                tgt = buckets.get(top)
+            for ptop, terms in groups:
+                dest = btop if btop > ptop else ptop
+                tgt = buckets.get(dest)
                 if tgt is None:
-                    tgt = buckets[top] = {}
-                acc(tgt, (td + pt, xd + px, merge(base, pj)), mul_frac(coeff, pc))
+                    tgt = buckets[dest] = {}
+                mul_into(tgt, base, coeff, terms)
             if quotient is not None:
                 for k in range(e):
-                    jk = head + ((mt, mx, k),) + tail if k else base
                     p = pde.consequence_pow(m, e - 1 - k)
                     budget -= len(p)
                     if budget < 0:
                         raise _too_much_work()
-                    for (pt, px, pj), pc in p.items():
-                        acc(quotient, (td + pt, xd + px, merge(jk, pj)), mul_frac(coeff, pc))
+                    mul_into(quotient, _k.times_jet(base, m, k) if k else base, coeff, p)
 
 
 def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:

@@ -32,9 +32,9 @@ lambda scales with P and not with Q.  So each query runs on the
 integral primitive parts d_P P and d_Q Q (expr.primitive_parts), where
 the kernel makes no Fraction, and divides its result by d_P d_Q, and
 lambda by d_P, once; a divided result has Fraction coefficients
-throughout.  action_matrix scales only P, since coordinates
-are taken in the caller's basis.  An error message shows the inputs as
-given.
+throughout.  action_matrix scales P and each basis element, and
+rescales the matrix entries to coordinates in the caller's basis.  An
+error message shows the inputs as given.
 """
 
 from __future__ import annotations
@@ -293,15 +293,20 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
     """
     if not basis:
         raise AnsatzError("empty multiplier basis")
-    restricted = [restrict(b, pde) for b in basis]
-    # coordinates are taken in the caller's basis, so only P is scaled:
-    # the images, and with them the matrix, are d_P times the caller's
+    # The action runs on d_P P and on the scaled basis b'_j = d_j b_j,
+    # whose images are d_P d_j times the caller's; with M' the matrix in
+    # the scaled basis, the caller's is M_ij = M'_ij d_i / (d_j d_P).
+    scaled = [primitive_parts(b) for b in basis]
+    d = [dj for dj, _ in scaled]
+    parts = [bd for _, (bd,) in scaled]
+    restricted = [restrict(bd, pde) for bd in parts]
     p = characteristic(gen)
     dp, (pd,) = primitive_parts(p)
     r_p = _symmetry_operator(pd, pde, p)
-    acted = [restrict(_act(pd, r_p, b, pde, b), pde) for b in basis]
-    # One sparse elimination of [B | A], one equation per monomial:
-    # column j holds restricted basis element j, column n + j its image.
+    acted = [restrict(_act(pd, r_p, bd, pde, b), pde) for bd, b in zip(parts, basis)]
+    # One sparse elimination of [B' | A'], one equation per monomial:
+    # column j holds restricted scaled basis element j, column n + j its
+    # image.
     n = len(basis)
     rows, pivots = _k.rref(_monomial_equations(restricted + acted))
     if sum(1 for p in pivots if p < n) != n:
@@ -314,5 +319,7 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
             f"action leaves the span of the basis on element {format_brief(basis[pivots[n] - n])}"
         )
     # Pivot row i holds coordinate i of every image.
-    m = QMatrix([[Fraction(rows[i].get(n + j, 0), dp) for j in range(n)] for i in range(n)])
+    m = QMatrix(
+        [[Fraction(rows[i].get(n + j, 0) * d[i], d[j] * dp) for j in range(n)] for i in range(n)]
+    )
     return SymmetryAction(m, rational_eigenpairs(m))

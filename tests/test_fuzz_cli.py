@@ -1,6 +1,7 @@
 """Seeded fuzzing of the command line.  Session files and expressions
 are mutated token by token (literal sizes, exponents, jet orders,
-nesting, chains of products, powers of high jets), and every command
+nesting, chains of products, powers of high jets, nested powers past
+the kernel's exponent cap), and every command
 must end with exit code 0, 1 or 2 and never report an internal error,
 all within a wall-clock budget."""
 
@@ -47,6 +48,10 @@ ANSATZ_VALUES = ["0", "1", "2", "-1", "x", "", "99999", "1" * 50]
 # jets at or near the order cap, whose powers make total derivatives
 # build terms without end
 HIGH_JETS = ["u[64,0]", "u[0,64]", "u[60,4]", "u_" + "x" * 60]
+# nested powers of one factor, which the grammar prices as one product
+# each; exponents and degrees above 2^15 - 1 overflow the kernel's
+# monomial fields, and the last two stay just below that cap
+NESTED = ["(u^256)^256", "(t^256)^256*u", "((u_x^16)^16)^128", "(u^128)^255", "(x^255)^128*u_x"]
 
 
 def _mutate_tokens(rng, text):
@@ -67,10 +72,11 @@ def _mutate_tokens(rng, text):
 
 def _expression(rng):
     """A valid expression, a token mutation of one, or one of the shapes
-    the grammar bounds: deep nesting, large exponents, long literals and
-    chains of products each under the product bound."""
+    the grammar or the kernel bounds: deep nesting, large exponents, long
+    literals, chains of products each under the product bound and nested
+    powers."""
     base = rng.choice(EXPRESSIONS)
-    shape = rng.randrange(6)
+    shape = rng.randrange(7)
     if shape == 0:
         return base
     if shape == 1:
@@ -83,6 +89,8 @@ def _expression(rng):
     if shape == 4:
         factors = [f"({rng.choice(EXPRESSIONS)} + {rng.randint(1, 9)})" for _ in range(rng.randint(2, 6))]
         return "*".join(factors)
+    if shape == 5:
+        return rng.choice([rng.choice(NESTED), f"{rng.choice(NESTED)}*({base})"])
     return _mutate_tokens(rng, base)
 
 

@@ -1,15 +1,28 @@
-"""The term kernel against the sympy oracle and the Fraction constructor."""
+"""The term kernel against the sympy oracle, the Fraction constructor
+and a tuple-key reference of its monomial arithmetic."""
 
+import os
+import pickle
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 import sympy as sp
 
 import oracle
 from helpers import random_expr
+from jetlaw import format_expr, parse_expr
 from jetlaw._kernel import pure
-from jetlaw.conslaw import Ansatz
+from jetlaw.cli import main
+from jetlaw.conslaw import Ansatz, ansatz_monomials
+from jetlaw.diffops import total_derivative
+from jetlaw.errors import ExponentOverflow
+from jetlaw.expr import DiffExpr, jet, t, u, x
+from jetlaw.soln import make_pde, restrict
 from jetlaw.symmetry import solve_symmetries
 
 
@@ -252,7 +265,7 @@ def test_built_fractions_equal_constructed_ones():
         _same_fraction(pure._mul_frac_int(a, k), a * k)
     assert pure._add_frac(Fraction(1, 6), Fraction(-1, 6)) == 0
     assert hash(pure._add_frac(Fraction(1, 6), Fraction(-1, 6))) == hash(0)
-    assert pure.add({(0, 0, ()): Fraction(1, 6)}, {(0, 0, ()): Fraction(-1, 6)}) == {}
+    assert pure.add({pure.ONE_MONO: Fraction(1, 6)}, {pure.ONE_MONO: Fraction(-1, 6)}) == {}
 
 
 def test_int_coefficients_stay_int_and_fractions_stay_fractions():
@@ -278,4 +291,252 @@ def test_int_coefficients_stay_int_and_fractions_stay_fractions():
     assert row == {2: Fraction(-3, 2), 3: 2}
     pure._sub_multiple(row, Fraction(1), {3: 2, 4: 1})
     assert row == {2: Fraction(-3, 2), 4: -1} and type(row[4]) is Fraction
-    assert pure.pow_({(0, 0, ((0, 0, 1),)): Fraction(2)}, 0) == {pure.ONE_MONO: 1}
+    assert pure.pow_({pure.encode(0, 0, ((0, 0, 1),)): Fraction(2)}, 0) == {pure.ONE_MONO: 1}
+
+
+# -- packed monomial keys ---------------------------------------------------
+# The reference below is the kernel's former tuple-key arithmetic: a
+# monomial is (t_deg, x_deg, jets) with jets the (nt, nx, e) triples
+# sorted by (nt, nx).
+
+
+def _ref_merge_jets(ja, jb):
+    """Merge two sorted jet tuples, adding exponents of equal jets."""
+    out = []
+    i = j = 0
+    while i < len(ja) and j < len(jb):
+        at, ax, ae = ja[i]
+        bt, bx, be = jb[j]
+        if (at, ax) == (bt, bx):
+            out.append((at, ax, ae + be))
+            i += 1
+            j += 1
+        elif (at, ax) < (bt, bx):
+            out.append(ja[i])
+            i += 1
+        else:
+            out.append(jb[j])
+            j += 1
+    return tuple(out + list(ja[i:]) + list(jb[j:]))
+
+
+def _ref_jets_step(jets, i, dt, dx):
+    """Differentiate the i-th jet factor once, keeping the sort order."""
+    jt, jx, e = jets[i]
+    base = jets[:i] + (((jt, jx, e - 1),) if e > 1 else ()) + jets[i + 1 :]
+    return _ref_merge_jets(base, ((jt + dt, jx + dx, 1),))
+
+
+def _ref_acc(out, mono, c):
+    s = out.get(mono, 0) + c
+    if s:
+        out[mono] = s
+    else:
+        out.pop(mono, None)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (ta, xa, ja), ca in a.items():
+        for (tb, xb, jb), cb in b.items():
+            _ref_acc(out, (ta + tb, xa + xb, _ref_merge_jets(ja, jb)), ca * cb)
+    return out
+
+
+def _ref_pow(a, n):
+    out = {(0, 0, ()): 1}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_total(a, dt, dx):
+    out = {}
+    for (t_deg, x_deg, jets), c in a.items():
+        n = t_deg if dt else x_deg
+        if n:
+            _ref_acc(out, (t_deg - dt, x_deg - dx, jets), c * n)
+        for i, (_, _, e) in enumerate(jets):
+            _ref_acc(out, (t_deg, x_deg, _ref_jets_step(jets, i, dt, dx)), c * e)
+    return out
+
+
+def _ref_diff(a, var):
+    """Partial derivative by 't', 'x' or a jet index."""
+    out = {}
+    for (t_deg, x_deg, jets), c in a.items():
+        if var == "t" and t_deg:
+            _ref_acc(out, (t_deg - 1, x_deg, jets), c * t_deg)
+        elif var == "x" and x_deg:
+            _ref_acc(out, (t_deg, x_deg - 1, jets), c * x_deg)
+        for i, (jt, jx, e) in enumerate(jets):
+            if (jt, jx) == var:
+                rest = jets[:i] + (((jt, jx, e - 1),) if e > 1 else ()) + jets[i + 1 :]
+                _ref_acc(out, (t_deg, x_deg, rest), c * e)
+    return out
+
+
+def _tuples(d):
+    """A raw kernel dict with its keys decoded."""
+    return {pure.decode(k): c for k, c in d.items()}
+
+
+def _fresh_jets(rng, n):
+    """n jets of order 64 to 200, most of them new to the slot table,
+    interned in a random order."""
+    jets = set()
+    while len(jets) < n:
+        order = rng.randint(64, 200)
+        nt = rng.randint(0, order)
+        jets.add((nt, order - nt))
+    jets = sorted(jets)
+    rng.shuffle(jets)
+    for nt, nx in jets:
+        jet(nt, nx)
+    return jets
+
+
+def test_packed_arithmetic_matches_tuple_reference():
+    rng = random.Random(38)
+    high = _fresh_jets(rng, 40)
+    for i in range(60):
+        jets = rng.sample(high, 4) + [(0, 0), (0, 1), (1, 0), (2, 1)]
+        f = random_expr(rng, max_terms=5, max_jet_degree=4, jets=jets, allow_fractions=i % 2 == 0)
+        g = random_expr(rng, max_terms=4, max_jet_degree=3, jets=jets)
+        a, b = _tuples(f._d), _tuples(g._d)
+        assert _tuples(pure.mul(f._d, g._d)) == _ref_mul(a, b)
+        assert _tuples(pure.pow_(g._d, i % 4)) == _ref_pow(b, i % 4)
+        assert _tuples(pure.total_t(f._d)) == _ref_total(a, 1, 0)
+        assert _tuples(pure.total_x(f._d)) == _ref_total(a, 0, 1)
+        assert _tuples(pure.diff_t(f._d)) == _ref_diff(a, "t")
+        assert _tuples(pure.diff_x(f._d)) == _ref_diff(a, "x")
+        for nt, nx in rng.sample(jets, 3):
+            assert _tuples(pure.diff_jet(f._d, nt, nx)) == _ref_diff(a, (nt, nx))
+    # a jet that was never used has no slot, and nothing depends on it
+    assert pure.diff_jet(f._d, 10**6, 0) == {}
+
+
+def test_encode_and_decode_round_trip():
+    rng = random.Random(39)
+    high = _fresh_jets(rng, 20)
+    for _ in range(300):
+        jets = sorted(
+            (nt, nx, rng.choice([1, 2, 3, 255, pure.CAP]))
+            for nt, nx in rng.sample(high + [(0, 0), (3, 1), (0, 5)], rng.randint(0, 5))
+        )
+        mono = (rng.choice([0, 1, 7, pure.CAP]), rng.choice([0, 2, pure.CAP]), tuple(jets))
+        key = pure.encode(*mono)
+        assert pure.decode(key) == mono
+        assert pure.encode(*pure.decode(key)) == key
+        a, b, m0 = pure.split_tx(key)
+        assert (a, b) == mono[:2] and pure.decode(m0) == (0, 0, mono[2])
+        assert pure.jet_degree(key) == sum(e for _, _, e in jets)
+    assert pure.decode(pure.ONE_MONO) == (0, 0, ())
+
+
+def test_print_and_ansatz_order_follow_the_tuple_order(kdv):
+    # jets up to the parser's order cap, interned in a random order
+    rng = random.Random(40)
+    jets = [(nt, o - nt) for o in (40, 52, 64) for nt in rng.sample(range(o + 1), 4)]
+    rng.shuffle(jets)
+    for nt, nx in jets:
+        jet(nt, nx)
+    for _ in range(20):
+        f = random_expr(rng, max_terms=8, jets=jets + [(0, 0), (0, 1), (1, 0)], allow_fractions=True)
+        want = sorted((pure.decode(k) for k in f._d), reverse=True)
+        assert [m.key for m, _ in f.sorted_terms()] == want
+        text = format_expr(f)
+        printed = [parse_expr(term.lstrip("-")).sorted_terms()[0][0].key for term in re.split(" [-+] ", text)]
+        assert printed == want
+        assert parse_expr(text) == f
+    basis = ansatz_monomials(kdv, Ansatz(2, 3, 1, 1), include_consequences=True)
+    keys = [pure.decode(k) for b in basis for k in b._d]
+    assert keys == sorted(keys) and len(keys) == 336
+
+
+def test_jet_part_memos_stay_within_their_cap(kdv):
+    # more distinct jet parts than the cap pass through every memo keyed
+    # by jet parts: the factors, the D_t and D_x steps and the greatest
+    # consequence jet of the rewrite
+    n = pure.MEMO_CAP + 500
+    f = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
+    pure.total_t(f)
+    pure.total_x(f)
+    assert pure.derivative_terms(f) == 3 * n
+    for k in f:
+        pure.decode(k)
+    restrict(DiffExpr._raw(f), kdv)
+    top = kdv._top.memo
+    for memo in (pure._factors, pure._steps_t, pure._steps_x, top):
+        assert 0 < len(memo) <= pure.MEMO_CAP
+
+
+def test_exponents_and_degrees_up_to_the_cap():
+    cap = pure.CAP
+    assert cap == 2 ** (pure.W - 1) - 1
+    assert (u**cap).sorted_terms()[0][0].jet_powers == {(0, 0): cap}
+    assert (t**cap * x**cap).sorted_terms()[0][0].key == (cap, cap, ())
+    u_x = jet(0, 1)
+    assert total_derivative(u_x ** (cap - 1) * u, "x") == u_x**cap + (cap - 1) * u_x ** (cap - 2) * u * jet(0, 2)
+    for overflow in (
+        lambda: u ** (cap + 1),
+        lambda: u**cap * u,
+        lambda: t**cap * t,
+        lambda: x**cap * x * u,
+        lambda: total_derivative(u_x**cap * u, "x"),
+        lambda: total_derivative(jet(1, 0) ** cap * u, "t"),
+        lambda: pure.encode(cap + 1, 0),
+        lambda: pure.encode(0, 0, ((5, 5, cap + 1),)),
+        lambda: pure.times_jet(pure.encode(0, 0, ((0, 0, cap),)), (0, 0), 1),
+    ):
+        with pytest.raises(ExponentOverflow, match=f"exceeds {cap}"):
+            overflow()
+    # a product at the cap stays exact
+    assert u ** (cap // 2) * u ** (cap - cap // 2) == u**cap
+
+
+@pytest.mark.parametrize(
+    "T, code",
+    [
+        ("(u^128)^255*u^127", 1),
+        ("(u^128)^256", 2),
+        ("(t^128)^255*t^127*u", 1),
+        ("(t^128)^256*u", 2),
+        ("(x^128)^255*x^127*u", 1),
+        ("(u^256)^256", 2),
+    ],
+)
+def test_cli_exits_2_past_the_cap(capsys, T, code):
+    # T at the cap is refused only as not conserved; one power more is a
+    # one-line ExponentOverflow
+    session = os.path.join(os.path.dirname(__file__), "data", "kdv.session")
+    assert main(["-s", session, "check-conslaw", "--T", T, "--X", "0"]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == f"error: ExponentOverflow: a degree or exponent of a monomial exceeds {pure.CAP}\n"
+    else:
+        assert err == ""
+
+
+def test_diffexpr_pickles_across_processes():
+    # keys hold slot numbers, which differ between processes; a DiffExpr
+    # pickles through its decoded terms
+    rng = random.Random(41)
+    high = _fresh_jets(rng, 6)
+    e = random_expr(rng, max_terms=6, jets=high + [(0, 0), (0, 3)], allow_fractions=True) + 3 * t * x
+    script = (
+        "import pickle, sys\n"
+        "from jetlaw import format_expr, jet\n"
+        "for n in range(300, 200, -1):\n"
+        "    jet(n % 5, n)\n"
+        "e = pickle.loads(sys.stdin.buffer.read())\n"
+        "sys.stdout.buffer.write(pickle.dumps((format_expr(e), e * 2)))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(e), capture_output=True, env=env, check=True
+    )
+    text, doubled = pickle.loads(out.stdout)
+    assert text == format_expr(e)
+    assert doubled == e * 2

@@ -191,7 +191,8 @@ def test_queries_scale_with_their_arguments():
     # each query is linear in each argument: f(c P, Q) = c f(P, Q) and
     # f(P, c Q) = c f(P, Q) exactly; classify's weight scales with P and
     # not with Q, and action_matrix(c P) has matrix c M, eigenvalues
-    # c lambda and the same eigenvectors
+    # c lambda and the same eigenvectors; on the basis (c_i b_i) the
+    # matrix is D^-1 M D with D = diag(c_i), with the same eigenvalues
     rng = random.Random(74)
     pairs = matrices = 0
     for pde, p, q in _pairs(random.Random(75)):
@@ -215,12 +216,16 @@ def test_queries_scale_with_their_arguments():
     for pde, _, qs, ps in _solved():
         for p in ps[:2]:
             c = _scalar(rng)
+            cs = [_scalar(rng) for _ in qs]
+            scaled = [q * ci for q, ci in zip(qs, cs)]
             try:
                 m = action_matrix(p, qs, pde)
             except JetLawError as ex:
                 with pytest.raises(type(ex)) as info:
                     action_matrix(p * c, qs, pde)
                 assert str(info.value) == str(ex)
+                with pytest.raises(type(ex)):
+                    action_matrix(p, scaled, pde)
                 continue
             mc = action_matrix(p * c, qs, pde)
             n = len(qs)
@@ -228,6 +233,11 @@ def test_queries_scale_with_their_arguments():
                 [m.matrix[i, j] * c for j in range(n)] for i in range(n)
             ]
             assert sorted(mc.eigenpairs) == sorted((lam * c, vecs) for lam, vecs in m.eigenpairs)
+            ms = action_matrix(p, scaled, pde)
+            assert [[ms.matrix[i, j] for j in range(n)] for i in range(n)] == [
+                [m.matrix[i, j] * cs[j] / cs[i] for j in range(n)] for i in range(n)
+            ]
+            assert sorted(lam for lam, _ in ms.eigenpairs) == sorted(lam for lam, _ in m.eigenpairs)
             matrices += 1
     assert pairs > 30 and matrices > 10
 
