@@ -180,9 +180,9 @@ def _overflow() -> ExponentOverflow:
 def _intern(nt: int, nx: int) -> int:
     """The bit offset of the field of u_(nt,nx), giving the jet the next
     slot on its first use."""
+    global _guards
     off = _offset.get((nt, nx))
     if off is None:
-        global _guards
         off = _offset[(nt, nx)] = _JETS + W * len(_jet_at)
         _jet_at.append((nt, nx))
         _guards |= _GUARD << off
