@@ -200,17 +200,14 @@ def _remember(memo: dict, k, v):
 def _scan(jp: int) -> list:
     """((nt, nx), e, offset) of each jet factor u_(nt,nx)^e of the jet
     part jp = key >> _JETS, sorted by (nt, nx), with offset the bit
-    offset of its field in a key.  A bit scan visits only the nonzero
-    fields."""
+    offset of its field in a key.  The scan takes the highest nonzero
+    field off until none is left, so it visits only those."""
     out = []
-    off = _JETS
     while jp:
-        skip = ((jp & -jp).bit_length() - 1) // W * W
-        jp >>= skip
-        off += skip
-        out.append((_jet_at[(off - _JETS) // W], jp & _MASK, off))
-        jp >>= W
-        off += W
+        off = (jp.bit_length() - 1) // W * W
+        e = jp >> off
+        jp -= e << off
+        out.append((_jet_at[off // W], e, off + _JETS))
     out.sort()
     return out
 
@@ -406,16 +403,17 @@ def _steps(jp: int, memo: dict, deltas: dict, dt: int, dx: int) -> tuple:
     sorted order: key + delta lowers that exponent by one and raises
     u_(nt+dt,nx+dx) by one.  Memoized in memo."""
     factors = _scan(jp)
-    exps = {jet: e for jet, e, _ in factors}
     steps = []
     for jet, e, off in factors:
-        nt, nx = up = jet[0] + dt, jet[1] + dx
-        if exps.get(up) == CAP:
-            raise _overflow()
         delta = deltas.get(jet)
         if delta is None:
-            delta = deltas[jet] = (1 << _intern(nt, nx)) - (1 << off)
+            delta = deltas[jet] = (1 << _intern(jet[0] + dt, jet[1] + dx)) - (1 << off)
         steps.append((e, delta))
+    # only a factor at CAP can be raised past it
+    if any(e == CAP for _, e, _ in factors):
+        raised = {(nt + dt, nx + dx) for (nt, nx), _, _ in factors}
+        if any(e == CAP and jet in raised for jet, e, _ in factors):
+            raise _overflow()
     return _remember(memo, jp, tuple(steps))
 
 
