@@ -28,11 +28,13 @@ encode and decode convert between a key and the tuple form
 (t_deg, x_deg, jets), jets the (nt, nx, e) triples sorted by (nt, nx),
 which orders monomials for printing and for the ansatz.  No other
 module builds or takes apart a key: they use encode, decode and the
-helpers below.  The hot loops never decode.  What depends on the jet
-part of a key alone, its sorted factors, its D_t and D_x steps and
-soln's greatest consequence jet, is memoized per jet part, and each of
-these memos is cleared when it reaches MEMO_CAP entries, as the re
-module's cache once was, so none grows without bound.
+helpers below.  What depends on the jet part of a key alone, its
+sorted factors, its D_t and D_x steps and soln's greatest consequence
+jet, is memoized per jet part, so the hot loops decode a jet part only
+on a memo miss.  Each of these memos is cleared when it reaches
+MEMO_CAP entries, as the re module's cache once was, so none grows
+without bound; the deltas of single jets are kept, one per jet like
+the slot table.
 
 A coefficient is an int while only integers made it and a Fraction
 once a Fraction takes part, as in Python's numeric tower; a Fraction is
