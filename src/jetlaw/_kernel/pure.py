@@ -38,26 +38,18 @@ the slot table.
 
 A coefficient is an int while only integers made it and a Fraction
 once a Fraction takes part, as in Python's numeric tower; a Fraction is
-never demoted, even when integral.  int and Fraction agree in ==, hash
-and str, so canonical forms and printing do not depend on the type.
-int op int needs no gcd.  Otherwise the arithmetic works on
-numerator/denominator integer pairs, with one gcd reduction per result
-instead of the full Fraction operator protocol per operation, and
-returns ordinary, fully reduced Fractions.  When the running fractions
-implementation admits it they are built by filling the slots of a new
-Fraction directly; a probe at import time checks that such a Fraction
-compares, adds and hashes like one from the constructor, and the
-constructor is used otherwise.
+never demoted, even when integral, and an entry that cancels is
+dropped.  The arithmetic is Python's own int and Fraction operators.
+int and Fraction agree in ==, hash and str, so canonical forms and
+printing do not depend on the type.
 
 rref is the one exact elimination routine.  It works on sparse rows,
 dicts {col: int or Fraction} holding only the nonzero entries, and
 returns the unique reduced row echelon form in the same representation.
-Its row updates go through _acc and _mul_frac like every other routine
-here, so the coefficient arithmetic has one copy.
+Its row updates accumulate through _acc like every other routine here.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from ..errors import ExponentOverflow
 
@@ -78,97 +70,13 @@ _jet_at: list = []
 _guards = _GUARD | _GUARD << W
 
 
-def _slots_work() -> bool:
-    """Whether a Fraction built by filling its slots behaves like one
-    from the constructor."""
-    try:
-        probe = object.__new__(Fraction)
-        probe._numerator = 3
-        probe._denominator = 2
-        return (
-            probe == Fraction(3, 2)
-            and probe + probe == Fraction(3, 1)
-            and hash(probe) == hash(Fraction(3, 2))
-        )
-    except (AttributeError, TypeError):
-        return False
-
-
-if _slots_work():
-
-    def _frac(n, d):
-        """Fraction n/d for already-reduced n, d with d > 0."""
-        f = object.__new__(Fraction)
-        f._numerator = n
-        f._denominator = d
-        return f
-
-else:
-
-    def _frac(n, d):
-        """Fraction n/d for already-reduced n, d with d > 0."""
-        return Fraction(n, d)
-
-
-def _mul_frac(a, b):
-    """Exact product of two coefficients: an int for two ints, otherwise
-    a Fraction via integer pairs."""
-    if a.__class__ is int is b.__class__:
-        return a * b
-    na = a.numerator
-    da = a.denominator
-    nb = b.numerator
-    db = b.denominator
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _frac(na * nb, da * db)
-
-
-def _add_frac(a, b):
-    """Exact sum of two coefficients: an int for two ints, otherwise a
-    Fraction via integer pairs (Knuth's method)."""
-    if a.__class__ is int is b.__class__:
-        return a + b
-    na = a.numerator
-    da = a.denominator
-    nb = b.numerator
-    db = b.denominator
-    g = gcd(da, db)
-    if g == 1:
-        return _frac(na * db + nb * da, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _frac(t, s * db)
-    return _frac(t // g2, s * (db // g2))
-
-
-def _mul_frac_int(a, k):
-    """Exact product of a coefficient and a positive int."""
-    if a.__class__ is int:
-        return a * k
-    da = a.denominator
-    g = gcd(k, da)
-    if g > 1:
-        k //= g
-        da //= g
-    return _frac(a.numerator * k, da)
-
-
 def _acc(out, mono, coeff):
     """Accumulate coeff on mono, dropping the entry if it cancels."""
     s = out.get(mono)
     if s is None:
         out[mono] = coeff
     else:
-        s = _add_frac(s, coeff)
+        s += coeff
         if s:
             out[mono] = s
         else:
@@ -329,19 +237,20 @@ def neg(a):
 def scale(a, c):
     if not c:
         return {}
-    return {mono: _mul_frac(coeff, c) for mono, coeff in a.items()}
+    return {mono: coeff * c for mono, coeff in a.items()}
 
 
 def mul_into(out: dict, key: int, coeff, b: dict) -> None:
     """Accumulate coeff * (the monomial of key) * b into out in place,
-    one _mul_frac per term product."""
+    one coefficient product per term of b.  This is the one loop that
+    adds a scaled copy of terms into a dict; key = ONE_MONO scales
+    without a shift."""
     guards = _guards
-    mul_frac = _mul_frac
     for k, c in b.items():
         k += key
         if k & guards:
             raise _overflow()
-        _acc(out, k, mul_frac(coeff, c))
+        _acc(out, k, coeff * c)
 
 
 def mul(a, b):
@@ -372,7 +281,7 @@ def _diff_field(a, off: int) -> dict:
     for key, coeff in a.items():
         n = key >> off & _MASK
         if n:
-            _acc(out, key - unit, _mul_frac_int(coeff, n))
+            _acc(out, key - unit, coeff * n)
     return out
 
 
@@ -427,13 +336,13 @@ def _total(a, off: int, memo: dict, deltas: dict, dt: int, dx: int) -> dict:
     for key, coeff in a.items():
         n = key >> off & _MASK
         if n:
-            _acc(out, key - unit, _mul_frac_int(coeff, n))
+            _acc(out, key - unit, coeff * n)
         jp = key >> _JETS
         steps = memo.get(jp)
         if steps is None:
             steps = _steps(jp, memo, deltas, dt, dx)
         for e, delta in steps:
-            _acc(out, key + delta, _mul_frac_int(coeff, e))
+            _acc(out, key + delta, coeff * e)
     return out
 
 
@@ -448,10 +357,11 @@ def total_x(a):
 
 def _sub_multiple(row, f, other):
     """row -= f * other, in place, for sparse rows {col: coefficient};
-    entries that cancel are dropped."""
+    entries that cancel are dropped.  Not mul_into: a column index is
+    not a monomial key, and its guard test would reject column 2^(W-1)."""
     f = -f
     for k, v in other.items():
-        _acc(row, k, _mul_frac(f, v))
+        _acc(row, k, f * v)
 
 
 def rref(rows):
@@ -522,7 +432,7 @@ def rref(rows):
         pv = r.pop(p)
         if pv != 1:
             inv = Fraction(pv.denominator, pv.numerator)
-            r = {k: _mul_frac(v, inv) for k, v in r.items()}
+            r = {k: v * inv for k, v in r.items()}
         for tail in tails.values():
             f = tail.pop(p, None)
             if f is not None:

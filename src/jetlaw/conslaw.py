@@ -69,7 +69,6 @@ from .ratlin import sparse_nullspace
 from .soln import NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
-_acc, _mul_frac = _k._acc, _k._mul_frac
 # the most monomials an ansatz may have: the solves in use have up to
 # 1,890, and KdV symmetries in A(2,5,2,2), 4,158, already take seconds
 MAX_ANSATZ = 10_000
@@ -289,8 +288,7 @@ def solve_determining_system(
     for v in sparse_nullspace(_monomial_equations(images), len(basis)):
         acc: dict = {}
         for j, coeff in v.items():
-            for mk, mc in basis[j]._d.items():
-                _acc(acc, mk, _mul_frac(mc, coeff))
+            _k.mul_into(acc, _k.ONE_MONO, coeff, basis[j]._d)
         out.append(DiffExpr._raw(acc))
     return out
 

@@ -47,8 +47,6 @@ from .grammar import MAX_PRODUCTS
 
 from typing import NamedTuple
 
-_acc, _mul_frac_int = _k._acc, _k._mul_frac_int
-
 
 class ConservedCurrent(NamedTuple):
     """A current (T, X); conserved when D_t T + D_x X vanishes on the
@@ -110,28 +108,13 @@ def _spend(budget: int, n: int) -> int:
     return budget
 
 
-def _acc_times(out: dict, d: dict, c: int) -> None:
-    """Accumulate c * d into out in place, for a nonzero int c."""
-    if c == 1:
-        for mono, coeff in d.items():
-            _acc(out, mono, coeff)
-    elif c == -1:
-        for mono, coeff in d.items():
-            _acc(out, mono, -coeff)
-    else:
-        n = abs(c)
-        for mono, coeff in d.items():
-            v = _mul_frac_int(coeff, n)
-            _acc(out, mono, v if c > 0 else -v)
-
-
 def _apply_op(coeffs: dict, g: dict) -> dict:
     """Raw terms of sum_K c_K D_t^kt D_x^kx g for raw coefficients
     {K: c_K} and raw g."""
     dg = _DerivCache(g)
     out: dict = {}
     for (kt, kx), c in coeffs.items():
-        _acc_times(out, _k.mul(c, dg.get(kt, kx)), 1)
+        _k.mul_into(out, _k.ONE_MONO, 1, _k.mul(c, dg.get(kt, kx)))
     return out
 
 
@@ -147,7 +130,7 @@ def _adjoint_op(coeffs: dict, h: dict) -> dict:
         for step in (_k.total_t,) * kt + (_k.total_x,) * kx:
             budget = _spend(budget, _k.derivative_terms(w))
             w = step(w)
-        _acc_times(out, w, -1 if (kt + kx) % 2 else 1)
+        _k.mul_into(out, _k.ONE_MONO, -1 if (kt + kx) % 2 else 1, w)
     return out
 
 
@@ -162,7 +145,7 @@ def _leibniz(keys, kmax, term, signed: bool) -> dict:
         for kt in range(min(jt, kt_max) + 1):
             for kx in range(min(jx, kx_max) + 1):
                 c = s * comb(jt, kt) * comb(jx, kx)
-                _acc_times(out.setdefault((kt, kx), {}), term((jt, jx), jt - kt, jx - kx), c)
+                _k.mul_into(out.setdefault((kt, kx), {}), _k.ONE_MONO, c, term((jt, jx), jt - kt, jx - kx))
     return {K: d for K, d in out.items() if d}
 
 
@@ -252,9 +235,9 @@ def boundary_current(f: DiffExpr, g: DiffExpr, h: DiffExpr) -> ConservedCurrent:
     for (i, j), pf in _partials(f).items():
         dw = _DerivCache(_k.mul(h._d, pf))
         for k in range(i):
-            _acc_times(psi_t, _k.mul(dw.get(k, 0), dg.get(i - 1 - k, j)), -1 if k % 2 else 1)
+            _k.mul_into(psi_t, _k.ONE_MONO, -1 if k % 2 else 1, _k.mul(dw.get(k, 0), dg.get(i - 1 - k, j)))
         for l in range(j):
-            _acc_times(psi_x, _k.mul(dw.get(i, l), dg.get(0, j - 1 - l)), -1 if (i + l) % 2 else 1)
+            _k.mul_into(psi_x, _k.ONE_MONO, -1 if (i + l) % 2 else 1, _k.mul(dw.get(i, l), dg.get(0, j - 1 - l)))
     return ConservedCurrent(DiffExpr._raw(psi_t), DiffExpr._raw(psi_x))
 
 

@@ -71,10 +71,10 @@ class Monomial:
         if jet_powers:
             items = jet_powers.items() if isinstance(jet_powers, Mapping) else jet_powers
             for idx, e in items:
+                nt, nx = _as_jet_index(idx)
                 if e < 0:
                     raise ValueError("negative jet exponent")
                 if e:
-                    nt, nx = idx
                     jets.append((nt, nx, e))
         jets.sort()
         for i in range(1, len(jets)):
@@ -256,7 +256,7 @@ class DiffExpr:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of an expression by zero")
-            return DiffExpr._raw(_k.scale(self._d, Fraction(1, other)))
+            return DiffExpr._raw({k: Fraction(c, other) for k, c in self._d.items()})
         return NotImplemented
 
     def __pow__(self, n):

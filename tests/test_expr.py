@@ -32,6 +32,10 @@ def test_monomial_rejects_bad_input():
         Monomial(-1, 0)
     with pytest.raises(ValueError):
         Monomial(0, 0, {(0, 0): -2})
+    # u_(-1,0) would print as u_, which the parser rejects
+    for idx in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="jet index must be non-negative"):
+            Monomial(0, 0, {idx: 1})
 
 
 def test_zero_coefficients_are_dropped():

@@ -245,44 +245,77 @@ def test_rref_peels_the_kdv_symmetry_system(kdv, monkeypatch):
     assert len(calls) < 100
 
 
-def _same_fraction(got, want):
-    assert type(got) is Fraction
-    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-    assert got == want and want == got
-    assert hash(got) == hash(want)
-    assert str(got) == str(want)
-    assert bool(got) == bool(want)
+def _random_coeff(rng):
+    """A small or huge int, or a random entry (a Fraction)."""
+    if rng.random() < 0.4:
+        return rng.choice([rng.randint(-6, 6), rng.randint(-2**80, 2**80)])
+    return _random_entry(rng)
 
 
-def test_built_fractions_equal_constructed_ones():
+def _same_terms(got, want, as_int):
+    """The kernel dict got holds the nonzero entries of want, a dict of
+    exact Fraction results, each an int if as_int and a Fraction
+    otherwise, equal in value, hash and str."""
+    assert got.keys() == {k for k, v in want.items() if v}
+    for k, c in got.items():
+        assert type(c) is (int if as_int else Fraction)
+        assert c == want[k] and want[k] == c
+        assert hash(c) == hash(want[k]) and str(c) == str(want[k])
+
+
+def test_coefficients_follow_fraction_arithmetic():
     rng = random.Random(33)
+    m = pure.encode(2, 1, ((0, 1, 3),))
+    n = pure.encode(0, 1, ((1, 0, 1),))
+    # D_t (t^2 x u_x^3) = 2 t x u_x^3 + 3 t^2 x u_x^2 u_tx
+    dt = (pure.encode(1, 1, ((0, 1, 3),)), pure.encode(2, 1, ((0, 1, 2), (1, 1, 1))))
     for _ in range(500):
-        a, b = _random_entry(rng), _random_entry(rng)
-        k = rng.randint(1, 12)
-        _same_fraction(pure._add_frac(a, b), a + b)
-        _same_fraction(pure._add_frac(a, -a), Fraction(0))
-        _same_fraction(pure._mul_frac(a, b), a * b)
-        _same_fraction(pure._mul_frac_int(a, k), a * k)
-    assert pure._add_frac(Fraction(1, 6), Fraction(-1, 6)) == 0
-    assert hash(pure._add_frac(Fraction(1, 6), Fraction(-1, 6))) == hash(0)
-    assert pure.add({pure.ONE_MONO: Fraction(1, 6)}, {pure.ONE_MONO: Fraction(-1, 6)}) == {}
+        a, b = _random_coeff(rng), _random_coeff(rng)
+        fa, fb = Fraction(a), Fraction(b)
+        # a zero coefficient is no entry, so its type takes no part
+        ints = all(type(v) is int for v in (a, b) if v)
+        da = {m: a} if a else {}
+        db = {m: b} if b else {}
+        _same_terms(pure.add(da, db), {m: fa + fb}, ints)
+        _same_terms(pure.sub(da, db), {m: fa - fb}, ints)
+        _same_terms(pure.add(da, pure.neg(da)), {}, ints)
+        _same_terms(pure.mul(da, {n: b} if b else {}), {m + n: fa * fb}, ints)
+        _same_terms(pure.scale(da, b), {m: fa * fb}, ints)
+        _same_terms(pure.total_t(da), {dt[0]: 2 * fa, dt[1]: 3 * fa}, type(a) is int)
+        if not a:
+            continue
+        rows, cols = pure.rref([{0: a, 1: b}])
+        assert cols == [0] and type(rows[0].pop(0)) is int
+        _same_terms(rows[0], {1: fb / fa}, a == 1 and type(b) is int)
+        k = rng.choice([1, -1, 3, -7, Fraction(2, 3)])
+        _same_terms((DiffExpr._raw(da) / k)._d, {m: fa / k}, False)
 
 
 def test_int_coefficients_stay_int_and_fractions_stay_fractions():
     # int op int is an int; a Fraction operand makes a Fraction, also
-    # when the value is integral
-    assert type(pure._mul_frac(6, -7)) is int and pure._mul_frac(6, -7) == -42
-    assert type(pure._add_frac(6, -6)) is int and pure._add_frac(6, -6) == 0
-    assert type(pure._mul_frac_int(-6, 7)) is int and pure._mul_frac_int(-6, 7) == -42
+    # when the value is integral; an entry that cancels is dropped
+    m = pure.encode(3, 0, ((0, 0, 1),))
+    n = pure.encode(0, 0, ((0, 1, 1),))
+    _same_terms(pure.mul({m: 6}, {n: -7}), {m + n: Fraction(-42)}, True)
+    dt = {pure.encode(2, 0, ((0, 0, 1),)): Fraction(-18), pure.encode(3, 0, ((1, 0, 1),)): Fraction(-6)}
+    _same_terms(pure.total_t({m: -6}), dt, True)
+    assert pure.add({m: 6}, {m: -6}) == {} and pure.sub({m: 6}, {m: 6}) == {}
     for got, want in (
-        (pure._mul_frac(Fraction(2), 3), Fraction(6)),
-        (pure._mul_frac(3, Fraction(1, 3)), Fraction(1)),
-        (pure._mul_frac(Fraction(2, 3), Fraction(3, 2)), Fraction(1)),
-        (pure._add_frac(Fraction(1, 2), Fraction(1, 2)), Fraction(1)),
-        (pure._add_frac(2, Fraction(0)), Fraction(2)),
-        (pure._mul_frac_int(Fraction(1, 3), 3), Fraction(1)),
+        (pure.scale({m: Fraction(2)}, 3), Fraction(6)),
+        (pure.scale({m: 2}, Fraction(1)), Fraction(2)),
+        (pure.mul({pure.ONE_MONO: 3}, {m: Fraction(1, 3)}), Fraction(1)),
+        (pure.mul({pure.ONE_MONO: Fraction(2, 3)}, {m: Fraction(3, 2)}), Fraction(1)),
+        (pure.add({m: Fraction(1, 2)}, {m: Fraction(1, 2)}), Fraction(1)),
+        (pure.add({m: 2}, {m: Fraction(-1)}), Fraction(1)),
     ):
-        _same_fraction(got, want)
+        _same_terms(got, {m: want}, False)
+    _same_terms(pure.total_t({pure.encode(3, 0): Fraction(1, 3)}), {pure.encode(2, 0): Fraction(1)}, False)
+    assert pure.add({m: Fraction(1, 6)}, {m: Fraction(-1, 6)}) == {}
+    # dividing by an int, even by 1, makes every coefficient a Fraction
+    f = 3 * u + 4 * t
+    assert {type(c) for c in f._d.values()} == {int}
+    for k in (1, 2):
+        _same_terms((f / k)._d, {key: Fraction(c, k) for key, c in f._d.items()}, False)
     row = {0: 5, 1: 2, 2: Fraction(1, 2)}
     pure._sub_multiple(row, 2, {0: 1, 1: 1, 2: 1, 3: -1})
     assert row == {0: 3, 2: Fraction(-3, 2), 3: 2}

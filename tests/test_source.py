@@ -73,7 +73,7 @@ def test_no_unreferenced_private_names():
     # a private helper that nothing in the package uses is left over
     # from a deletion; a name counts as used where its own module loads
     # it outside its definition, or where any module imports it or
-    # reads it as an attribute (_k._acc)
+    # reads it as an attribute (_k.mul_into)
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.rglob("*.py"))}
     assert trees
     imported_or_attr = set()
@@ -93,4 +93,47 @@ def test_no_unreferenced_private_names():
             )
             if not loaded and name not in imported_or_attr:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    assert found == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_kernel_uses(tree):
+    """(line, name) of each private kernel name a module imports or
+    reads as an attribute of a kernel module it imported."""
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.asname and "_kernel" in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            for alias in node.names:
+                if parts[-1] == "_kernel" and alias.name in ("impl", "pure"):
+                    modules.add(alias.asname or alias.name)
+                elif "_kernel" in parts and _is_private(alias.name):
+                    found.append((node.lineno, alias.name))
+    found += [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and _is_private(node.attr)
+    ]
+    return sorted(found)
+
+
+def test_only_the_kernel_uses_its_private_names():
+    # client modules go through the kernel's public operations, so its
+    # helpers can change without touching them
+    modules = [path for path in sorted(SRC.rglob("*.py")) if path.parent.name != "_kernel"]
+    assert modules
+    found = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in modules
+        for line, name in _private_kernel_uses(ast.parse(path.read_text(), str(path)))
+    ]
     assert found == []
