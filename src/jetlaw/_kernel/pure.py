@@ -47,17 +47,23 @@ rref is the one exact elimination routine.  It works on sparse rows,
 dicts {col: int or Fraction} holding only the nonzero entries, and
 returns the unique reduced row echelon form in the same representation.
 Its row updates accumulate through _acc like every other routine here.
+
+MAX_PRODUCTS is the one bound on work and spend the one refusal: mul
+prices len(a) * len(b) before it builds anything, so pow_ is priced at
+each squaring; the hot loop mul_into is not, and its callers spend.
 """
 
 from fractions import Fraction
 
-from ..errors import ExponentOverflow
+from ..errors import ExponentOverflow, JetLawError
 
 # bits per field; the largest degree or exponent a field holds
 W = 16
 CAP = (1 << (W - 1)) - 1
 # entries at which a memo keyed by jet parts is cleared
 MEMO_CAP = 4096
+# terms one product, rewrite or derivative chain may build: about a second
+MAX_PRODUCTS = 250_000
 ONE_MONO = 0
 _MASK = (1 << W) - 1
 _GUARD = 1 << (W - 1)
@@ -85,6 +91,14 @@ def _acc(out, mono, coeff):
 
 def _overflow() -> ExponentOverflow:
     return ExponentOverflow(f"a degree or exponent of a monomial exceeds {CAP}")
+
+
+def spend(budget: int, n: int) -> int:
+    """budget - n, or JetLawError when that is negative."""
+    budget -= n
+    if budget < 0:
+        raise JetLawError(f"work exceeds {MAX_PRODUCTS} terms")
+    return budget
 
 
 def _intern(nt: int, nx: int) -> int:
@@ -256,6 +270,7 @@ def mul_into(out: dict, key: int, coeff, b: dict) -> None:
 def mul(a, b):
     if not a or not b:
         return {}
+    spend(MAX_PRODUCTS, len(a) * len(b))
     if len(a) > len(b):
         a, b = b, a
     out = {}

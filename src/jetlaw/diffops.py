@@ -41,9 +41,8 @@ from fractions import Fraction
 from math import comb
 
 from ._kernel import impl as _k
-from .errors import JetLawError, NotADivergence
+from .errors import NotADivergence
 from .expr import DiffExpr, u
-from .grammar import MAX_PRODUCTS
 
 from typing import NamedTuple
 
@@ -78,34 +77,24 @@ class _DerivCache:
     """Mixed total derivatives D_t^i D_x^j of one expression's raw terms,
     computed incrementally and memoized.  Derivatives commute, so each
     entry is reached by raising j from (i, 0), which itself is raised
-    from (0, 0)."""
+    from (0, 0).  A step's terms are spent once it is built, and a step
+    that spends past MAX_PRODUCTS is refused and not kept, so the kept
+    derivatives hold at most MAX_PRODUCTS terms; only that step builds
+    more.  It is not priced first, as _adjoint_op's steps are, since
+    derivative_terms costs about a third of a step."""
 
     def __init__(self, d: dict):
         self._cache = {(0, 0): d}
-        self._budget = MAX_PRODUCTS
+        self._budget = _k.MAX_PRODUCTS
 
     def get(self, i: int, j: int) -> dict:
         d = self._cache.get((i, j))
         if d is not None:
             return d
-        if j:
-            d, step = self.get(i, j - 1), _k.total_x
-        else:
-            d, step = self.get(i - 1, 0), _k.total_t
-        d = self._cache[(i, j)] = step(d)
-        # the memo holds at most MAX_PRODUCTS terms
-        self._budget = _spend(self._budget, len(d))
+        d = _k.total_x(self.get(i, j - 1)) if j else _k.total_t(self.get(i - 1, 0))
+        self._budget = _k.spend(self._budget, len(d))
+        self._cache[(i, j)] = d
         return d
-
-
-def _spend(budget: int, n: int) -> int:
-    """The term budget of a chain of total derivatives less n terms.  A
-    high-order jet can demand unbounded work, so a chain that goes past
-    MAX_PRODUCTS terms raises JetLawError."""
-    budget -= n
-    if budget < 0:
-        raise JetLawError(f"total derivatives exceed {MAX_PRODUCTS} terms")
-    return budget
 
 
 def _apply_op(coeffs: dict, g: dict) -> dict:
@@ -122,13 +111,13 @@ def _adjoint_op(coeffs: dict, h: dict) -> dict:
     """Raw terms of sum_K (-D_t)^kt (-D_x)^kx (c_K h) for raw
     coefficients {K: c_K} and raw h."""
     out: dict = {}
-    budget = MAX_PRODUCTS
+    budget = _k.MAX_PRODUCTS
     for (kt, kx), c in coeffs.items():
         w = _k.mul(c, h)
         # each step builds at most one term per jet factor of each term
-        # of w, and one for its t or x; count them before it starts
+        # of w, and one for its t or x; price them before it starts
         for step in (_k.total_t,) * kt + (_k.total_x,) * kx:
-            budget = _spend(budget, _k.derivative_terms(w))
+            budget = _k.spend(budget, _k.derivative_terms(w))
             w = step(w)
         _k.mul_into(out, _k.ONE_MONO, -1 if (kt + kx) % 2 else 1, w)
     return out

@@ -26,8 +26,11 @@ Scalar = Union[int, Fraction]
 
 
 def _scalar(v) -> Scalar:
-    """A coefficient for an int or a rational value: integers stay int."""
-    return int(v) if isinstance(v, int) else Fraction(v)
+    """The coefficient of an int or a Fraction, integers as int; any
+    other value raises TypeError, as the operators do."""
+    if isinstance(v, (int, Fraction)):
+        return int(v) if isinstance(v, int) else v
+    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(v).__name__}")
 
 
 class JetIndex(NamedTuple):
@@ -46,6 +49,8 @@ class JetIndex(NamedTuple):
 
 def _as_jet_index(v) -> JetIndex:
     nt, nx = v
+    if not (isinstance(nt, int) and isinstance(nx, int)):
+        raise TypeError(f"a jet index must be an int pair, not ({nt!r}, {nx!r})")
     if nt < 0 or nx < 0:
         raise ValueError(f"jet index must be non-negative, got ({nt}, {nx})")
     return JetIndex(nt, nx)
@@ -76,6 +81,8 @@ class Monomial:
                     raise ValueError("negative jet exponent")
                 if e:
                     jets.append((nt, nx, e))
+        if not all(isinstance(v, int) for v in (t_deg, x_deg, *(e for _, _, e in jets))):
+            raise TypeError("a degree or exponent must be an int")
         jets.sort()
         for i in range(1, len(jets)):
             if jets[i - 1][:2] == jets[i][:2]:

@@ -19,7 +19,7 @@ MAX_EXPONENT and jets of total order above MAX_JET_ORDER raise
 ExprSyntaxError before any power or jet is built, so that one huge
 literal cannot demand unbounded time or memory.  So do integer literals
 longer than the interpreter converts, and products and powers that
-would take the kernel more than MAX_PRODUCTS term products to expand.
+would take the kernel more than its MAX_PRODUCTS term products to expand.
 
 format_expr is the canonical printer: terms in descending monomial
 order, explicit '*' between factors, coefficients as integers or
@@ -36,14 +36,12 @@ import sys
 from fractions import Fraction
 from math import comb
 
+from ._kernel import impl as _k
 from .errors import DivisionByZero, ExprSyntaxError, JetLawError, NonPolynomial
 from .expr import DiffExpr, const, jet, t, x
 
 MAX_EXPONENT = 256
 MAX_JET_ORDER = 64
-# term products the kernel may make for one '*' or '^'; at a few
-# microseconds per product this is about a second of work
-MAX_PRODUCTS = 250_000
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
@@ -218,8 +216,8 @@ def _check_jet_order(order: int, pos: int) -> None:
 
 
 def _check_products(products: int, pos: int) -> None:
-    if products > MAX_PRODUCTS:
-        raise ExprSyntaxError(f"expansion exceeds {MAX_PRODUCTS} term products", pos)
+    if products > _k.MAX_PRODUCTS:
+        raise ExprSyntaxError(f"expansion exceeds {_k.MAX_PRODUCTS} term products", pos)
 
 
 def _power_products(terms: int, n: int) -> int:

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from ._kernel import impl as _k
 from .diffops import _adjoint_coeffs, _adjoint_op, _apply_op, _DerivCache
-from .errors import JetLawError, NotNormal, NotOnSolutionSpace
+from .errors import NotNormal, NotOnSolutionSpace
 from .expr import DiffExpr, _as_jet_index, jet
-from .grammar import MAX_PRODUCTS, _power_products, format_brief
+from .grammar import format_brief
 
 class NormalPDE:
     """A scalar PDE u_L = g in normal solved form.
@@ -47,8 +47,8 @@ class NormalPDE:
     memoize the total derivatives of g, and their powers, that the
     rewriting loop of restriction and operator extraction needs, so
     reuse one instance per equation.  The memos grow only with the jets
-    and exponents the inputs use, the derivatives to at most
-    MAX_PRODUCTS terms.
+    and exponents the inputs use; the derivatives hold at most the
+    kernel's MAX_PRODUCTS terms together, and so does each power.
     """
 
     __slots__ = ("lead", "rhs", "G", "_drhs", "_pow", "_top")
@@ -90,11 +90,7 @@ class NormalPDE:
         key = (idx, e)
         p = self._pow.get(key)
         if p is None:
-            base = self.consequence_raw(idx)
-            if _power_products(len(base), e) > MAX_PRODUCTS:
-                raise _too_much_work()
-            p = _k.pow_(base, e)
-            self._pow[key] = p
+            p = self._pow[key] = _k.pow_(self.consequence_raw(idx), e)
         return p
 
     def __eq__(self, other) -> bool:
@@ -121,10 +117,6 @@ def make_pde(lead, rhs: DiffExpr) -> NormalPDE:
 
 # below every jet, so max(_NO_JET, j) == j
 _NO_JET = (-1, -1)
-
-
-def _too_much_work() -> JetLawError:
-    return JetLawError(f"restriction exceeds {MAX_PRODUCTS} term products")
 
 
 def _top_consequence(jets: tuple, lt: int, lx: int):
@@ -154,7 +146,7 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
     lt, lx = pde.lead
     top, split, mul_into = pde._top, _k.split_jet, _k.mul_into
     # term products left; a high-order jet can demand unbounded work
-    budget = MAX_PRODUCTS
+    budget = _k.MAX_PRODUCTS
     out: dict = {}
     # greatest consequence jet -> terms; the terms without one are the result
     buckets: dict = {_NO_JET: out}
@@ -181,9 +173,7 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
                     groups.setdefault(top(pk), {})[pk] = pc
                 filed = powers[e] = (len(p), list(groups.items()))
             n, groups = filed
-            budget -= n
-            if budget < 0:
-                raise _too_much_work()
+            budget = _k.spend(budget, n)
             for ptop, terms in groups:
                 dest = btop if btop > ptop else ptop
                 tgt = buckets.get(dest)
@@ -193,9 +183,7 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
             if quotient is not None:
                 for k in range(e):
                     p = pde.consequence_pow(m, e - 1 - k)
-                    budget -= len(p)
-                    if budget < 0:
-                        raise _too_much_work()
+                    budget = _k.spend(budget, len(p))
                     mul_into(quotient, _k.times_jet(base, m, k) if k else base, coeff, p)
 
 

@@ -1,10 +1,9 @@
 """Shared test utilities: seeded random expression generation, and
-guards against building huge powers, jets or products."""
+guards against building huge powers or jets."""
 
 from fractions import Fraction
 
 from jetlaw import grammar
-from jetlaw._kernel import impl as kernel
 from jetlaw.expr import DiffExpr, Monomial
 
 
@@ -66,17 +65,3 @@ def forbid_huge_powers_and_jets(monkeypatch):
 
     monkeypatch.setattr(DiffExpr, "__pow__", guarded_pow)
     monkeypatch.setattr(grammar, "jet", guarded_jet)
-
-
-def forbid_large_products(monkeypatch):
-    """Make a kernel product of more term pairs than the grammar's
-    MAX_PRODUCTS fail, powers included; an input the parser rejects is
-    thereby shown to be rejected before its expansion is built."""
-    mul = kernel.mul
-
-    def guarded_mul(a, b):
-        if len(a) * len(b) > grammar.MAX_PRODUCTS:
-            raise AssertionError(f"built a product of {len(a)} x {len(b)} terms")
-        return mul(a, b)
-
-    monkeypatch.setattr(kernel, "mul", guarded_mul)

@@ -1,7 +1,7 @@
 import os
 import time
 
-from helpers import forbid_huge_powers_and_jets, forbid_large_products
+from helpers import forbid_huge_powers_and_jets
 from jetlaw.cli import load_session, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -256,10 +256,10 @@ def test_huge_exponents_and_jet_orders_exit_2(capsys, monkeypatch):
         assert "exceeds" in err and err.count("\n") == 1
 
 
-def test_huge_literals_and_expansions_exit_2(capsys, monkeypatch):
+def test_huge_literals_and_expansions_exit_2(capsys):
     # an over-long literal is a syntax error, not an internal ValueError;
-    # an expansion too large to build is rejected before it is built
-    forbid_large_products(monkeypatch)
+    # an expansion too large to build is rejected by the parser, with
+    # its position, before the kernel would refuse it
     for q, msg in (
         ("9" * 5000 + "*u", "integer literal exceeds 4300 digits"),
         ("(u+u_x+u_xx+u_t+t+x)^40", "expansion exceeds 250000 term products"),
@@ -288,17 +288,37 @@ def test_oversized_ansatz_exits_2_quickly(capsys):
 
 def test_high_order_jet_powers_exit_2_quickly(capsys):
     # D_t^64 of a power of u[64,0] builds terms without end; the total
-    # derivatives count what they build and stop at the product bound
+    # derivatives price what they build and stop at the kernel's bound,
+    # and so does the rewrite of the power onto the solution space
     for argv in (
         ("current", "--Q", "u[64,0]^6"),
         ("act", "--P", "-u_x", "--Q", "u[64,0]^6"),
+        ("psi", "--P", "u[64,0]^6", "--Q", "u"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, "-s", KDV_SESSION, *argv)
         assert time.perf_counter() - start < 2
         assert code == 2
         assert out == ""
-        assert err == "error: JetLawError: total derivatives exceed 250000 terms\n"
+        assert err == "error: JetLawError: work exceeds 250000 terms\n"
+
+
+# sums of 300 monomials, whose product of 90,000 terms the parser
+# accepts; any product with a PDE of three terms is past the bound
+SUM_A = "+".join(f"t^{i}*x^{j}" for i in range(20) for j in range(15))
+SUM_B = "+".join(f"u^{i + 1}*u_x^{j}" for i in range(20) for j in range(15))
+
+
+def test_large_products_exit_2_quickly(capsys):
+    # the kernel prices q*G before building it, with the message of the
+    # total derivatives and the rewrite above
+    for cmd in (["current"], ["act", "--P", "-u_x"], ["classify", "--P", "-u_x"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "-s", KDV_SESSION, *cmd, "--Q", f"({SUM_A})*({SUM_B})")
+        assert time.perf_counter() - start < 2, cmd
+        assert code == 2
+        assert out == ""
+        assert err == "error: JetLawError: work exceeds 250000 terms\n", cmd
 
 
 def test_oversized_coefficients_exit_2(capsys):

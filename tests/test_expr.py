@@ -36,6 +36,29 @@ def test_monomial_rejects_bad_input():
     for idx in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="jet index must be non-negative"):
             Monomial(0, 0, {idx: 1})
+    # a degree, exponent or jet index counts, so only an int is one
+    for bad in (
+        lambda: Monomial(1.5, 0),
+        lambda: Monomial(0, 2.0),
+        lambda: Monomial(0, 0, {(0, 0): 1.5}),
+        lambda: Monomial(0, 0, {(0.5, 0): 1}),
+        lambda: jet(1.0, 0),
+    ):
+        with pytest.raises(TypeError, match="must be an int"):
+            bad()
+
+
+def test_constructors_reject_inexact_coefficients():
+    # as the operators do: u * 0.5 and u + 0.5 raise TypeError
+    for bad in (0.1, 0.5, "1/3", 1e300, None):
+        with pytest.raises(TypeError):
+            u * bad
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            const(bad)
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            DiffExpr({Monomial(1, 0): bad})
+    assert const(Fraction(1, 3)) == DiffExpr({Monomial(): Fraction(2, 6)})
+    assert DiffExpr({Monomial(1, 0): 2}) == 2 * t
 
 
 def test_zero_coefficients_are_dropped():

@@ -1,7 +1,7 @@
 """Seeded fuzzing of the command line.  Session files and expressions
 are mutated token by token (literal sizes, exponents, jet orders,
 nesting, chains of products, powers of high jets, nested powers past
-the kernel's exponent cap), and every command
+the kernel's exponent cap, products of large sums), and every command
 must end with exit code 0, 1 or 2 and never report an internal error,
 all within a wall-clock budget."""
 
@@ -52,6 +52,13 @@ HIGH_JETS = ["u[64,0]", "u[0,64]", "u[60,4]", "u_" + "x" * 60]
 # each; exponents and degrees above 2^15 - 1 overflow the kernel's
 # monomial fields, and the last two stay just below that cap
 NESTED = ["(u^256)^256", "(t^256)^256*u", "((u_x^16)^16)^128", "(u^128)^255", "(x^255)^128*u_x"]
+# a product of two sums of 300 monomials: the parser accepts its 90,000
+# terms, and the kernel refuses the product of Q with the PDE before
+# building it
+LARGE_PRODUCT = "({})*({})".format(
+    "+".join(f"t^{i}*x^{j}" for i in range(20) for j in range(15)),
+    "+".join(f"u^{i + 1}*u_x^{j}" for i in range(20) for j in range(15)),
+)
 
 
 def _mutate_tokens(rng, text):
@@ -94,11 +101,13 @@ def _expression(rng):
     return _mutate_tokens(rng, base)
 
 
-def _multiplier(rng):
+def _multiplier(rng, large=False):
     """An expression for --Q: now and then a power, exponent 2 to 8, of
     a high jet.  Refusing one runs the total derivatives up to the
     product bound, which takes a good part of a second, so they are
-    rare."""
+    rare.  With large set, one in four is LARGE_PRODUCT."""
+    if large and not rng.randrange(4):
+        return LARGE_PRODUCT
     if rng.randrange(12):
         return _expression(rng)
     return f"{rng.choice(HIGH_JETS)}^{rng.randint(2, 8)}"
@@ -130,13 +139,14 @@ def _session(rng):
 def _command(rng):
     e = lambda: _expression(rng)
     q = lambda: _multiplier(rng)
+    large_q = lambda: _multiplier(rng, large=True)
     small = ["--order", str(rng.randint(0, 2)), "--jet-degree", str(rng.randint(0, 2)),
              "--t-degree", str(rng.randint(0, 1)), "--x-degree", str(rng.randint(0, 1))]
     return rng.choice([
         lambda: ["check-conslaw", "--T", e(), "--X", e()],
         lambda: ["multiplier-of", "--T", e(), "--X", e()],
-        lambda: ["current", "--Q", q()],
-        lambda: ["act", "--P", e(), "--Q", q()],
+        lambda: ["current", "--Q", large_q()],
+        lambda: ["act", "--P", e(), "--Q", large_q()],
         lambda: ["act", "--P", e(), "--T", e(), "--X", e()],
         lambda: ["psi", "--P", e(), "--Q", q()],
         lambda: ["classify", "--P", e(), "--Q", e()] + rng.choice([[], ["--strict-off-e"]]),

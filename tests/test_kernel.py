@@ -20,7 +20,7 @@ from jetlaw._kernel import pure
 from jetlaw.cli import main
 from jetlaw.conslaw import Ansatz, ansatz_monomials
 from jetlaw.diffops import total_derivative
-from jetlaw.errors import ExponentOverflow
+from jetlaw.errors import ExponentOverflow, JetLawError
 from jetlaw.expr import DiffExpr, jet, t, u, x
 from jetlaw.soln import make_pde, restrict
 from jetlaw.symmetry import solve_symmetries
@@ -526,6 +526,36 @@ def test_exponents_and_degrees_up_to_the_cap():
             overflow()
     # a product at the cap stays exact
     assert u ** (cap // 2) * u ** (cap - cap // 2) == u**cap
+
+
+def test_one_bound_prices_every_product_before_building_it(monkeypatch):
+    monkeypatch.setattr(pure, "MAX_PRODUCTS", 100)
+    sizes = []
+    mul_into = pure.mul_into
+    monkeypatch.setattr(pure, "mul_into", lambda out, key, c, b: sizes.append(len(b)) or mul_into(out, key, c, b))
+    a11 = {pure.encode(i, 0): 1 for i in range(11)}
+    b10 = {pure.encode(0, j): 1 for j in range(10)}
+    refused = "^work exceeds 100 terms$"
+    with pytest.raises(JetLawError, match=refused):
+        pure.mul(a11, b10)
+    assert sizes == []
+    del a11[0]
+    assert len(pure.mul(a11, b10)) == 100
+    assert pure.spend(100, 100) == 0
+    with pytest.raises(JetLawError, match=refused):
+        pure.spend(100, 101)
+    # pow_ squares 4 terms, then 10, and refuses the 35 x 35 squaring of
+    # the eighth power without building any of it
+    base = (t + x + u + jet(0, 1))._d
+    sizes.clear()
+    assert len(pure.pow_(base, 4)) == 35
+    assert sizes == [4] * 4 + [10] * 10
+    sizes.clear()
+    with pytest.raises(JetLawError, match=refused):
+        pure.pow_(base, 8)
+    assert sizes == [4] * 4 + [10] * 10
+    with pytest.raises(JetLawError, match=refused):
+        DiffExpr._raw(b10) * DiffExpr._raw({pure.encode(i, 0): 1 for i in range(11)})
 
 
 @pytest.mark.parametrize(
