@@ -29,12 +29,12 @@ encode and decode convert between a key and the tuple form
 which orders monomials for printing and for the ansatz.  No other
 module builds or takes apart a key: they use encode, decode and the
 helpers below.  What depends on the jet part of a key alone, its
-sorted factors, its D_t and D_x steps and soln's greatest consequence
-jet, is memoized per jet part, so the hot loops decode a jet part only
-on a memo miss.  Each of these memos is cleared when it reaches
-MEMO_CAP entries, as the re module's cache once was, so none grows
-without bound; the deltas of single jets are kept, one per jet like
-the slot table.
+sorted factors, its D_t and D_x steps and soln's consequence part and
+greatest consequence jet, is memoized per jet part, so the hot loops
+decode a jet part only on a memo miss.  Each of these memos is cleared
+when it reaches MEMO_CAP entries, as the re module's cache once was, so
+none grows without bound; the deltas of single jets are kept, one per
+jet like the slot table.
 
 A coefficient is an int while only integers made it and a Fraction
 once a Fraction takes part, as in Python's numeric tower; a Fraction is
@@ -50,7 +50,9 @@ Its row updates accumulate through _acc like every other routine here.
 
 MAX_PRODUCTS is the one bound on work and spend the one refusal: mul
 prices len(a) * len(b) before it builds anything, so pow_ is priced at
-each squaring; the hot loop mul_into is not, and its callers spend.
+each squaring, against the caller's own budget when the caller passes
+its own priced product; the hot loop mul_into is not, and its callers
+spend.
 """
 
 from fractions import Fraction
@@ -226,6 +228,21 @@ def per_jet_part(fn):
     return get
 
 
+def jet_part_splitter(keep):
+    """The function key -> (rest, part), part the key of the jet factors
+    u_(nt,nx)^e of key with keep((nt, nx)) true and rest the key of the
+    others, so that key = rest * part.  part is memoized per jet part as
+    by per_jet_part, in the function's attribute memo."""
+    part_of = per_jet_part(lambda jets: encode(0, 0, [f for f in jets if keep(f[:2])]))
+
+    def split(key):
+        part = part_of(key)
+        return key - part, part
+
+    split.memo = part_of.memo
+    return split
+
+
 def add(a, b):
     if not a:
         return dict(b)
@@ -279,14 +296,19 @@ def mul(a, b):
     return out
 
 
-def pow_(a, n):
+def pow_(a, n, times=None):
+    """a^n by squaring, each product made by times, which defaults to
+    mul: a caller that prices the products against its own budget
+    passes its own."""
     if n == 0:
         return {ONE_MONO: 1}
     if n == 1:
         return dict(a)
-    half = pow_(a, n // 2)
-    sq = mul(half, half)
-    return mul(sq, a) if n % 2 else sq
+    half = pow_(a, n // 2, times)
+    if times is None:
+        times = mul
+    sq = times(half, half)
+    return times(sq, a) if n % 2 else sq
 
 
 def _diff_field(a, off: int) -> dict:

@@ -58,7 +58,8 @@ _ANSATZ_FIELDS = (
     ("max_x_degree", "x-degree", "max degree in x"),
 )
 _ANSATZ_KEYS = {key: field for field, key, _ in _ANSATZ_FIELDS}
-_RESERVED = {"t", "x", "u"}
+# the variables t, x, u and the jets u_t, u_xx, ... that a name would shadow
+_RESERVED = re.compile(r"[txu]|u_[tx]+")
 
 
 @dataclass
@@ -101,7 +102,7 @@ def load_session(path: str) -> Session:
         m = _NAME_LINE.match(line)
         if m:
             ident, value = m.group(1), m.group(2)
-            if ident in _RESERVED:
+            if _RESERVED.fullmatch(ident):
                 raise SessionError(
                     f"line {lineno}: name {ident!r} shadows a variable"
                 )

@@ -10,26 +10,38 @@ restrict(f) == 0.
 
 The lex condition on g is what makes the rewriting terminate: replacing
 the lex-greatest consequence jet u_{L+K} by D^K g only introduces jets
-lexicographically below L + K.  The one rewriting loop uses this to
-work in buckets: every term is filed under its lex-greatest consequence
-jet, and the buckets are emptied from the greatest down, each exactly
-once, because the products of a bucket's terms with powers of D^K g only
-land in lower buckets or in the result.  The powers (D^K g)^e are
-memoized on the NormalPDE, next to the derivatives D^K g themselves,
-and so is the greatest consequence jet of each jet part (in a memo of
-the kernel's capped kind): the kernel's keys give jets slots in
-first-use order, not in lex order, so that jet is found from the
-decoded factors once per jet part and then looked up.
+lexicographically below L + K.
 
-extract_operator runs the same loop and keeps what each substitution
-takes away.  Since u_m - D^K g = D^K G for m = L + K,
+Restriction is a ring homomorphism R onto the polynomials free of
+consequence jets that fixes t, x and every other jet.  So restrict
+splits each term into its free factors and its consequence part c, and
+multiplies the free factors by R(c), which a memo on the NormalPDE
+keeps, keyed by c.  The memo is built from the greatest factor down:
+
+    R(u_m) = restrict(D^K g)  for m = L + K,
+    R(u_m^e) = R(u_m)^e,
+    R(u_m^e b) = R(u_m^e) R(b)  for b of consequence jets below m,
+
+and the first needs R only of consequence parts below m, so each
+R(u_m) is built after those of the jets below it that it needs.  The
+derivatives D^K g are memoized on the NormalPDE as well, and the
+consequence part of each jet part in a memo of the kernel's capped
+kind.
+
+extract_operator keeps a bucket loop instead, because it must also
+collect what each substitution takes away.  Every term is filed under
+its lex-greatest consequence jet, and the buckets are emptied from the
+greatest down, each exactly once: in each term base * u_m^e the power
+is replaced by the memoized (D^K g)^e, whose products with base only
+land in lower buckets or in the remainder.  Since u_m - D^K g = D^K G,
 
     u_m^e - (D^K g)^e = D^K G * sum_{k<e} u_m^k (D^K g)^(e-1-k),
 
 so every replaced term base * u_m^e leaves base times that telescoped
-sum as a quotient on D^K G.  When the remainder restrict(f) is zero,
-the quotients are the coefficients of a linear total-differential
-operator R with R(G) = f identically.
+sum as a quotient on D^K G.  The remainder is restrict(f), the one
+canonical representative; when it is zero, the quotients are the
+coefficients of a linear total-differential operator R with R(G) = f
+identically.
 """
 
 from __future__ import annotations
@@ -40,18 +52,40 @@ from .errors import NotNormal, NotOnSolutionSpace
 from .expr import DiffExpr, _as_jet_index, jet
 from .grammar import format_brief
 
+
+class _TermMemo(dict):
+    """Raw terms by key, cleared before an entry that would make it hold
+    more than MEMO_CAP entries or MAX_PRODUCTS terms together."""
+
+    __slots__ = ("held",)
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+
+    def keep(self, key, d: dict) -> dict:
+        if len(self) >= _k.MEMO_CAP or self.held + len(d) > _k.MAX_PRODUCTS:
+            self.clear()
+            self.held = 0
+        self[key] = d
+        self.held += len(d)
+        return d
+
+
 class NormalPDE:
     """A scalar PDE u_L = g in normal solved form.
 
     Attributes: lead (JetIndex L), rhs (g), G (u_L - g).  Instances
-    memoize the total derivatives of g, and their powers, that the
-    rewriting loop of restriction and operator extraction needs, so
-    reuse one instance per equation.  The memos grow only with the jets
-    and exponents the inputs use; the derivatives hold at most the
-    kernel's MAX_PRODUCTS terms together, and so does each power.
+    memoize what restriction and operator extraction need: the total
+    derivatives of g, which hold at most the kernel's MAX_PRODUCTS terms
+    together; the powers of those derivatives and the restrictions of
+    consequence parts, two memos each cleared when it reaches the
+    kernel's MEMO_CAP entries or MAX_PRODUCTS terms; and the consequence
+    part and greatest consequence jet of each jet part, in the kernel's
+    capped memos.  So reuse one instance per equation.
     """
 
-    __slots__ = ("lead", "rhs", "G", "_drhs", "_pow", "_top")
+    __slots__ = ("lead", "rhs", "G", "_drhs", "_pow", "_top", "_split", "_restricted")
 
     def __init__(self, lead, rhs: DiffExpr):
         lead = _as_jet_index(lead)
@@ -70,9 +104,14 @@ class NormalPDE:
         self.rhs = rhs
         self.G = jet(lead.nt, lead.nx) - rhs
         self._drhs = _DerivCache(rhs._d)
-        self._pow: dict = {}
+        # (jet, e) -> (D^K g)^e
+        self._pow = _TermMemo()
         # monomial key -> its greatest consequence jet
         self._top = _k.per_jet_part(lambda jets: _top_consequence(jets, lead.nt, lead.nx))
+        # monomial key -> (free factors, consequence part)
+        self._split = _k.jet_part_splitter(lambda idx: idx[0] >= lead.nt and idx[1] >= lead.nx)
+        # consequence part c -> R(c)
+        self._restricted = _TermMemo()
 
     def is_consequence(self, idx) -> bool:
         """Whether u_idx is solved by a differential consequence of G."""
@@ -90,7 +129,7 @@ class NormalPDE:
         key = (idx, e)
         p = self._pow.get(key)
         if p is None:
-            p = self._pow[key] = _k.pow_(self.consequence_raw(idx), e)
+            p = self._pow.keep(key, _k.pow_(self.consequence_raw(idx), e))
         return p
 
     def __eq__(self, other) -> bool:
@@ -130,17 +169,141 @@ def _top_consequence(jets: tuple, lt: int, lx: int):
     return _NO_JET
 
 
-def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
-    """The one rewriting loop of restrict and extract_operator: the raw
-    terms d modulo the PDE and its differential consequences, emptying
-    one bucket per consequence jet as restrict describes.
+class _Restriction:
+    """One restrict call: its one budget of MAX_PRODUCTS term products,
+    which pays for every product it builds, memo entries included, and
+    every entry of the PDE's memo it reads or builds, which it keeps
+    while the memo may be cleared."""
 
-    When quotients is a dict, each replaced term base * u_m^e, with
-    m = L + K, also adds the telescoped quotient
+    __slots__ = ("pde", "budget", "seen")
+
+    def __init__(self, pde: NormalPDE):
+        self.pde = pde
+        self.budget = _k.MAX_PRODUCTS
+        self.seen: dict = {}
+
+    def get(self, cons: int):
+        """R(cons) if this call or the memo knows it, else None."""
+        r = self.seen.get(cons)
+        if r is None:
+            r = self.pde._restricted.get(cons)
+            if r is not None:
+                self.seen[cons] = r
+        return r
+
+    def keep(self, cons: int, r: dict) -> dict:
+        self.seen[cons] = r
+        return self.pde._restricted.keep(cons, r)
+
+    def product(self, a: dict, b: dict) -> dict:
+        self.budget = _k.spend(self.budget, len(a) * len(b))
+        return _k.mul(a, b)
+
+    def terms(self, d: dict) -> dict:
+        """The restriction of the raw terms d: each term's free factors
+        times R of its consequence part."""
+        split = self.pde._split
+        out: dict = {}
+        bound = []
+        for mono, coeff in d.items():
+            free, cons = split(mono)
+            if cons:
+                bound.append((free, coeff, cons))
+            else:
+                out[mono] = coeff
+        for free, coeff, cons in bound:
+            r = self.get(cons)
+            if r is None:
+                r = self.build(cons)
+            self.budget = _k.spend(self.budget, len(r))
+            _k.mul_into(out, free, coeff, r)
+        return out
+
+    def build(self, cons: int) -> dict:
+        """R(cons), peeling the greatest factor u_m^e off cons until what
+        is left is known or 1, then multiplying back up."""
+        chain = []
+        r = None
+        while r is None:
+            nt, nx, _ = _k.decode(cons)[2][-1]
+            e, rest = _k.split_jet(cons, (nt, nx))
+            chain.append((cons, (nt, nx), e))
+            if not rest:
+                break
+            cons = rest
+            r = self.get(cons)
+        for cons, m, e in reversed(chain):
+            p = self.power(m, e)
+            r = p if r is None else self.keep(cons, self.product(p, r))
+        return r
+
+    def power(self, m, e: int) -> dict:
+        """R(u_m^e) = R(u_m)^e."""
+        key = _k.times_jet(_k.ONE_MONO, m, e)
+        r = self.get(key)
+        if r is None:
+            if e == 1:
+                self.singles(m)
+                return self.seen[key]
+            r = self.keep(key, _k.pow_(self.power(m, 1), e, self.product))
+        return r
+
+    def singles(self, m) -> None:
+        """Build R(u_j) = restrict(D^K g), j = L + K, for j = m and each
+        consequence jet below m that it needs and that is not known.  The
+        consequence jets of D^K g are below j, so a depth-first walk
+        builds each R(u_j) right after those it needs, lowest first,
+        without recursion along the jets; so products, and the budget
+        they spend, start at the cheapest jets."""
+        pde, split = self.pde, self.pde._split
+        # the jets whose consequence jets have been pushed above them
+        expanded = set()
+        stack = [m]
+        while stack:
+            j = stack[-1]
+            key = _k.times_jet(_k.ONE_MONO, j, 1)
+            if self.get(key) is not None:
+                stack.pop()
+            elif j not in expanded:
+                expanded.add(j)
+                jets = set()
+                for mono in pde.consequence_raw(j):
+                    cons = split(mono)[1]
+                    if cons:
+                        jets.update((nt, nx) for nt, nx, _ in _k.decode(cons)[2])
+                stack.extend(sorted(jets, reverse=True))
+            else:
+                stack.pop()
+                self.keep(key, self.terms(pde.consequence_raw(j)))
+
+
+def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
+    """Rewrite f modulo the PDE and its differential consequences.
+
+    The result contains no consequence jet of the lead; it is the
+    canonical representative of f on the solution space, and f vanishes
+    there exactly when the result is zero.
+
+    Each term is split into its free factors and its consequence part
+    c, and the free factors are multiplied by R(c), read from the PDE's
+    memo or built into it (see the module docstring).  One budget of
+    the kernel's MAX_PRODUCTS term products pays for the whole call,
+    including every memo entry it builds, so a jet such as u[64,0] on
+    KdV is refused with the kernel's message.
+    """
+    return DiffExpr._raw(_Restriction(pde).terms(f._d))
+
+
+def _rewrite(d: dict, pde: NormalPDE) -> tuple[dict, dict]:
+    """The bucket loop of extract_operator: (rest, quotients) with rest
+    the raw terms d modulo the PDE and its differential consequences,
+    emptying one bucket per consequence jet as the module docstring
+    describes.  Each replaced term base * u_m^e, with m = L + K, also
+    adds the telescoped quotient
 
         base * sum_{k<e} u_m^k (D^K g)^(e-1-k)
 
-    into quotients[K], so that d = result + sum_K quotients[K] D^K G
+    into quotients[K], so that d = rest + sum_K quotients[K] D^K G
     exactly.
     """
     lt, lx = pde.lead
@@ -148,17 +311,16 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
     # term products left; a high-order jet can demand unbounded work
     budget = _k.MAX_PRODUCTS
     out: dict = {}
-    # greatest consequence jet -> terms; the terms without one are the result
+    quotients: dict = {}
+    # greatest consequence jet -> terms; the terms without one are the rest
     buckets: dict = {_NO_JET: out}
     for mono, coeff in d.items():
         buckets.setdefault(top(mono), {})[mono] = coeff
     while True:
         m = max(buckets)
         if m == _NO_JET:
-            return out
-        quotient = None
-        if quotients is not None:
-            quotient = quotients.setdefault((m[0] - lt, m[1] - lx), {})
+            return out, quotients
+        quotient = quotients.setdefault((m[0] - lt, m[1] - lx), {})
         # exponent e -> the number of terms of (D^K g)^e, and its terms
         # grouped by their greatest consequence jet
         powers: dict = {}
@@ -180,29 +342,10 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None) -> dict:
                 if tgt is None:
                     tgt = buckets[dest] = {}
                 mul_into(tgt, base, coeff, terms)
-            if quotient is not None:
-                for k in range(e):
-                    p = pde.consequence_pow(m, e - 1 - k)
-                    budget = _k.spend(budget, len(p))
-                    mul_into(quotient, _k.times_jet(base, m, k) if k else base, coeff, p)
-
-
-def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
-    """Rewrite f modulo the PDE and its differential consequences.
-
-    The result contains no consequence jet of the lead; it is the
-    canonical representative of f on the solution space, and f vanishes
-    there exactly when the result is zero.
-
-    Each term is filed in a bucket under its lex-greatest consequence
-    jet, or straight into the result if it has none.  The greatest
-    bucket m is then emptied: in each of its terms u_m^e is replaced by
-    the memoized (D^K g)^e, and each product term is filed by its own
-    greatest consequence jet, merging like terms as they arrive.  D^K g
-    only has jets below m, so every product lands in a lower bucket and
-    each bucket is emptied once, with its cancellations already done.
-    """
-    return DiffExpr._raw(_rewrite(f._d, pde, None))
+            for k in range(e):
+                p = pde.consequence_pow(m, e - 1 - k)
+                budget = _k.spend(budget, len(p))
+                mul_into(quotient, _k.times_jet(base, m, k) if k else base, coeff, p)
 
 
 class LinDiffOp:
@@ -261,9 +404,9 @@ class LinDiffOp:
 def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
     """Write f, assumed to vanish on the solution space, as R(G).
 
-    The rewriting loop of restrict runs once and collects, for every
-    consequence jet u_{L+K} it empties, the telescoped quotient of the
-    terms it replaces (see _rewrite), so that
+    The bucket loop runs once and collects, for every consequence jet
+    u_{L+K} it empties, the telescoped quotient of the terms it replaces
+    (see _rewrite), so that
 
         f = restrict(f) + sum_K c_K D_t^kt D_x^kx G    identically.
 
@@ -272,12 +415,10 @@ def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
     Polynomial rings have no zero divisors, so each c_K is unique: it is
     the part of f, written in the variables D^K G in place of the
     consequence jets, whose greatest such variable is D^K G, divided by
-    it.  Different
-    valid operators for the same f differ only by operators whose
+    it.  Different valid operators for the same f differ only by operators whose
     coefficients vanish on the solution space.
     """
-    quotients: dict = {}
-    rest = _rewrite(f._d, pde, quotients)
+    rest, quotients = _rewrite(f._d, pde)
     if rest:
         raise NotOnSolutionSpace(DiffExpr._raw(rest))
     return LinDiffOp({K: DiffExpr._raw(q) for K, q in quotients.items()})

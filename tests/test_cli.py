@@ -54,6 +54,16 @@ def test_session_errors(tmp_path, capsys):
     code, _, err = run(capsys, "-s", path, "multipliers")
     assert code == 2
 
+    # nor a jet: `--Q u_xx` would answer for the name, `--Q "u_xx + 0"`
+    # for the jet
+    for name in ("u_xx", "u_t", "u_txt"):
+        path = write_session(tmp_path, f"lead = u_t\nrhs = u_xx\nname {name} = u\n")
+        code, out, err = run(capsys, "-s", path, "current", "--Q", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: SessionError: line 3: name {name!r} shadows a variable\n"
+    path = write_session(tmp_path, "lead = u_t\nrhs = u_xx\nname u_xy = u\nname ux = u\n")
+    assert set(load_session(path).names) == {"u_xy", "ux"}
+
     # missing file
     code, _, err = run(capsys, "-s", str(tmp_path / "nope"), "multipliers")
     assert code == 2

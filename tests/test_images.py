@@ -10,7 +10,7 @@ import random
 
 import oracle
 from helpers import random_expr
-from jetlaw import conslaw, parse_expr, soln, symmetry
+from jetlaw import conslaw, parse_expr, symmetry
 from jetlaw.conslaw import Ansatz, solve_multipliers
 from jetlaw.diffops import euler, euler_pieces, frechet, frechet_pieces
 from jetlaw.expr import DiffExpr, t, x
@@ -98,19 +98,19 @@ def test_frechet_leibniz_identity_matches_reference(kdv):
 
 def test_symmetry_solve_rewrites_once_per_jet_part(kdv, monkeypatch):
     # A(2,3,1,1) has 336 monomials over 84 jet parts; a per-monomial
-    # restrict(frechet(G, m)) runs the rewriting loop 336 times
+    # restrict(frechet(G, m)) restricts 336 times, the Leibniz pieces
+    # of the 84 jet parts 252 times
     calls = []
-    rewrite = soln._rewrite
 
-    def counted(d, pde, quotients):
+    def counted(f, pde):
         calls.append(1)
-        return rewrite(d, pde, quotients)
+        return restrict(f, pde)
 
-    monkeypatch.setattr(soln, "_rewrite", counted)
+    monkeypatch.setattr(symmetry, "restrict", counted)
     basis = solve_symmetries(kdv, Ansatz(2, 3, 1, 1))
     monkeypatch.undo()
     assert len(basis) == 4
-    assert len(calls) < 336
+    assert len(calls) == 252
 
 
 def test_images_of_integer_pdes_hold_only_ints(kdv, monkeypatch):

@@ -20,9 +20,9 @@ from jetlaw._kernel import pure
 from jetlaw.cli import main
 from jetlaw.conslaw import Ansatz, ansatz_monomials
 from jetlaw.diffops import total_derivative
-from jetlaw.errors import ExponentOverflow, JetLawError
+from jetlaw.errors import ExponentOverflow, JetLawError, NotOnSolutionSpace
 from jetlaw.expr import DiffExpr, jet, t, u, x
-from jetlaw.soln import make_pde, restrict
+from jetlaw.soln import extract_operator, make_pde, restrict
 from jetlaw.symmetry import solve_symmetries
 
 
@@ -489,8 +489,11 @@ def test_print_and_ansatz_order_follow_the_tuple_order(kdv):
 
 def test_jet_part_memos_stay_within_their_cap(kdv):
     # more distinct jet parts than the cap pass through every memo keyed
-    # by jet parts: the factors, the D_t and D_x steps and the greatest
-    # consequence jet of the rewrite
+    # by jet parts: the factors, the D_t and D_x steps, the consequence
+    # part of restrict and the greatest consequence jet of the rewrite;
+    # and more distinct consequence parts than the cap through the
+    # memo of their restrictions, here on u_t = u_x, where each is one
+    # term
     n = pure.MEMO_CAP + 500
     f = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
     pure.total_t(f)
@@ -498,9 +501,15 @@ def test_jet_part_memos_stay_within_their_cap(kdv):
     assert pure.derivative_terms(f) == 3 * n
     for k in f:
         pure.decode(k)
-    restrict(DiffExpr._raw(f), kdv)
-    top = kdv._top.memo
-    for memo in (pure._factors, pure._steps_t, pure._steps_x, top):
+    assert restrict(DiffExpr._raw(f), kdv) == DiffExpr._raw(f)
+    with pytest.raises(NotOnSolutionSpace):
+        extract_operator(DiffExpr._raw(f), kdv)
+    advection = make_pde((1, 0), jet(0, 1))
+    g = {pure.encode(0, 0, ((1, 0, e), (1, 1, 1))): 1 for e in range(1, n + 1)}
+    want = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
+    assert restrict(DiffExpr._raw(g), advection) == DiffExpr._raw(want)
+    memos = (pure._factors, pure._steps_t, pure._steps_x, kdv._split.memo, kdv._top.memo)
+    for memo in memos + (advection._split.memo, advection._restricted):
         assert 0 < len(memo) <= pure.MEMO_CAP
 
 

@@ -6,7 +6,9 @@ current <-> multiplier round trip holds, on the solution space; each
 query raises its typed error exactly when the public check of its
 precondition is false; every query scales exactly with the scalar
 multiples of its arguments, and its errors show the arguments as
-given."""
+given; and restriction, which builds memoized restrictions of
+consequence monomials, agrees with the sympy reference and with the
+remainder of operator extraction, which runs a bucket loop."""
 
 import functools
 import random
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from helpers import random_expr
 from jetlaw.conslaw import (
     Ansatz,
@@ -33,10 +36,11 @@ from jetlaw.errors import (
     NotAMultiplier,
     NotASymmetry,
     NotConserved,
+    NotOnSolutionSpace,
 )
 from jetlaw.expr import DiffExpr, jet
 from jetlaw.grammar import format_brief
-from jetlaw.soln import make_pde, restrict
+from jetlaw.soln import extract_operator, make_pde, restrict
 from jetlaw.symmetry import (
     act_on_multiplier,
     action_matrix,
@@ -49,12 +53,12 @@ from jetlaw.symmetry import (
 LEADS = [(1, 0), (2, 0), (1, 1)]
 
 
-def _random_problems(rng, count):
+def _random_problems(rng, count, leads=LEADS):
     """(pde, ansatz) pairs: a right-hand side below the lead in lex order
     with a linear term of order at least 2, fractional coefficients and
     t, x factors, and a small ansatz of order below the PDE's."""
     for i in range(count):
-        lead = LEADS[i % len(LEADS)]
+        lead = leads[i % len(leads)]
         below = [(nt, o - nt) for o in range(4) for nt in range(o + 1) if (nt, o - nt) < lead]
         rhs = random_expr(
             rng,
@@ -272,3 +276,31 @@ def test_errors_show_the_fractional_arguments_as_given():
             if not verify_conservation_law(cur, pde):
                 shows(NotConserved, multiplier_from_current, cur, pde, given=divergence(cur))
     assert len(seen) == 4, seen
+
+
+def test_restriction_agrees_with_the_reference_and_with_extraction():
+    # the inputs draw powers of a few consequence jets, so that later
+    # calls on a PDE reuse the memoized restrictions of earlier ones
+    rng = random.Random(77)
+    checked = 0
+    for pde, _ in _random_problems(rng, 8, LEADS + [(2, 1)]):
+        lt, lx = pde.lead
+        pool = [jet(lt + a, lx + b) for a in range(2) for b in range(2) if a + b < 2]
+        rhs = oracle.to_sympy(pde.rhs)
+        for _ in range(3):
+            f = DiffExpr()
+            for _ in range(rng.randint(1, 2)):
+                m = _small(rng)
+                for _ in range(rng.randint(1, 2)):
+                    m = m * rng.choice(pool) ** rng.randint(1, 2)
+                f = f + m
+            r = restrict(f, pde)
+            assert oracle.from_sympy(oracle.restrict(oracle.to_sympy(f), (lt, lx), rhs)) == r, (pde, f)
+            if not r.is_zero:
+                with pytest.raises(NotOnSolutionSpace) as info:
+                    extract_operator(f, pde)
+                assert info.value.expr == r, (pde, f)
+                checked += 1
+            assert restrict(f - r, pde).is_zero
+            assert extract_operator(f - r, pde).apply(pde.G) == f - r, (pde, f)
+    assert checked > 15

@@ -141,6 +141,47 @@ def test_restrict_reuses_memoized_powers(monkeypatch):
     assert calls == {"pow_": 0, "mul": 0}
 
 
+def test_per_equation_memos_are_cleared_at_their_caps(monkeypatch):
+    # the restrictions of consequence parts and the powers (D^K g)^e are
+    # cleared before an entry would take them past MEMO_CAP entries or
+    # MAX_PRODUCTS terms, here patched down below what the inputs fill
+    # them with; results do not depend on it
+    kdv = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
+    inputs = [jet(1, k) ** e * jet(0, e) + jet(2, 0) * jet(1, k) for k in range(3) for e in range(1, 4)]
+    inputs += [jet(1, 1) ** 4 * u, jet(1, 0) ** 5]
+    want = [restrict(f, kdv) for f in inputs]
+    for f, r in zip(inputs, want):
+        extract_operator(f - r, kdv)
+    for memo in (kdv._restricted, kdv._pow):
+        assert len(memo) > 3 and memo.held > 80
+    for cap, bound in ((3, 250_000), (4096, 80)):
+        monkeypatch.setattr(kernel, "MEMO_CAP", cap)
+        monkeypatch.setattr(kernel, "MAX_PRODUCTS", bound)
+        pde = make_pde(kdv.lead, kdv.rhs)
+        for f, r in zip(inputs, want):
+            assert restrict(f, pde) == r
+            assert extract_operator(f - r, pde).apply(pde.G) == f - r
+            for memo in (pde._restricted, pde._pow):
+                assert 0 < len(memo) <= cap and memo.held <= bound
+                assert memo.held == sum(map(len, memo.values()))
+
+
+def test_restrict_follows_long_chains_of_jets():
+    # u[64,0] and u[32,32], the highest jets the grammar takes, restrict
+    # through chains of 32 to 64 consequence jets, each needing the next
+    # lower; they are built lowest first in a loop, not by recursion
+    heat = make_pde((1, 0), u_xx)
+    assert restrict(jet(64, 0), heat) == jet(0, 128)
+    assert restrict(jet(32, 32), heat) == jet(0, 96)
+    # u_tx = u_t + u: R(u_(a,b)) = R(u_(a,b-1)) + R(u_(a-1,b-1))
+    mixed = make_pde((1, 1), jet(1, 0) + u)
+    assert restrict(jet(64, 0), mixed) == jet(64, 0)
+    f = jet(32, 32) * jet(64, 0)
+    r = restrict(f, mixed)
+    assert not any(mixed.is_consequence(idx) for idx in r.jet_indices())
+    assert extract_operator(f - r, mixed).apply(mixed.G) == f - r
+
+
 def test_lin_diff_op_apply_and_order():
     R = LinDiffOp({(0, 0): u, (0, 1): const(-1)})
     assert R.order() == 1

@@ -4,7 +4,7 @@ of R_P is the symmetry check, the extraction of a current's divergence
 is the conservation check, and the Euler image inside the divergence
 inversion of q G is the multiplier check."""
 
-from jetlaw import diffops, soln, symmetry
+from jetlaw import conslaw, diffops, soln, symmetry
 from jetlaw.conslaw import current_from_multiplier, multiplier_from_current
 from jetlaw.expr import ONE, DiffExpr, jet, t, u, x
 from jetlaw.soln import restrict
@@ -29,15 +29,20 @@ def _counted(monkeypatch, module, name):
 
 def test_queries_rewrite_once_per_operator(kdv, monkeypatch):
     calls = _counted(monkeypatch, soln, "_rewrite")
+    # restrict does not run the extraction's loop, so it is counted apart
+    restricts = [_counted(monkeypatch, m, "restrict") for m in (conslaw, symmetry)]
     cur = current_from_multiplier(ENERGY, kdv)
-    calls.clear()
+    assert conslaw.verify_conservation_law(cur, kdv) and symmetry.check_symmetry(GALILEAN, kdv)
+    assert [len(r) for r in restricts] == [1, 1]
+    for c in [calls, *restricts]:
+        c.clear()
     multiplier_from_current(cur, kdv)
     # the extraction of R with R(G) = D_t T + D_x X, and no restrict
-    assert len(calls) == 1
+    assert (len(calls), sum(map(len, restricts))) == (1, 0)
     calls.clear()
     act_on_multiplier(GALILEAN, ENERGY, kdv)
     # the extractions of R_P and R_Q, and no restrict for the check on P
-    assert len(calls) == 2
+    assert (len(calls), sum(map(len, restricts))) == (2, 0)
 
 
 def test_action_matrix_derives_the_symmetry_operator_once(kdv, monkeypatch):
