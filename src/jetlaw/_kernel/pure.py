@@ -50,9 +50,7 @@ Its row updates accumulate through _acc like every other routine here.
 
 MAX_PRODUCTS is the one bound on work and spend the one refusal: mul
 prices len(a) * len(b) before it builds anything, so pow_ is priced at
-each squaring, against the caller's own budget when the caller passes
-its own priced product; the hot loop mul_into is not, and its callers
-spend.
+each squaring; the hot loop mul_into is not, and its callers spend.
 """
 
 from fractions import Fraction
@@ -296,19 +294,14 @@ def mul(a, b):
     return out
 
 
-def pow_(a, n, times=None):
-    """a^n by squaring, each product made by times, which defaults to
-    mul: a caller that prices the products against its own budget
-    passes its own."""
+def pow_(a, n):
     if n == 0:
         return {ONE_MONO: 1}
     if n == 1:
         return dict(a)
-    half = pow_(a, n // 2, times)
-    if times is None:
-        times = mul
-    sq = times(half, half)
-    return times(sq, a) if n % 2 else sq
+    half = pow_(a, n // 2)
+    sq = mul(half, half)
+    return mul(sq, a) if n % 2 else sq
 
 
 def _diff_field(a, off: int) -> dict:

@@ -10,30 +10,30 @@ restrict(f) == 0.
 
 The lex condition on g is what makes the rewriting terminate: replacing
 the lex-greatest consequence jet u_{L+K} by D^K g only introduces jets
-lexicographically below L + K.
+lexicographically below L + K.  The rewriting loop uses this to work in
+buckets: every term is filed under its lex-greatest consequence jet,
+and the buckets are emptied from the greatest down, each exactly once:
+in each term base * u_m^e the power is replaced by the memoized
+(D^K g)^e, whose products with base only land in lower buckets or in
+the result.  The powers are memoized on the NormalPDE, next to the
+derivatives D^K g themselves, and so is the greatest consequence jet of
+each jet part (in a memo of the kernel's capped kind): the kernel's keys
+give jets slots in first-use order, not in lex order, so that jet is
+found from the decoded factors once per jet part and then looked up.
 
 Restriction is a ring homomorphism R onto the polynomials free of
 consequence jets that fixes t, x and every other jet.  So restrict
 splits each term into its free factors and its consequence part c, and
 multiplies the free factors by R(c), which a memo on the NormalPDE
-keeps, keyed by c.  The memo is built from the greatest factor down:
+keeps by c.  On a miss, with u_m^e the greatest power in c, R(c) is
+R(u_m^e) R(c / u_m^e) when the memo knows the second factor, and
+otherwise the loop on c alone, which carries that one expression down
+as the loop on f would.  So the loop runs about once per distinct
+consequence part and power, not once per term and call, and a chain of
+consequence jets is never restricted jet by jet.
 
-    R(u_m) = restrict(D^K g)  for m = L + K,
-    R(u_m^e) = R(u_m)^e,
-    R(u_m^e b) = R(u_m^e) R(b)  for b of consequence jets below m,
-
-and the first needs R only of consequence parts below m, so each
-R(u_m) is built after those of the jets below it that it needs.  The
-derivatives D^K g are memoized on the NormalPDE as well, and the
-consequence part of each jet part in a memo of the kernel's capped
-kind.
-
-extract_operator keeps a bucket loop instead, because it must also
-collect what each substitution takes away.  Every term is filed under
-its lex-greatest consequence jet, and the buckets are emptied from the
-greatest down, each exactly once: in each term base * u_m^e the power
-is replaced by the memoized (D^K g)^e, whose products with base only
-land in lower buckets or in the remainder.  Since u_m - D^K g = D^K G,
+extract_operator runs the loop on f itself and keeps what each
+substitution takes away.  Since u_m - D^K g = D^K G for m = L + K,
 
     u_m^e - (D^K g)^e = D^K G * sum_{k<e} u_m^k (D^K g)^(e-1-k),
 
@@ -54,8 +54,9 @@ from .grammar import format_brief
 
 
 class _TermMemo(dict):
-    """Raw terms by key, cleared before an entry that would make it hold
-    more than MEMO_CAP entries or MAX_PRODUCTS terms together."""
+    """Entries by key, each holding some number of terms, cleared before
+    an entry that would make it hold more than MEMO_CAP entries or
+    MAX_PRODUCTS terms together."""
 
     __slots__ = ("held",)
 
@@ -63,13 +64,13 @@ class _TermMemo(dict):
         super().__init__()
         self.held = 0
 
-    def keep(self, key, d: dict) -> dict:
-        if len(self) >= _k.MEMO_CAP or self.held + len(d) > _k.MAX_PRODUCTS:
+    def keep(self, key, value, terms: int):
+        if len(self) >= _k.MEMO_CAP or self.held + terms > _k.MAX_PRODUCTS:
             self.clear()
             self.held = 0
-        self[key] = d
-        self.held += len(d)
-        return d
+        self[key] = value
+        self.held += terms
+        return value
 
 
 class NormalPDE:
@@ -110,7 +111,7 @@ class NormalPDE:
         self._top = _k.per_jet_part(lambda jets: _top_consequence(jets, lead.nt, lead.nx))
         # monomial key -> (free factors, consequence part)
         self._split = _k.jet_part_splitter(lambda idx: idx[0] >= lead.nt and idx[1] >= lead.nx)
-        # consequence part c -> R(c)
+        # consequence part c -> (R(c), the term products building it took)
         self._restricted = _TermMemo()
 
     def is_consequence(self, idx) -> bool:
@@ -129,7 +130,8 @@ class NormalPDE:
         key = (idx, e)
         p = self._pow.get(key)
         if p is None:
-            p = self._pow.keep(key, _k.pow_(self.consequence_raw(idx), e))
+            p = _k.pow_(self.consequence_raw(idx), e)
+            self._pow.keep(key, p, len(p))
         return p
 
     def __eq__(self, other) -> bool:
@@ -169,114 +171,6 @@ def _top_consequence(jets: tuple, lt: int, lx: int):
     return _NO_JET
 
 
-class _Restriction:
-    """One restrict call: its one budget of MAX_PRODUCTS term products,
-    which pays for every product it builds, memo entries included, and
-    every entry of the PDE's memo it reads or builds, which it keeps
-    while the memo may be cleared."""
-
-    __slots__ = ("pde", "budget", "seen")
-
-    def __init__(self, pde: NormalPDE):
-        self.pde = pde
-        self.budget = _k.MAX_PRODUCTS
-        self.seen: dict = {}
-
-    def get(self, cons: int):
-        """R(cons) if this call or the memo knows it, else None."""
-        r = self.seen.get(cons)
-        if r is None:
-            r = self.pde._restricted.get(cons)
-            if r is not None:
-                self.seen[cons] = r
-        return r
-
-    def keep(self, cons: int, r: dict) -> dict:
-        self.seen[cons] = r
-        return self.pde._restricted.keep(cons, r)
-
-    def product(self, a: dict, b: dict) -> dict:
-        self.budget = _k.spend(self.budget, len(a) * len(b))
-        return _k.mul(a, b)
-
-    def terms(self, d: dict) -> dict:
-        """The restriction of the raw terms d: each term's free factors
-        times R of its consequence part."""
-        split = self.pde._split
-        out: dict = {}
-        bound = []
-        for mono, coeff in d.items():
-            free, cons = split(mono)
-            if cons:
-                bound.append((free, coeff, cons))
-            else:
-                out[mono] = coeff
-        for free, coeff, cons in bound:
-            r = self.get(cons)
-            if r is None:
-                r = self.build(cons)
-            self.budget = _k.spend(self.budget, len(r))
-            _k.mul_into(out, free, coeff, r)
-        return out
-
-    def build(self, cons: int) -> dict:
-        """R(cons), peeling the greatest factor u_m^e off cons until what
-        is left is known or 1, then multiplying back up."""
-        chain = []
-        r = None
-        while r is None:
-            nt, nx, _ = _k.decode(cons)[2][-1]
-            e, rest = _k.split_jet(cons, (nt, nx))
-            chain.append((cons, (nt, nx), e))
-            if not rest:
-                break
-            cons = rest
-            r = self.get(cons)
-        for cons, m, e in reversed(chain):
-            p = self.power(m, e)
-            r = p if r is None else self.keep(cons, self.product(p, r))
-        return r
-
-    def power(self, m, e: int) -> dict:
-        """R(u_m^e) = R(u_m)^e."""
-        key = _k.times_jet(_k.ONE_MONO, m, e)
-        r = self.get(key)
-        if r is None:
-            if e == 1:
-                self.singles(m)
-                return self.seen[key]
-            r = self.keep(key, _k.pow_(self.power(m, 1), e, self.product))
-        return r
-
-    def singles(self, m) -> None:
-        """Build R(u_j) = restrict(D^K g), j = L + K, for j = m and each
-        consequence jet below m that it needs and that is not known.  The
-        consequence jets of D^K g are below j, so a depth-first walk
-        builds each R(u_j) right after those it needs, lowest first,
-        without recursion along the jets; so products, and the budget
-        they spend, start at the cheapest jets."""
-        pde, split = self.pde, self.pde._split
-        # the jets whose consequence jets have been pushed above them
-        expanded = set()
-        stack = [m]
-        while stack:
-            j = stack[-1]
-            key = _k.times_jet(_k.ONE_MONO, j, 1)
-            if self.get(key) is not None:
-                stack.pop()
-            elif j not in expanded:
-                expanded.add(j)
-                jets = set()
-                for mono in pde.consequence_raw(j):
-                    cons = split(mono)[1]
-                    if cons:
-                        jets.update((nt, nx) for nt, nx, _ in _k.decode(cons)[2])
-                stack.extend(sorted(jets, reverse=True))
-            else:
-                stack.pop()
-                self.keep(key, self.terms(pde.consequence_raw(j)))
-
-
 def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     """Rewrite f modulo the PDE and its differential consequences.
 
@@ -286,20 +180,79 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
 
     Each term is split into its free factors and its consequence part
     c, and the free factors are multiplied by R(c), read from the PDE's
-    memo or built into it (see the module docstring).  One budget of
-    the kernel's MAX_PRODUCTS term products pays for the whole call,
-    including every memo entry it builds, so a jet such as u[64,0] on
-    KdV is refused with the kernel's message.
+    memo or built (see the module docstring).  The parts are taken
+    greatest consequence jet first, as the bucket loop on f would meet
+    them.  One budget of the kernel's MAX_PRODUCTS term products pays
+    for the whole call: each distinct c is charged the products that
+    building R(c) took, whether it is built now or read from the memo,
+    and each term the products of its free factors with R(c).  What a
+    call builds is kept in the memo only if the call is not refused, so
+    a refused call leaves the memo as it found it, and a jet such as
+    u[64,0] on KdV is refused with the kernel's message.
     """
-    return DiffExpr._raw(_Restriction(pde).terms(f._d))
+    split = pde._split
+    out: dict = {}
+    # consequence part -> the free factors and coefficients of its terms
+    parts: dict = {}
+    for mono, coeff in f._d.items():
+        free, cons = split(mono)
+        if cons:
+            parts.setdefault(cons, []).append((free, coeff))
+        else:
+            out[mono] = coeff
+    budget = _k.MAX_PRODUCTS
+    # consequence part -> (R of it, the products building it took), for
+    # the parts this call builds
+    built: dict = {}
+    for cons in sorted(parts, key=pde._top, reverse=True):
+        r, cost = _restricted_part(cons, pde, budget, built)
+        budget -= cost
+        for free, coeff in parts[cons]:
+            budget = _k.spend(budget, len(r))
+            _k.mul_into(out, free, coeff, r)
+    for cons, entry in built.items():
+        pde._restricted.keep(cons, entry, len(entry[0]))
+    return DiffExpr._raw(out)
 
 
-def _rewrite(d: dict, pde: NormalPDE) -> tuple[dict, dict]:
-    """The bucket loop of extract_operator: (rest, quotients) with rest
-    the raw terms d modulo the PDE and its differential consequences,
-    emptying one bucket per consequence jet as the module docstring
-    describes.  Each replaced term base * u_m^e, with m = L + K, also
-    adds the telescoped quotient
+def _restricted_part(cons: int, pde: NormalPDE, budget: int, built: dict) -> tuple[dict, int]:
+    """(R(c), cost) for the key c of a consequence part, cost the term
+    products building R(c) took, from the PDE's memo, from built or
+    built into built.  With u_m^e the greatest power in c and c = u_m^e
+    rest, R(c) is R(u_m^e) R(rest) when R(rest) is known, and otherwise
+    the bucket loop on c alone.  A known entry spends its cost from
+    budget, and a build spends as it goes, so either raises when budget
+    runs out."""
+    known = built.get(cons) or pde._restricted.get(cons)
+    if known is not None:
+        _k.spend(budget, known[1])
+        return known
+    m = pde._top(cons)
+    e, rest = _k.split_jet(cons, m)
+    below = rest and (built.get(rest) or pde._restricted.get(rest))
+    if below:
+        r, cost = below
+        left = _k.spend(budget, cost)
+        power, pcost = _restricted_part(_k.times_jet(_k.ONE_MONO, m, e), pde, left, built)
+        n = len(power) * len(r)
+        _k.spend(left - pcost, n)
+        r = _k.mul(power, r)
+        cost += pcost + n
+    else:
+        r, left = _rewrite({cons: 1}, pde, None, budget)
+        cost = budget - left
+    built[cons] = r, cost
+    return r, cost
+
+
+def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None, budget: int) -> tuple[dict, int]:
+    """The rewriting loop: (rest, budget left) with rest the raw terms d
+    modulo the PDE and its differential consequences, emptying one
+    bucket per consequence jet as the module docstring describes, and
+    every term product spent from budget.
+
+    When quotients is a dict, each replaced term base * u_m^e, with
+    m = L + K, also adds the telescoped quotient
 
         base * sum_{k<e} u_m^k (D^K g)^(e-1-k)
 
@@ -308,10 +261,7 @@ def _rewrite(d: dict, pde: NormalPDE) -> tuple[dict, dict]:
     """
     lt, lx = pde.lead
     top, split, mul_into = pde._top, _k.split_jet, _k.mul_into
-    # term products left; a high-order jet can demand unbounded work
-    budget = _k.MAX_PRODUCTS
     out: dict = {}
-    quotients: dict = {}
     # greatest consequence jet -> terms; the terms without one are the rest
     buckets: dict = {_NO_JET: out}
     for mono, coeff in d.items():
@@ -319,8 +269,10 @@ def _rewrite(d: dict, pde: NormalPDE) -> tuple[dict, dict]:
     while True:
         m = max(buckets)
         if m == _NO_JET:
-            return out, quotients
-        quotient = quotients.setdefault((m[0] - lt, m[1] - lx), {})
+            return out, budget
+        quotient = None
+        if quotients is not None:
+            quotient = quotients.setdefault((m[0] - lt, m[1] - lx), {})
         # exponent e -> the number of terms of (D^K g)^e, and its terms
         # grouped by their greatest consequence jet
         powers: dict = {}
@@ -342,10 +294,11 @@ def _rewrite(d: dict, pde: NormalPDE) -> tuple[dict, dict]:
                 if tgt is None:
                     tgt = buckets[dest] = {}
                 mul_into(tgt, base, coeff, terms)
-            for k in range(e):
-                p = pde.consequence_pow(m, e - 1 - k)
-                budget = _k.spend(budget, len(p))
-                mul_into(quotient, _k.times_jet(base, m, k) if k else base, coeff, p)
+            if quotient is not None:
+                for k in range(e):
+                    p = pde.consequence_pow(m, e - 1 - k)
+                    budget = _k.spend(budget, len(p))
+                    mul_into(quotient, _k.times_jet(base, m, k) if k else base, coeff, p)
 
 
 class LinDiffOp:
@@ -404,9 +357,9 @@ class LinDiffOp:
 def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
     """Write f, assumed to vanish on the solution space, as R(G).
 
-    The bucket loop runs once and collects, for every consequence jet
-    u_{L+K} it empties, the telescoped quotient of the terms it replaces
-    (see _rewrite), so that
+    The rewriting loop runs once on f and collects, for every
+    consequence jet u_{L+K} it empties, the telescoped quotient of the
+    terms it replaces (see _rewrite), so that
 
         f = restrict(f) + sum_K c_K D_t^kt D_x^kx G    identically.
 
@@ -415,10 +368,12 @@ def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
     Polynomial rings have no zero divisors, so each c_K is unique: it is
     the part of f, written in the variables D^K G in place of the
     consequence jets, whose greatest such variable is D^K G, divided by
-    it.  Different valid operators for the same f differ only by operators whose
+    it.  Different
+    valid operators for the same f differ only by operators whose
     coefficients vanish on the solution space.
     """
-    rest, quotients = _rewrite(f._d, pde)
+    quotients: dict = {}
+    rest, _ = _rewrite(f._d, pde, quotients, _k.MAX_PRODUCTS)
     if rest:
         raise NotOnSolutionSpace(DiffExpr._raw(rest))
     return LinDiffOp({K: DiffExpr._raw(q) for K, q in quotients.items()})

@@ -6,9 +6,10 @@ current <-> multiplier round trip holds, on the solution space; each
 query raises its typed error exactly when the public check of its
 precondition is false; every query scales exactly with the scalar
 multiples of its arguments, and its errors show the arguments as
-given; and restriction, which builds memoized restrictions of
-consequence monomials, agrees with the sympy reference and with the
-remainder of operator extraction, which runs a bucket loop."""
+given; and restriction, which multiplies memoized restrictions of
+consequence parts, agrees with the sympy reference and with the
+remainder of operator extraction, which runs the bucket loop on the
+whole input."""
 
 import functools
 import random
@@ -18,6 +19,7 @@ import pytest
 
 import oracle
 from helpers import random_expr
+from jetlaw._kernel import impl as kernel
 from jetlaw.conslaw import (
     Ansatz,
     check_adjoint_symmetry,
@@ -278,23 +280,42 @@ def test_errors_show_the_fractional_arguments_as_given():
     assert len(seen) == 4, seen
 
 
-def test_restriction_agrees_with_the_reference_and_with_extraction():
-    # the inputs draw powers of a few consequence jets, so that later
-    # calls on a PDE reuse the memoized restrictions of earlier ones
+def _random_inputs(rng, pool, count):
+    """Sums of one or two small terms times powers of the pool's jets."""
+    for _ in range(count):
+        f = DiffExpr()
+        for _ in range(rng.randint(1, 2)):
+            m = _small(rng)
+            for _ in range(rng.randint(1, 2)):
+                m = m * rng.choice(pool) ** rng.randint(1, 2)
+            f = f + m
+        yield f
+
+
+def test_restriction_agrees_with_the_reference_and_with_extraction(monkeypatch):
+    # the inputs are powers of a few consequence jets and then products
+    # of them, so that later calls on a PDE reuse the memoized
+    # restrictions of earlier ones, and multiply those of the powers
+    # with those of the products below them
     rng = random.Random(77)
     checked = 0
+    # the products restrict makes: each multiplies two memoized restrictions
+    products = []
+    mul = kernel.mul
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
     for pde, _ in _random_problems(rng, 8, LEADS + [(2, 1)]):
         lt, lx = pde.lead
         pool = [jet(lt + a, lx + b) for a in range(2) for b in range(2) if a + b < 2]
         rhs = oracle.to_sympy(pde.rhs)
-        for _ in range(3):
-            f = DiffExpr()
-            for _ in range(rng.randint(1, 2)):
-                m = _small(rng)
-                for _ in range(rng.randint(1, 2)):
-                    m = m * rng.choice(pool) ** rng.randint(1, 2)
-                f = f + m
+        powers = [p**e for p in pool for e in (1, 2)]
+        for f in powers + list(_random_inputs(rng, pool, 3)):
+            monkeypatch.setattr(kernel, "mul", counted)
             r = restrict(f, pde)
+            monkeypatch.setattr(kernel, "mul", mul)
             assert oracle.from_sympy(oracle.restrict(oracle.to_sympy(f), (lt, lx), rhs)) == r, (pde, f)
             if not r.is_zero:
                 with pytest.raises(NotOnSolutionSpace) as info:
@@ -303,4 +324,4 @@ def test_restriction_agrees_with_the_reference_and_with_extraction():
                 checked += 1
             assert restrict(f - r, pde).is_zero
             assert extract_operator(f - r, pde).apply(pde.G) == f - r, (pde, f)
-    assert checked > 15
+    assert checked > 60 and len(products) > 40

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -148,38 +149,98 @@ def test_per_equation_memos_are_cleared_at_their_caps(monkeypatch):
     # them with; results do not depend on it
     kdv = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
     inputs = [jet(1, k) ** e * jet(0, e) + jet(2, 0) * jet(1, k) for k in range(3) for e in range(1, 4)]
-    inputs += [jet(1, 1) ** 4 * u, jet(1, 0) ** 5]
+    inputs += [jet(1, 1) ** 4 * u, jet(1, 0) ** 8]
     want = [restrict(f, kdv) for f in inputs]
-    for f, r in zip(inputs, want):
-        extract_operator(f - r, kdv)
+    ops = [extract_operator(f - r, kdv) for f, r in zip(inputs, want)]
+    for f, r, op in zip(inputs, want, ops):
+        assert op.apply(kdv.G) == f - r
     for memo in (kdv._restricted, kdv._pow):
-        assert len(memo) > 3 and memo.held > 80
-    for cap, bound in ((3, 250_000), (4096, 80)):
+        assert len(memo) > 3 and memo.held > 100
+    for cap, bound in ((3, 250_000), (4096, 100)):
         monkeypatch.setattr(kernel, "MEMO_CAP", cap)
         monkeypatch.setattr(kernel, "MAX_PRODUCTS", bound)
         pde = make_pde(kdv.lead, kdv.rhs)
-        for f, r in zip(inputs, want):
+        for f, r, op in zip(inputs, want, ops):
             assert restrict(f, pde) == r
-            assert extract_operator(f - r, pde).apply(pde.G) == f - r
+            assert extract_operator(f - r, pde) == op
             for memo in (pde._restricted, pde._pow):
                 assert 0 < len(memo) <= cap and memo.held <= bound
-                assert memo.held == sum(map(len, memo.values()))
+            assert pde._pow.held == sum(map(len, pde._pow.values()))
+            assert pde._restricted.held == sum(len(r) for r, _ in pde._restricted.values())
+
+
+def _linear_restriction(a, b, shift):
+    """R(u_(a,b)) on the linear u_tx = u_t + D_x^shift u by its recursion
+    R(u_(a,b)) = R(u_(a,b-1)) + R(u_(a-1,b-1+shift)), as {jet: coefficient}."""
+    table = {}
+    # every (i, j) the recursion reaches, each after both it needs
+    for i in range(a + 1):
+        for j in range(b + max(shift - 1, 0) * (a - i) + 1):
+            if i == 0 or j == 0:
+                table[i, j] = {(i, j): 1}
+            else:
+                row = dict(table[i, j - 1])
+                for idx, c in table[i - 1, j - 1 + shift].items():
+                    row[idx] = row.get(idx, 0) + c
+                table[i, j] = row
+    return table[a, b]
 
 
 def test_restrict_follows_long_chains_of_jets():
     # u[64,0] and u[32,32], the highest jets the grammar takes, restrict
-    # through chains of 32 to 64 consequence jets, each needing the next
-    # lower; they are built lowest first in a loop, not by recursion
+    # through chains of 32 to 128 consequence jets, each needing the next
+    # lower, without recursion and with the answers of the recursions
     heat = make_pde((1, 0), u_xx)
     assert restrict(jet(64, 0), heat) == jet(0, 128)
     assert restrict(jet(32, 32), heat) == jet(0, 96)
-    # u_tx = u_t + u: R(u_(a,b)) = R(u_(a,b-1)) + R(u_(a-1,b-1))
+    # u_t = u_xx + u: R(u_(a,0)) = (D_x^2 + 1)^a u
+    damped = make_pde((1, 0), u_xx + u)
+    assert restrict(jet(64, 0), damped) == sum((math.comb(64, k) * jet(0, 2 * k) for k in range(65)), ZERO)
+    for shift in (0, 3):
+        # u_tx = u_t + D_x^shift u
+        mixed = make_pde((1, 1), jet(1, 0) + jet(0, shift))
+        assert restrict(jet(64, 0), mixed) == jet(64, 0)
+        want = sum((c * jet(*idx) for idx, c in _linear_restriction(32, 32, shift).items()), ZERO)
+        assert len(want._d) == {0: 33, 3: 126}[shift]
+        assert restrict(jet(32, 32), mixed) == want
     mixed = make_pde((1, 1), jet(1, 0) + u)
-    assert restrict(jet(64, 0), mixed) == jet(64, 0)
     f = jet(32, 32) * jet(64, 0)
     r = restrict(f, mixed)
     assert not any(mixed.is_consequence(idx) for idx in r.jet_indices())
     assert extract_operator(f - r, mixed).apply(mixed.G) == f - r
+
+
+def test_refusals_repeat_and_leave_the_memo_alone(monkeypatch):
+    # R(u_ttt) on KdV takes 51 term products to build and has 13 terms,
+    # so u_ttt costs 64 and u_ttt (1 + u + u^2 + u^3) 51 + 4 * 13 = 103;
+    # a memo hit is charged what the entry took to build, so the second
+    # is refused at a bound of 80 however often it is tried, and after
+    # the first has filled the memo
+    monkeypatch.setattr(kernel, "MAX_PRODUCTS", 80)
+    kdv = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
+    f = jet(3, 0) * (1 + u + u**2 + u**3)
+    for _ in range(2):
+        with pytest.raises(JetLawError, match="^work exceeds 80 terms$"):
+            restrict(f, kdv)
+        assert not kdv._restricted
+    r = restrict(jet(3, 0), kdv)
+    assert len(r._d) == 13
+    assert list(kdv._restricted.values()) == [(r._d, 51)]
+    with pytest.raises(JetLawError, match="^work exceeds 80 terms$"):
+        restrict(f, kdv)
+    monkeypatch.setattr(kernel, "MAX_PRODUCTS", 103)
+    assert restrict(f, kdv) == r * (1 + u + u**2 + u**3)
+    # u_ttt + u_tt^2 costs 64 + 81: refused at 100 after R(u_ttt) is
+    # built, which the refused call does not keep
+    monkeypatch.setattr(kernel, "MAX_PRODUCTS", 100)
+    kdv = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
+    for _ in range(2):
+        with pytest.raises(JetLawError, match="^work exceeds 100 terms$"):
+            restrict(jet(3, 0) + jet(2, 0) ** 2, kdv)
+        assert not kdv._restricted
+    assert restrict(jet(3, 0), kdv) == r
+    assert len(restrict(jet(2, 0) ** 2, kdv)._d) == 21
+    assert len(kdv._restricted) == 2
 
 
 def test_lin_diff_op_apply_and_order():
