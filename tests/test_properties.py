@@ -19,7 +19,7 @@ import pytest
 
 import oracle
 from helpers import random_expr
-from jetlaw._kernel import impl as kernel
+from jetlaw import soln
 from jetlaw.conslaw import (
     Ansatz,
     check_adjoint_symmetry,
@@ -299,23 +299,24 @@ def test_restriction_agrees_with_the_reference_and_with_extraction(monkeypatch):
     # with those of the products below them
     rng = random.Random(77)
     checked = 0
-    # the products restrict makes: each multiplies two memoized restrictions
-    products = []
-    mul = kernel.mul
+    # every memo entry is one run of the rewriting loop on a consequence
+    # part or the product of two entries
+    loops = []
+    rewrite = soln._rewrite
 
-    def counted(a, b):
-        products.append(1)
-        return mul(a, b)
+    def counted(d, pde, quotients, budget):
+        loops.append(quotients is None)
+        return rewrite(d, pde, quotients, budget)
 
+    monkeypatch.setattr(soln, "_rewrite", counted)
+    entries = 0
     for pde, _ in _random_problems(rng, 8, LEADS + [(2, 1)]):
         lt, lx = pde.lead
         pool = [jet(lt + a, lx + b) for a in range(2) for b in range(2) if a + b < 2]
         rhs = oracle.to_sympy(pde.rhs)
         powers = [p**e for p in pool for e in (1, 2)]
         for f in powers + list(_random_inputs(rng, pool, 3)):
-            monkeypatch.setattr(kernel, "mul", counted)
             r = restrict(f, pde)
-            monkeypatch.setattr(kernel, "mul", mul)
             assert oracle.from_sympy(oracle.restrict(oracle.to_sympy(f), (lt, lx), rhs)) == r, (pde, f)
             if not r.is_zero:
                 with pytest.raises(NotOnSolutionSpace) as info:
@@ -324,4 +325,5 @@ def test_restriction_agrees_with_the_reference_and_with_extraction(monkeypatch):
                 checked += 1
             assert restrict(f - r, pde).is_zero
             assert extract_operator(f - r, pde).apply(pde.G) == f - r, (pde, f)
-    assert checked > 60 and len(products) > 40
+        entries += len(pde._restricted)
+    assert checked > 60 and entries - sum(loops) > 10

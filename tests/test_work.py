@@ -29,7 +29,8 @@ def _counted(monkeypatch, module, name):
 
 def test_queries_rewrite_once_per_operator(kdv, monkeypatch):
     calls = _counted(monkeypatch, soln, "_rewrite")
-    # restrict does not run the extraction's loop, so it is counted apart
+    # restrict runs the loop only on the consequence parts its memo
+    # lacks, so it is counted apart
     restricts = [_counted(monkeypatch, m, "restrict") for m in (conslaw, symmetry)]
     cur = current_from_multiplier(ENERGY, kdv)
     assert conslaw.verify_conservation_law(cur, kdv) and symmetry.check_symmetry(GALILEAN, kdv)
