@@ -29,12 +29,15 @@ encode and decode convert between a key and the tuple form
 which orders monomials for printing and for the ansatz.  No other
 module builds or takes apart a key: they use encode, decode and the
 helpers below.  What depends on the jet part of a key alone, its
-sorted factors, its D_t and D_x steps and soln's consequence part and
-greatest consequence jet, is memoized per jet part, so the hot loops
-decode a jet part only on a memo miss.  Each of these memos is cleared
-when it reaches MEMO_CAP entries, as the re module's cache once was, so
-none grows without bound; the deltas of single jets are kept, one per
-jet like the slot table.
+sorted factors, its D_t and D_x steps and, through jet_part_splitter,
+soln's consequence part and greatest consequence jet, is memoized per
+jet part, so the hot loops decode a jet part only on a memo miss.
+
+Memo is the one rule for every memo of the program, here and in soln:
+keep clears it before an entry would take it past MEMO_CAP entries or
+MAX_PRODUCTS held terms, as the re module's cache once was, so none
+grows without bound.  The deltas of single jets are kept, one per jet
+like the slot table.
 
 A coefficient is an int while only integers made it and a Fraction
 once a Fraction takes part, as in Python's numeric tower; a Fraction is
@@ -60,7 +63,7 @@ from ..errors import ExponentOverflow, JetLawError
 # bits per field; the largest degree or exponent a field holds
 W = 16
 CAP = (1 << (W - 1)) - 1
-# entries at which a memo keyed by jet parts is cleared
+# entries at which a Memo is cleared
 MEMO_CAP = 4096
 # terms one product, rewrite or derivative chain may build: about a second
 MAX_PRODUCTS = 250_000
@@ -113,12 +116,29 @@ def _intern(nt: int, nx: int) -> int:
     return off
 
 
-def _remember(memo: dict, k, v):
-    """memo[k] = v, first clearing a memo that holds MEMO_CAP entries."""
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-    memo[k] = v
-    return v
+# below every jet, so max(NO_JET, j) == j
+NO_JET = (-1, -1)
+
+
+class Memo(dict):
+    """Entries by key, each holding some number of terms, cleared before
+    an entry would make it hold more than MEMO_CAP entries or
+    MAX_PRODUCTS terms together; held counts those terms."""
+
+    __slots__ = ("held",)
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+
+    def keep(self, key, value, terms: int = 0):
+        """self[key] = value, holding terms more terms; returns value."""
+        if len(self) >= MEMO_CAP or self.held + terms > MAX_PRODUCTS:
+            self.clear()
+            self.held = 0
+        self[key] = value
+        self.held += terms
+        return value
 
 
 def _scan(jp: int) -> list:
@@ -137,7 +157,7 @@ def _scan(jp: int) -> list:
 
 
 # jet part -> its sorted (nt, nx, e) factors
-_factors: dict = {}
+_factors = Memo()
 
 
 def _jets(jp: int) -> tuple:
@@ -145,7 +165,7 @@ def _jets(jp: int) -> tuple:
     by (nt, nx)."""
     jets = _factors.get(jp)
     if jets is None:
-        jets = _remember(_factors, jp, tuple((nt, nx, e) for (nt, nx), e, _ in _scan(jp)))
+        jets = _factors.keep(jp, tuple((nt, nx, e) for (nt, nx), e, _ in _scan(jp)))
     return jets
 
 
@@ -209,35 +229,24 @@ def times_jet(key: int, jet, k: int) -> int:
     return key
 
 
-def per_jet_part(fn):
-    """The function key -> fn(jets), jets the sorted (nt, nx, e) factors
-    of the key, memoized per jet part; fn must not return None.  The
-    memo, at most MEMO_CAP entries, is the function's attribute memo."""
-    memo: dict = {}
+def jet_part_splitter(keep):
+    """The function key -> (rest, part, top): part the key of the jet
+    factors u_(nt,nx)^e of key with keep((nt, nx)) true, rest the key of
+    the others, so that key = rest * part, and top the greatest (nt, nx)
+    of part, or NO_JET when part is ONE_MONO.  part and top are memoized
+    per jet part in the function's attribute memo, a Memo."""
+    memo = Memo()
 
-    def get(key):
+    def split(key):
         jp = key >> _JETS
         v = memo.get(jp)
         if v is None:
-            v = _remember(memo, jp, fn(_jets(jp)))
-        return v
+            kept = [(jet, e << off) for jet, e, off in _scan(jp) if keep(jet)]
+            v = memo.keep(jp, (sum(f for _, f in kept), kept[-1][0] if kept else NO_JET))
+        part, top = v
+        return key - part, part, top
 
-    get.memo = memo
-    return get
-
-
-def jet_part_splitter(keep):
-    """The function key -> (rest, part), part the key of the jet factors
-    u_(nt,nx)^e of key with keep((nt, nx)) true and rest the key of the
-    others, so that key = rest * part.  part is memoized per jet part as
-    by per_jet_part, in the function's attribute memo."""
-    part_of = per_jet_part(lambda jets: encode(0, 0, [f for f in jets if keep(f[:2])]))
-
-    def split(key):
-        part = part_of(key)
-        return key - part, part
-
-    split.memo = part_of.memo
+    split.memo = memo
     return split
 
 
@@ -331,8 +340,8 @@ def diff_jet(a, nt, nx):
 
 
 # jet part -> its steps under D_t, and under D_x
-_steps_t: dict = {}
-_steps_x: dict = {}
+_steps_t = Memo()
+_steps_x = Memo()
 # (nt, nx) -> the delta of its step under D_t, and under D_x; one entry
 # per jet, as in the slot table
 _delta_t: dict = {}
@@ -355,7 +364,7 @@ def _steps(jp: int, memo: dict, deltas: dict, dt: int, dx: int) -> tuple:
         raised = {(nt + dt, nx + dx) for (nt, nx), _, _ in factors}
         if any(e == CAP and jet in raised for jet, e, _ in factors):
             raise _overflow()
-    return _remember(memo, jp, tuple(steps))
+    return memo.keep(jp, tuple(steps))
 
 
 def _total(a, off: int, memo: dict, deltas: dict, dt: int, dx: int) -> dict:

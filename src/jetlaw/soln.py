@@ -16,10 +16,12 @@ and the buckets are emptied from the greatest down, each exactly once:
 in each term base * u_m^e the power is replaced by the memoized
 (D^K g)^e, whose products with base only land in lower buckets or in
 the result.  The powers are memoized on the NormalPDE, next to the
-derivatives D^K g themselves, and so is the greatest consequence jet of
-each jet part (in a memo of the kernel's capped kind): the kernel's keys
-give jets slots in first-use order, not in lex order, so that jet is
+derivatives D^K g themselves, each already filed by the greatest
+consequence jet of its terms.  That jet, with the consequence part, is
+memoized per jet part in the kernel's jet_part_splitter: the kernel's
+keys give jets slots in first-use order, not in lex order, so it is
 found from the decoded factors once per jet part and then looked up.
+Every memo here is a kernel Memo, under the kernel's one clearing rule.
 
 Restriction is a ring homomorphism R onto the polynomials free of
 consequence jets that fixes t, x and every other jet.  So restrict
@@ -53,40 +55,20 @@ from .expr import DiffExpr, _as_jet_index, jet
 from .grammar import format_brief
 
 
-class _TermMemo(dict):
-    """Entries by key, each holding some number of terms, cleared before
-    an entry that would make it hold more than MEMO_CAP entries or
-    MAX_PRODUCTS terms together."""
-
-    __slots__ = ("held",)
-
-    def __init__(self):
-        super().__init__()
-        self.held = 0
-
-    def keep(self, key, value, terms: int):
-        if len(self) >= _k.MEMO_CAP or self.held + terms > _k.MAX_PRODUCTS:
-            self.clear()
-            self.held = 0
-        self[key] = value
-        self.held += terms
-        return value
-
-
 class NormalPDE:
     """A scalar PDE u_L = g in normal solved form.
 
     Attributes: lead (JetIndex L), rhs (g), G (u_L - g).  Instances
     memoize what restriction and operator extraction need: the total
-    derivatives of g, which hold at most the kernel's MAX_PRODUCTS terms
-    together; the powers of those derivatives and the restrictions of
-    consequence parts, two memos each cleared when it reaches the
-    kernel's MEMO_CAP entries or MAX_PRODUCTS terms; and the consequence
-    part and greatest consequence jet of each jet part, in the kernel's
-    capped memos.  So reuse one instance per equation.
+    derivatives of g, of which each call may build MAX_PRODUCTS terms
+    and which are dropped between calls once they hold more; and, in
+    kernel Memos, the consequence part and greatest consequence jet of
+    each jet part, the powers of the derivatives filed by that jet, and
+    the restrictions of consequence parts.  So reuse one instance per
+    equation.
     """
 
-    __slots__ = ("lead", "rhs", "G", "_drhs", "_pow", "_top", "_split", "_restricted")
+    __slots__ = ("lead", "rhs", "G", "_drhs", "_split", "_pow", "_restricted")
 
     def __init__(self, lead, rhs: DiffExpr):
         lead = _as_jet_index(lead)
@@ -105,34 +87,32 @@ class NormalPDE:
         self.rhs = rhs
         self.G = jet(lead.nt, lead.nx) - rhs
         self._drhs = _DerivCache(rhs._d)
-        # (jet, e) -> (D^K g)^e
-        self._pow = _TermMemo()
-        # monomial key -> its greatest consequence jet
-        self._top = _k.per_jet_part(lambda jets: _top_consequence(jets, lead.nt, lead.nx))
-        # monomial key -> (free factors, consequence part)
-        self._split = _k.jet_part_splitter(lambda idx: idx[0] >= lead.nt and idx[1] >= lead.nx)
+        # monomial key -> (free factors, consequence part, its greatest jet)
+        self._split = _k.jet_part_splitter(self.is_consequence)
+        # (jet, e) -> (D^K g)^e as consequence_pow returns it
+        self._pow = _k.Memo()
         # consequence part c -> (R(c), the term products building it took)
-        self._restricted = _TermMemo()
+        self._restricted = _k.Memo()
 
     def is_consequence(self, idx) -> bool:
         """Whether u_idx is solved by a differential consequence of G."""
         nt, nx = idx
         return nt >= self.lead.nt and nx >= self.lead.nx
 
-    def consequence_raw(self, idx) -> dict:
-        """Raw terms of D_t^kt D_x^kx g for u_idx = u_{L + (kt,kx)}."""
-        nt, nx = idx
-        return self._drhs.get(nt - self.lead.nt, nx - self.lead.nx)
-
-    def consequence_pow(self, idx, e: int) -> dict:
-        """Raw terms of (D_t^kt D_x^kx g)^e for u_idx = u_{L + (kt,kx)};
-        idx is an (nt, nx) pair."""
+    def consequence_pow(self, idx, e: int) -> tuple:
+        """(n, groups) for the n raw terms of (D_t^kt D_x^kx g)^e, with
+        u_idx = u_{L + (kt,kx)} and idx an (nt, nx) pair: groups lists
+        (jet, terms) pairs that file the terms by their greatest
+        consequence jet, in the order of first appearance."""
         key = (idx, e)
-        p = self._pow.get(key)
-        if p is None:
-            p = _k.pow_(self.consequence_raw(idx), e)
-            self._pow.keep(key, p, len(p))
-        return p
+        filed = self._pow.get(key)
+        if filed is None:
+            p = _k.pow_(self._drhs.get(idx[0] - self.lead.nt, idx[1] - self.lead.nx), e)
+            groups: dict = {}
+            for pk, pc in p.items():
+                groups.setdefault(self._split(pk)[2], {})[pk] = pc
+            filed = self._pow.keep(key, (len(p), list(groups.items())), len(p))
+        return filed
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,21 +136,6 @@ def make_pde(lead, rhs: DiffExpr) -> NormalPDE:
     return NormalPDE(lead, rhs)
 
 
-# below every jet, so max(_NO_JET, j) == j
-_NO_JET = (-1, -1)
-
-
-def _top_consequence(jets: tuple, lt: int, lx: int):
-    """The lex-greatest consequence jet (nt, nx) among sorted (nt, nx, e)
-    factors for the lead (lt, lx), or _NO_JET if there is none."""
-    for nt, nx, _ in reversed(jets):
-        if nt < lt:
-            break
-        if nx >= lx:
-            return (nt, nx)
-    return _NO_JET
-
-
 def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     """Rewrite f modulo the PDE and its differential consequences.
 
@@ -188,14 +153,17 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     and each term the products of its free factors with R(c).  What a
     call builds is kept in the memo only if the call is not refused, so
     a refused call leaves the memo as it found it, and a jet such as
-    u[64,0] on KdV is refused with the kernel's message.
+    u[64,0] on KdV is refused with the kernel's message.  The
+    derivatives of g that the call builds are paid from a budget of
+    their own, as on a fresh NormalPDE.
     """
     split = pde._split
+    pde._drhs.renew()
     out: dict = {}
     # consequence part -> the free factors and coefficients of its terms
     parts: dict = {}
     for mono, coeff in f._d.items():
-        free, cons = split(mono)
+        free, cons, _ = split(mono)
         if cons:
             parts.setdefault(cons, []).append((free, coeff))
         else:
@@ -204,7 +172,7 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     # consequence part -> (R of it, the products building it took), for
     # the parts this call builds
     built: dict = {}
-    for cons in sorted(parts, key=pde._top, reverse=True):
+    for cons in sorted(parts, key=lambda c: split(c)[2], reverse=True):
         r, cost = _restricted_part(cons, pde, budget, built)
         budget -= cost
         for free, coeff in parts[cons]:
@@ -227,7 +195,7 @@ def _restricted_part(cons: int, pde: NormalPDE, budget: int, built: dict) -> tup
     if known is not None:
         _k.spend(budget, known[1])
         return known
-    m = pde._top(cons)
+    m = pde._split(cons)[2]
     e, rest = _k.split_jet(cons, m)
     below = rest and (built.get(rest) or pde._restricted.get(rest))
     if below:
@@ -260,33 +228,23 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None, budget: int) -> tu
     exactly.
     """
     lt, lx = pde.lead
-    top, split, mul_into = pde._top, _k.split_jet, _k.mul_into
+    parts, split, mul_into = pde._split, _k.split_jet, _k.mul_into
     out: dict = {}
     # greatest consequence jet -> terms; the terms without one are the rest
-    buckets: dict = {_NO_JET: out}
+    buckets: dict = {_k.NO_JET: out}
     for mono, coeff in d.items():
-        buckets.setdefault(top(mono), {})[mono] = coeff
+        buckets.setdefault(parts(mono)[2], {})[mono] = coeff
     while True:
         m = max(buckets)
-        if m == _NO_JET:
+        if m == _k.NO_JET:
             return out, budget
         quotient = None
         if quotients is not None:
             quotient = quotients.setdefault((m[0] - lt, m[1] - lx), {})
-        # exponent e -> the number of terms of (D^K g)^e, and its terms
-        # grouped by their greatest consequence jet
-        powers: dict = {}
         for mono, coeff in buckets.pop(m).items():
             e, base = split(mono, m)
-            btop = top(base)
-            filed = powers.get(e)
-            if filed is None:
-                p = pde.consequence_pow(m, e)
-                groups: dict = {}
-                for pk, pc in p.items():
-                    groups.setdefault(top(pk), {})[pk] = pc
-                filed = powers[e] = (len(p), list(groups.items()))
-            n, groups = filed
+            btop = parts(base)[2]
+            n, groups = pde.consequence_pow(m, e)
             budget = _k.spend(budget, n)
             for ptop, terms in groups:
                 dest = btop if btop > ptop else ptop
@@ -296,9 +254,11 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None, budget: int) -> tu
                 mul_into(tgt, base, coeff, terms)
             if quotient is not None:
                 for k in range(e):
-                    p = pde.consequence_pow(m, e - 1 - k)
-                    budget = _k.spend(budget, len(p))
-                    mul_into(quotient, _k.times_jet(base, m, k) if k else base, coeff, p)
+                    n, groups = pde.consequence_pow(m, e - 1 - k)
+                    budget = _k.spend(budget, n)
+                    key = _k.times_jet(base, m, k) if k else base
+                    for _, terms in groups:
+                        mul_into(quotient, key, coeff, terms)
 
 
 class LinDiffOp:
@@ -373,6 +333,7 @@ def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
     coefficients vanish on the solution space.
     """
     quotients: dict = {}
+    pde._drhs.renew()
     rest, _ = _rewrite(f._d, pde, quotients, _k.MAX_PRODUCTS)
     if rest:
         raise NotOnSolutionSpace(DiffExpr._raw(rest))

@@ -489,8 +489,8 @@ def test_print_and_ansatz_order_follow_the_tuple_order(kdv):
 
 def test_jet_part_memos_stay_within_their_cap(kdv):
     # more distinct jet parts than the cap pass through every memo keyed
-    # by jet parts: the factors, the D_t and D_x steps, the consequence
-    # part of restrict and the greatest consequence jet of the rewrite;
+    # by jet parts: the factors, the D_t and D_x steps, and the
+    # consequence part and greatest consequence jet of each jet part;
     # and more distinct consequence parts than the cap through the
     # memo of their restrictions, here on u_t = u_x, where each is one
     # term
@@ -508,9 +508,37 @@ def test_jet_part_memos_stay_within_their_cap(kdv):
     g = {pure.encode(0, 0, ((1, 0, e), (1, 1, 1))): 1 for e in range(1, n + 1)}
     want = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
     assert restrict(DiffExpr._raw(g), advection) == DiffExpr._raw(want)
-    memos = (pure._factors, pure._steps_t, pure._steps_x, kdv._split.memo, kdv._top.memo)
+    memos = (pure._factors, pure._steps_t, pure._steps_x, kdv._split.memo)
     for memo in memos + (advection._split.memo, advection._restricted):
+        assert isinstance(memo, pure.Memo)
         assert 0 < len(memo) <= pure.MEMO_CAP
+
+
+def test_memo_keep_clears_at_either_cap(monkeypatch):
+    # keep clears the memo and its held count before an entry would take
+    # it past MEMO_CAP entries or MAX_PRODUCTS held terms, and returns
+    # the value it keeps
+    monkeypatch.setattr(pure, "MEMO_CAP", 3)
+    monkeypatch.setattr(pure, "MAX_PRODUCTS", 10)
+    memo = pure.Memo()
+    value = object()
+    assert memo.keep("a", value, 4) is value
+    assert memo.keep("b", 1) == 1
+    assert memo.keep("c", 2, 5) == 2
+    assert memo == {"a": value, "b": 1, "c": 2} and memo.held == 9
+    # a fourth entry clears it, though its terms would fit
+    assert memo.keep("d", 3) == 3
+    assert memo == {"d": 3} and memo.held == 0
+    memo.keep("e", 4, 10)
+    assert memo == {"d": 3, "e": 4} and memo.held == 10
+    # one term more than MAX_PRODUCTS clears it, with room for entries
+    memo.keep("f", 5, 1)
+    assert memo == {"f": 5} and memo.held == 1
+    # an entry above MAX_PRODUCTS alone is kept, and cleared by the next
+    memo.keep("g", 6, 11)
+    assert memo == {"g": 6} and memo.held == 11
+    memo.keep("h", 7)
+    assert memo == {"h": 7} and memo.held == 0
 
 
 def test_exponents_and_degrees_up_to_the_cap():

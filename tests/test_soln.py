@@ -121,9 +121,28 @@ def test_restrict_is_independent_of_memo_state(kdv, wave):
             assert f._d == before
 
 
+def _filed_powers(pde) -> set:
+    """The ids of the term dicts of the PDE's memoized powers."""
+    return {id(terms) for _, groups in pde._pow.values() for _, terms in groups}
+
+
+def _record_mul_into(monkeypatch) -> list:
+    """Patch the kernel's mul_into to record the terms it multiplies by."""
+    seen = []
+
+    def recorded(out, key, coeff, b, _fn=kernel.mul_into):
+        seen.append(b)
+        return _fn(out, key, coeff, b)
+
+    monkeypatch.setattr(kernel, "mul_into", recorded)
+    return seen
+
+
 def test_restrict_reuses_memoized_powers(monkeypatch):
     # the images of a KdV symmetries solve: a second pass over them on
-    # the same PDE computes no power and no product through the kernel
+    # the same PDE computes no power and no product through the kernel;
+    # and once the restrictions are forgotten, a third pass rebuilds them
+    # from the memoized powers as filed, without filing them again
     pde = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
     basis = ansatz_monomials(pde, Ansatz(2, 2, 1, 1), include_consequences=True)
     images = [frechet(pde.G, m) for m in basis]
@@ -140,6 +159,15 @@ def test_restrict_reuses_memoized_powers(monkeypatch):
     calls.update(pow_=0, mul=0)
     assert [restrict(f, pde) for f in images] == first
     assert calls == {"pow_": 0, "mul": 0}
+    pde._restricted.clear()
+    filed = _filed_powers(pde)
+    seen = _record_mul_into(monkeypatch)
+    assert [restrict(f, pde) for f in images] == first
+    assert calls["pow_"] == 0 and _filed_powers(pde) == filed
+    # every product is by a memoized power or by a restriction now kept
+    kept = {id(r) for r, _ in pde._restricted.values()}
+    assert sum(id(b) in filed for b in seen) > 100
+    assert all(id(b) in filed or id(b) in kept for b in seen)
 
 
 def test_per_equation_memos_are_cleared_at_their_caps(monkeypatch):
@@ -165,8 +193,28 @@ def test_per_equation_memos_are_cleared_at_their_caps(monkeypatch):
             assert extract_operator(f - r, pde) == op
             for memo in (pde._restricted, pde._pow):
                 assert 0 < len(memo) <= cap and memo.held <= bound
-            assert pde._pow.held == sum(map(len, pde._pow.values()))
+            for n, groups in pde._pow.values():
+                assert n == sum(len(terms) for _, terms in groups)
+            assert pde._pow.held == sum(n for n, _ in pde._pow.values())
             assert pde._restricted.held == sum(len(r) for r, _ in pde._restricted.values())
+
+
+def test_each_call_gets_the_derivative_budget(monkeypatch):
+    # on u_tt = u u_x u_xx, R(u[2,10]) needs D_x^1..10 g, 106 terms, and
+    # R(u[3,2]) needs D_t D_x^0..2 g, 20 more: each call may build up to
+    # MAX_PRODUCTS of them, here 110, whatever earlier calls built, and
+    # what is kept is dropped between calls once it holds more
+    pde = make_pde((2, 0), parse_expr("u*u_x*u_xx"))
+    want = [restrict(jet(2, 10), pde), restrict(jet(3, 2), pde), restrict(jet(3, 0), pde)]
+    monkeypatch.setattr(kernel, "MAX_PRODUCTS", 110)
+    pde = make_pde(pde.lead, pde.rhs)
+    with pytest.raises(JetLawError, match="^work exceeds 110 terms$"):
+        restrict(jet(2, 10) + jet(3, 2), pde)
+    pde = make_pde(pde.lead, pde.rhs)
+    assert [restrict(jet(2, 10), pde), restrict(jet(3, 2), pde)] == want[:2]
+    assert sum(map(len, pde._drhs._cache.values())) == 1 + 106 + 20
+    assert restrict(jet(3, 0), pde) == want[2]
+    assert sorted(pde._drhs._cache) == [(0, 0), (1, 0)]
 
 
 def _linear_restriction(a, b, shift):
@@ -364,8 +412,14 @@ def test_extract_operator_reuses_memoized_powers(monkeypatch):
     first = extract_operator(f, pde)
     assert calls
     calls.clear()
+    filed = _filed_powers(pde)
+    seen = _record_mul_into(monkeypatch)
     assert extract_operator(f, pde) == first
     assert calls == []
+    # the rewriting and the quotients multiply by the memoized powers as
+    # filed, and file none again
+    assert seen and all(id(b) in filed for b in seen)
+    assert _filed_powers(pde) == filed
 
 
 def test_extract_operator_known_coefficients(kdv):

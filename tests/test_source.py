@@ -137,3 +137,34 @@ def test_only_the_kernel_uses_its_private_names():
         for line, name in _private_kernel_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+def _memo_rule_uses(tree):
+    """(line, what) of each read of MEMO_CAP and each class with dict
+    as a base in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "MEMO_CAP") for a in node.names if a.name == "MEMO_CAP"]
+        elif getattr(node, "id", None) == "MEMO_CAP" or getattr(node, "attr", None) == "MEMO_CAP":
+            found.append((node.lineno, "MEMO_CAP"))
+        elif isinstance(node, ast.ClassDef):
+            names = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases]
+            if "dict" in names:
+                found.append((node.lineno, f"class {node.name}(dict)"))
+    return sorted(found)
+
+
+def test_the_memo_rule_stays_in_the_kernel():
+    # every memo is a kernel Memo, cleared by its one rule, so no module
+    # outside the kernel reads MEMO_CAP or defines a dict of its own
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.rglob("*.py"))}
+    inside, found = set(), []
+    for path, tree in trees.items():
+        for line, what in _memo_rule_uses(tree):
+            if path.parent.name == "_kernel":
+                inside.add(what)
+            else:
+                found.append(f"{path.relative_to(SRC)}:{line} {what}")
+    assert inside == {"MEMO_CAP", "class Memo(dict)"}
+    assert found == []
