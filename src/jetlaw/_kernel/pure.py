@@ -236,10 +236,11 @@ def jet_part_splitter(keep):
     of part, or NO_JET when part is ONE_MONO.  part and top are memoized
     per jet part in the function's attribute memo, a Memo."""
     memo = Memo()
+    known = memo.get
 
     def split(key):
         jp = key >> _JETS
-        v = memo.get(jp)
+        v = known(jp)
         if v is None:
             kept = [(jet, e << off) for jet, e, off in _scan(jp) if keep(jet)]
             v = memo.keep(jp, (sum(f for _, f in kept), kept[-1][0] if kept else NO_JET))
@@ -372,12 +373,14 @@ def _total(a, off: int, memo: dict, deltas: dict, dt: int, dx: int) -> dict:
     plus the chain rule over the jets, each step (dt, dx)."""
     unit = 1 << off
     out = {}
+    # bound once: a Memo's get is slower to look up than a dict's
+    known = memo.get
     for key, coeff in a.items():
         n = key >> off & _MASK
         if n:
             _acc(out, key - unit, coeff * n)
         jp = key >> _JETS
-        steps = memo.get(jp)
+        steps = known(jp)
         if steps is None:
             steps = _steps(jp, memo, deltas, dt, dx)
         for e, delta in steps:

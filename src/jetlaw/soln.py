@@ -20,8 +20,10 @@ derivatives D^K g themselves, each already filed by the greatest
 consequence jet of its terms.  That jet, with the consequence part, is
 memoized per jet part in the kernel's jet_part_splitter: the kernel's
 keys give jets slots in first-use order, not in lex order, so it is
-found from the decoded factors once per jet part and then looked up.
-Every memo here is a kernel Memo, under the kernel's one clearing rule.
+found from the key's fields once per jet part and then looked up.
+Every memo here is a kernel Memo, under the kernel's one clearing rule,
+except the derivatives D^K g: a call must not rebuild one it built, so
+they are dropped only between calls (see diffops._DerivCache).
 
 Restriction is a ring homomorphism R onto the polynomials free of
 consequence jets that fixes t, x and every other jet.  So restrict
@@ -228,12 +230,12 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None, budget: int) -> tu
     exactly.
     """
     lt, lx = pde.lead
-    parts, split, mul_into = pde._split, _k.split_jet, _k.mul_into
+    part_of, split, mul_into = pde._split, _k.split_jet, _k.mul_into
     out: dict = {}
     # greatest consequence jet -> terms; the terms without one are the rest
     buckets: dict = {_k.NO_JET: out}
     for mono, coeff in d.items():
-        buckets.setdefault(parts(mono)[2], {})[mono] = coeff
+        buckets.setdefault(part_of(mono)[2], {})[mono] = coeff
     while True:
         m = max(buckets)
         if m == _k.NO_JET:
@@ -243,7 +245,7 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None, budget: int) -> tu
             quotient = quotients.setdefault((m[0] - lt, m[1] - lx), {})
         for mono, coeff in buckets.pop(m).items():
             e, base = split(mono, m)
-            btop = parts(base)[2]
+            btop = part_of(base)[2]
             n, groups = pde.consequence_pow(m, e)
             budget = _k.spend(budget, n)
             for ptop, terms in groups:
