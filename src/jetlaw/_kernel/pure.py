@@ -33,11 +33,12 @@ sorted factors, its D_t and D_x steps and, through jet_part_splitter,
 soln's consequence part and greatest consequence jet, is memoized per
 jet part, so the hot loops decode a jet part only on a memo miss.
 
-Memo is the one rule for every memo of the program, here and in soln:
+Memo is the one rule for the memos of the program, here and in soln:
 keep clears it before an entry would take it past MEMO_CAP entries or
 MAX_PRODUCTS held terms, as the re module's cache once was, so none
 grows without bound.  The deltas of single jets are kept, one per jet
-like the slot table.
+like the slot table, and diffops' caches of derivatives, which a call
+must not drop while it uses them, are bounded per call.
 
 A coefficient is an int while only integers made it and a Fraction
 once a Fraction takes part, as in Python's numeric tower; a Fraction is
