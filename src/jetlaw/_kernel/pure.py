@@ -157,14 +157,16 @@ def _scan(jp: int) -> list:
     return out
 
 
-# jet part -> its sorted (nt, nx, e) factors
+# jet part -> its sorted (nt, nx, e) factors; its get bound once, as a
+# Memo's is slower to look up than a dict's and clear keeps the object
 _factors = Memo()
+_known_factors = _factors.get
 
 
 def _jets(jp: int) -> tuple:
     """The (nt, nx, e) factors of the jet part jp = key >> _JETS, sorted
     by (nt, nx)."""
-    jets = _factors.get(jp)
+    jets = _known_factors(jp)
     if jets is None:
         jets = _factors.keep(jp, tuple((nt, nx, e) for (nt, nx), e, _ in _scan(jp)))
     return jets
@@ -188,6 +190,15 @@ def decode(key: int) -> tuple:
     """The tuple form (t_deg, x_deg, jets) of a key, jets its
     (nt, nx, e) factors sorted by (nt, nx)."""
     return key & _MASK, key >> W & _MASK, _jets(key >> _JETS)
+
+
+def mono_mul(a: int, b: int) -> int:
+    """The key of the product of the monomials of keys a and b.  Raises
+    ExponentOverflow for a degree or exponent above CAP."""
+    key = a + b
+    if key & _guards:
+        raise _overflow()
+    return key
 
 
 def split_tx(key: int) -> tuple:

@@ -20,13 +20,26 @@ ExprSyntaxError before any power or jet is built, so that one huge
 literal cannot demand unbounded time or memory.  So do integer literals
 longer than the interpreter converts, and products and powers that
 would take the kernel more than its MAX_PRODUCTS term products to expand.
+Nesting is bounded by the recursion of the parser alone: past the
+interpreter's recursion limit it raises ExprSyntaxError.
+
+parse_expr splits the text on its tokens with one regex and reads them
+by recursive descent into the kernel's raw terms.  A term folds its
+integers, t, x, jets, their powers and parenthesized expressions of one
+term into one monomial key and an integer numerator and denominator, so
+it makes at most one Fraction; the kernel's pow_ takes the powers of
+parenthesized expressions, and its mul multiplies only those of two or
+more terms.  A coefficient is a Fraction exactly when a '/' or a
+Fraction took part in it, as with DiffExpr's operators: 4/2*u has the
+coefficient Fraction(2, 1), and (u + 1/2)*2 the int 2 on u.
 
 format_expr is the canonical printer: terms in descending monomial
 order, explicit '*' between factors, coefficients as integers or
-fractions.  parse(format_expr(e)) == e for every expression it prints;
-it refuses coefficients with more digits than the parser accepts.
-format_brief is the bounded printer of error messages: it abbreviates
-long expressions and oversized coefficients instead of refusing them.
+fractions, read off their numerators and denominators.
+parse(format_expr(e)) == e for every expression it prints; it refuses
+coefficients with more digits than the parser accepts.  format_brief is
+the bounded printer of error messages: it abbreviates long expressions
+and oversized coefficients instead of refusing them.
 """
 
 from __future__ import annotations
@@ -38,186 +51,181 @@ from math import comb
 
 from ._kernel import impl as _k
 from .errors import DivisionByZero, ExprSyntaxError, JetLawError, NonPolynomial
-from .expr import DiffExpr, const, jet, t, x
+from .expr import DiffExpr
 
 MAX_EXPONENT = 256
 MAX_JET_ORDER = 64
 
-_TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<int>\d+)
-      | (?P<jet>u_[tx]+)
-      | (?P<name>[utx])
-      | (?P<op>[-+*/^()\[\],])
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, value, position) triples, without whitespace."""
-    out = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group(), pos))
-        pos = m.end()
-    out.append(("end", "", n))
-    return out
+# split on the tokens, the pieces between them must be whitespace
+_TOKEN = re.compile(r"(\d+|u_[tx]+|[-+*/^()\[\],tux])")
+# the monomial 1, through which mul_into adds one term to a sum
+_UNIT = {_k.ONE_MONO: 1}
 
 
 class _Parser:
+    """Recursive descent over the tokens of text.  A factor is a tuple
+    (key, c, poly): c times the monomial of key when poly is None, else
+    c times poly, a dict of two or more terms."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
+        self.parts = parts = _TOKEN.split(text)
+        if "".join(parts[::2]).strip():
+            j = next(j for j in range(0, len(parts), 2) if parts[j].strip())
+            bad = parts[j].lstrip()
+            pos = sum(map(len, parts[: j + 1])) - len(bad)
+            raise ExprSyntaxError(f"unexpected character {bad[0]!r}", pos)
+        self.toks = parts[1::2] + [""]
         self.i = 0
 
-    def peek(self):
-        return self.toks[self.i]
+    def error(self, message: str, i: int) -> ExprSyntaxError:
+        """The syntax error at the i-th token."""
+        return ExprSyntaxError(message, sum(map(len, self.parts[: 2 * i + 1])))
 
-    def next(self):
-        tok = self.toks[self.i]
+    def expect(self, op: str) -> None:
+        if self.toks[self.i] != op:
+            raise self.error(f"expected {op!r}", self.i)
         self.i += 1
-        return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
+    def integer(self, cap: int, what: str) -> int:
+        """The value of the integer literal at the current token, checked
+        on its digits against cap so that a huge one is never converted."""
+        if not self.toks[self.i].isdecimal():
+            raise self.error("expected an integer", self.i)
+        digits = self.toks[self.i].lstrip("0") or "0"
+        if len(digits) > len(str(cap)) or int(digits) > cap:
+            raise self.error(f"{what} exceeds {cap}", self.i)
+        self.i += 1
+        return int(digits)
 
-    def parse(self) -> DiffExpr:
-        e = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {val!r}", pos)
-        return e
+    def check_products(self, products: int, i: int) -> None:
+        if products > _k.MAX_PRODUCTS:
+            raise self.error(f"expansion exceeds {_k.MAX_PRODUCTS} term products", i)
 
-    def expr(self) -> DiffExpr:
-        e = self.term()
+    def parse(self) -> dict:
+        out = self.expr()
+        if self.toks[self.i]:
+            raise self.error(f"unexpected {self.toks[self.i]!r}", self.i)
+        return out
+
+    def expr(self) -> dict:
+        out, sign = {}, 1
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = e + rhs if val == "+" else e - rhs
+            self.term(out, sign)
+            op = self.toks[self.i]
+            if op != "+" and op != "-":
+                return out
+            sign = 1 if op == "+" else -1
+            self.i += 1
+
+    def term(self, out: dict, sign: int) -> None:
+        """Read a term and accumulate sign times it into out."""
+        key, num, den, frac, poly = _k.ONE_MONO, sign, 1, False, None
+        op = at = None
+        while True:
+            k, c, r = self.factor()
+            if op == "/":
+                if r is not None or (k and c):
+                    raise NonPolynomial("division by a non-constant expression")
+                if not c:
+                    raise DivisionByZero("division by zero")
+                num, den, frac = num * c.denominator, den * c.numerator, True
             else:
-                return e
-
-    def term(self) -> DiffExpr:
-        e = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.factor()
-                if val == "*":
-                    _check_products(len(e._d) * len(rhs._d), pos)
-                    e = e * rhs
+                # a zero side makes the product zero, with nothing built
+                if num and c:
+                    if r is not None:
+                        if op:
+                            self.check_products((len(poly) if poly else 1) * len(r), at)
+                        poly = _k.mul(poly, r) if poly else _shifted(r, key)
+                        key = _k.ONE_MONO
+                    elif poly is None:
+                        key = _k.mono_mul(key, k) if k else key
+                    else:
+                        self.check_products(len(poly), at)
+                        poly = _shifted(poly, k)
+                if c.__class__ is int:
+                    num *= c
                 else:
-                    if not rhs.is_constant():
-                        raise NonPolynomial(
-                            "division by a non-constant expression"
-                        )
-                    c = rhs.constant_value()
-                    if not c:
-                        raise DivisionByZero("division by zero")
-                    e = e / c
+                    num, den, frac = num * c.numerator, den * c.denominator, True
+            op = self.toks[self.i]
+            if op != "*" and op != "/":
+                break
+            at = self.i
+            self.i += 1
+        if num:
+            c = Fraction(num, den) if frac else num
+            if poly and not out:
+                out.update(poly if c == 1 and not frac else _k.scale(poly, c))
+            elif poly:
+                _k.mul_into(out, _k.ONE_MONO, c, poly)
+            elif key in out:
+                _k.mul_into(out, key, c, _UNIT)
             else:
-                return e
+                out[key] = c
 
-    def factor(self) -> DiffExpr:
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return -self.factor()
-        return self.power()
-
-    def power(self) -> DiffExpr:
-        e = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            negative = False
-            kind, val, pos = self.next()
-            if kind == "op" and val == "-":
-                negative = True
-                kind, val, pos = self.next()
-            if kind != "int":
-                raise ExprSyntaxError("exponent must be an integer literal", pos)
-            if negative:
-                raise NonPolynomial("negative exponent leaves the polynomial ring")
-            n = _capped(val, MAX_EXPONENT, "exponent", pos)
-            _check_products(_power_products(len(e._d), n), pos)
-            return e**n
-        return e
-
-    def atom(self) -> DiffExpr:
-        kind, val, pos = self.next()
-        if kind == "int":
+    def factor(self) -> tuple:
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        self.i = i + 1
+        if tok == "-":
+            k, c, r = self.factor()
+            return k, -c, r
+        if tok == "(":
+            r = self.expr()
+            self.expect(")")
+            if toks[self.i] == "^":
+                n = self.exponent()
+                self.check_products(_power_products(len(r), n), self.i - 1)
+                r = _k.pow_(r, n)
+            if len(r) > 1:
+                return _k.ONE_MONO, 1, r
+            for k, c in r.items():
+                return k, c, None
+            return _k.ONE_MONO, 0, None
+        if tok.isdecimal():
             try:
-                return const(int(val))
+                v = int(tok)
             except ValueError:
                 # longer than the interpreter converts (sys.int_info)
-                raise ExprSyntaxError(
-                    f"integer literal exceeds {sys.get_int_max_str_digits()} digits", pos
-                ) from None
-        if kind == "jet":
-            letters = val[2:]
-            _check_jet_order(len(letters), pos)
-            return jet(letters.count("t"), letters.count("x"))
-        if kind == "name":
-            if val == "t":
-                return t
-            if val == "x":
-                return x
-            # bare u, or the bracket form u[i,j]
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "[":
-                self.next()
-                nt = self._jet_count()
-                self.expect_op(",")
-                nx = self._jet_count()
-                self.expect_op("]")
-                _check_jet_order(nt + nx, pos)
-                return jet(nt, nx)
-            return jet(0, 0)
-        if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ExprSyntaxError(
-            "expected a number, variable, or parenthesized expression", pos
-        )
+                msg = f"integer literal exceeds {sys.get_int_max_str_digits()} digits"
+                raise self.error(msg, i) from None
+            return _k.ONE_MONO, v ** self.exponent() if toks[self.i] == "^" else v, None
+        nt = nx = 0
+        if tok.startswith("u_"):
+            if len(tok) - 2 > MAX_JET_ORDER:
+                raise self.error(f"jet order exceeds {MAX_JET_ORDER}", i)
+            nt = tok.count("t")
+            nx = len(tok) - 2 - nt
+        elif tok == "u" and toks[self.i] == "[":
+            self.i += 1
+            nt = self.integer(MAX_JET_ORDER, "jet order")
+            self.expect(",")
+            nx = self.integer(MAX_JET_ORDER, "jet order")
+            self.expect("]")
+            if nt + nx > MAX_JET_ORDER:
+                raise self.error(f"jet order exceeds {MAX_JET_ORDER}", i)
+        elif tok != "u" and tok != "t" and tok != "x":
+            raise self.error("expected a number, variable, or parenthesized expression", i)
+        n = self.exponent() if toks[self.i] == "^" else 1
+        if tok == "t" or tok == "x":
+            return (_k.encode(n, 0) if tok == "t" else _k.encode(0, n)), 1, None
+        return _k.encode(0, 0, ((nt, nx, n),)), 1, None
 
-    def _jet_count(self) -> int:
-        kind, val, pos = self.next()
-        if kind != "int":
-            raise ExprSyntaxError("expected an integer", pos)
-        return _capped(val, MAX_JET_ORDER, "jet order", pos)
-
-
-def _capped(digits: str, cap: int, what: str, pos: int) -> int:
-    """The value of an integer literal that must not exceed cap, checked
-    on its digits so that a huge literal is never converted."""
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(cap)) or int(digits) > cap:
-        raise ExprSyntaxError(f"{what} exceeds {cap}", pos)
-    return int(digits)
+    def exponent(self) -> int:
+        """The exponent after the '^' at the current token."""
+        self.i += 1
+        negative = self.toks[self.i] == "-"
+        if negative:
+            self.i += 1
+        if not self.toks[self.i].isdecimal():
+            raise self.error("exponent must be an integer literal", self.i)
+        if negative:
+            raise NonPolynomial("negative exponent leaves the polynomial ring")
+        return self.integer(MAX_EXPONENT, "exponent")
 
 
-def _check_jet_order(order: int, pos: int) -> None:
-    if order > MAX_JET_ORDER:
-        raise ExprSyntaxError(f"jet order exceeds {MAX_JET_ORDER}", pos)
-
-
-def _check_products(products: int, pos: int) -> None:
-    if products > _k.MAX_PRODUCTS:
-        raise ExprSyntaxError(f"expansion exceeds {_k.MAX_PRODUCTS} term products", pos)
+def _shifted(poly: dict, key: int) -> dict:
+    """poly times the monomial of key."""
+    return _k.mul(poly, {key: 1}) if key else poly
 
 
 def _power_products(terms: int, n: int) -> int:
@@ -243,15 +251,9 @@ def parse_expr(text: str) -> DiffExpr:
     """Parse text in the canonical grammar into a DiffExpr."""
     parser = _Parser(text)
     try:
-        return parser.parse()
+        return DiffExpr._raw(parser.parse())
     except RecursionError:
-        raise ExprSyntaxError("expression nested too deeply", parser.peek()[2]) from None
-
-
-def _format_jet(nt: int, nx: int) -> str:
-    if nt == 0 and nx == 0:
-        return "u"
-    return "u_" + "t" * nt + "x" * nx
+        raise parser.error("expression nested too deeply", parser.i) from None
 
 
 def _format_monomial(t_deg: int, x_deg: int, jets) -> str:
@@ -261,32 +263,34 @@ def _format_monomial(t_deg: int, x_deg: int, jets) -> str:
     if x_deg:
         parts.append("x" if x_deg == 1 else f"x^{x_deg}")
     for nt, nx, e in jets:
-        name = _format_jet(nt, nx)
+        name = "u_" + "t" * nt + "x" * nx if nt or nx else "u"
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
 def _format_terms(items, digits) -> str:
     """The (monomial tuple, coefficient) pairs items as terms, in their
-    order, each coefficient magnitude rendered by digits."""
+    order, with the numerator and denominator of each coefficient's
+    magnitude rendered by digits."""
     out = []
     for mono, coeff in items:
-        mag = abs(coeff)
+        num, den = coeff.numerator, coeff.denominator
         body = _format_monomial(*mono)
-        if body and mag == 1:
-            piece = body
+        sign = " + "
+        if num < 0:
+            num, sign = -num, " - "
+        if body and num == den == 1:
+            out.append(sign + body)
         else:
-            piece = f"{digits(mag)}*{body}" if body else digits(mag)
-        if not out:
-            out.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            out.append(f" + {piece}" if coeff > 0 else f" - {piece}")
-    return "".join(out)
+            mag = digits(num) if den == 1 else f"{digits(num)}/{digits(den)}"
+            out.append(f"{sign}{mag}*{body}" if body else sign + mag)
+    text = "".join(out)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def _exact_digits(mag: Fraction) -> str:
+def _exact_digits(n: int) -> str:
     try:
-        return str(mag)
+        return str(n)
     except ValueError:
         # longer than the interpreter converts (sys.int_info)
         raise JetLawError(
@@ -320,11 +324,6 @@ def _brief_int(n: int) -> str:
     return f"<~{int(n.bit_length() * _LOG10_2) + 1} digits>"
 
 
-def _brief_digits(mag: Fraction) -> str:
-    num = _brief_int(mag.numerator)
-    return num if mag.denominator == 1 else f"{num}/{_brief_int(mag.denominator)}"
-
-
 def format_brief(e: DiffExpr) -> str:
     """A bounded rendering of e for error messages, which never fails.
 
@@ -335,6 +334,6 @@ def format_brief(e: DiffExpr) -> str:
     """
     if e.is_zero:
         return "0"
-    text = _format_terms(e._sorted_items()[:BRIEF_TERMS], _brief_digits)
+    text = _format_terms(e._sorted_items()[:BRIEF_TERMS], _brief_int)
     rest = len(e._d) - BRIEF_TERMS
     return f"{text} + ... ({rest} more terms)" if rest > 0 else text

@@ -70,7 +70,9 @@ class NormalPDE:
     equation.
     """
 
-    __slots__ = ("lead", "rhs", "G", "_drhs", "_split", "_pow", "_restricted")
+    __slots__ = (
+        "lead", "rhs", "G", "_drhs", "_split", "_pow", "_restricted", "_known_pow", "_known_restricted"
+    )
 
     def __init__(self, lead, rhs: DiffExpr):
         lead = _as_jet_index(lead)
@@ -95,6 +97,9 @@ class NormalPDE:
         self._pow = _k.Memo()
         # consequence part c -> (R(c), the term products building it took)
         self._restricted = _k.Memo()
+        # the memos' gets, bound once; a Memo keeps its object when cleared
+        self._known_pow = self._pow.get
+        self._known_restricted = self._restricted.get
 
     def is_consequence(self, idx) -> bool:
         """Whether u_idx is solved by a differential consequence of G."""
@@ -107,7 +112,7 @@ class NormalPDE:
         (jet, terms) pairs that file the terms by their greatest
         consequence jet, in the order of first appearance."""
         key = (idx, e)
-        filed = self._pow.get(key)
+        filed = self._known_pow(key)
         if filed is None:
             p = _k.pow_(self._drhs.get(idx[0] - self.lead.nt, idx[1] - self.lead.nx), e)
             groups: dict = {}
@@ -193,13 +198,13 @@ def _restricted_part(cons: int, pde: NormalPDE, budget: int, built: dict) -> tup
     the bucket loop on c alone.  A known entry spends its cost from
     budget, and a build spends as it goes, so either raises when budget
     runs out."""
-    known = built.get(cons) or pde._restricted.get(cons)
+    known = built.get(cons) or pde._known_restricted(cons)
     if known is not None:
         _k.spend(budget, known[1])
         return known
     m = pde._split(cons)[2]
     e, rest = _k.split_jet(cons, m)
-    below = rest and (built.get(rest) or pde._restricted.get(rest))
+    below = rest and (built.get(rest) or pde._known_restricted(rest))
     if below:
         r, cost = below
         left = _k.spend(budget, cost)

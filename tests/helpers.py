@@ -2,6 +2,7 @@
 guards against building huge powers or jets."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from jetlaw import grammar
 from jetlaw.expr import DiffExpr, Monomial
@@ -49,19 +50,25 @@ def random_expr(
 
 def forbid_huge_powers_and_jets(monkeypatch):
     """Make building a power above the grammar's exponent cap, or a jet
-    above its order cap, fail; an input the parser rejects is thereby
-    shown to be rejected before its huge value is evaluated."""
-    pow_, jet = DiffExpr.__pow__, grammar.jet
+    above its order cap, fail in the kernel calls the parser builds
+    them with: pow_ for a power of a parenthesized expression and encode
+    for t, x or a jet and their powers.  An input the parser rejects is
+    thereby shown to be rejected before its huge value is evaluated."""
+    kernel = grammar._k
 
-    def guarded_pow(self, n):
+    def guarded_pow(a, n):
         if n > grammar.MAX_EXPONENT:
             raise AssertionError(f"built the power {n}")
-        return pow_(self, n)
+        return kernel.pow_(a, n)
 
-    def guarded_jet(nt, nx):
-        if nt + nx > grammar.MAX_JET_ORDER:
-            raise AssertionError(f"built the jet ({nt}, {nx})")
-        return jet(nt, nx)
+    def guarded_encode(t_deg, x_deg, jets=()):
+        for nt, nx, e in jets:
+            if nt + nx > grammar.MAX_JET_ORDER:
+                raise AssertionError(f"built the jet ({nt}, {nx})")
+        n = max(t_deg, x_deg, *(e for _, _, e in jets))
+        if n > grammar.MAX_EXPONENT:
+            raise AssertionError(f"built the power {n}")
+        return kernel.encode(t_deg, x_deg, jets)
 
-    monkeypatch.setattr(DiffExpr, "__pow__", guarded_pow)
-    monkeypatch.setattr(grammar, "jet", guarded_jet)
+    guarded = SimpleNamespace(**{**vars(kernel), "pow_": guarded_pow, "encode": guarded_encode})
+    monkeypatch.setattr(grammar, "_k", guarded)

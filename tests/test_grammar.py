@@ -6,7 +6,13 @@ import pytest
 from helpers import forbid_huge_powers_and_jets, random_expr
 from jetlaw import grammar
 from jetlaw._kernel.pure import MAX_PRODUCTS
-from jetlaw.errors import DivisionByZero, ExprSyntaxError, JetLawError, NonPolynomial
+from jetlaw.errors import (
+    DivisionByZero,
+    ExponentOverflow,
+    ExprSyntaxError,
+    JetLawError,
+    NonPolynomial,
+)
 from jetlaw.expr import const, jet, t, u, x
 from jetlaw.grammar import (
     MAX_EXPONENT,
@@ -175,3 +181,220 @@ def test_round_trip_random():
     for _ in range(50):
         f = random_expr(rng, allow_fractions=True)
         assert parse_expr(format_expr(f)) == f
+
+
+# -- the parser against DiffExpr's operators ---------------------------------
+
+# a tree is ("int", v), ("t",), ("x",), ("jet", nt, nx), ("neg", a),
+# ("pow", a, n), ("paren", a) or (op, a, b) for op in + - * /; the
+# precedence of each node's text: sum 0, product 1, negation 2, power 3,
+# atom 4
+_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1, "neg": 2, "pow": 3}
+# the least precedence of the (left, right) operands of each operator
+_OPERANDS = {"+": (0, 1), "-": (0, 1), "*": (1, 2), "/": (1, 2)}
+
+
+def _constant_tree(rng, depth):
+    """A tree without variables."""
+    k = rng.randrange(6) if depth else 0
+    if k < 3:
+        return ("int", rng.randint(0, 9))
+    if k == 3:
+        return ("pow", ("int", rng.randint(0, 4)), rng.randint(0, 3))
+    if k == 4:
+        return ("neg", _constant_tree(rng, depth - 1))
+    op = rng.choice("+-*/")
+    return (op, _constant_tree(rng, depth - 1), _nonzero_constant_tree(rng, depth - 1))
+
+
+def _nonzero_constant_tree(rng, depth):
+    while True:
+        tree = _constant_tree(rng, depth)
+        if _evaluate(tree):
+            return tree
+
+
+def _tree(rng, depth):
+    """A random tree: sums, products, small powers, chains of unary
+    minus, nested parentheses and divisions by constants."""
+    k = rng.randrange(10) if depth else rng.randrange(4)
+    if k == 0:
+        return ("int", rng.choice([0, 1, 2, 3, 7, 12, 10**30]))
+    if k == 1:
+        return (rng.choice(["t", "x"]),)
+    if k in (2, 3):
+        return ("jet", rng.randint(0, 3), rng.randint(0, 3))
+    if k == 4:
+        return ("pow", _tree(rng, depth - 1), rng.randint(0, 3))
+    if k == 5:
+        return ("neg", _tree(rng, depth - 1))
+    if k == 6:
+        return ("paren", _tree(rng, depth - 1))
+    if k == 7:
+        return ("/", _tree(rng, depth - 1), _nonzero_constant_tree(rng, 2))
+    return (rng.choice("+-*"), _tree(rng, depth - 1), _tree(rng, depth - 1))
+
+
+def _evaluate(tree):
+    """The tree built with DiffExpr's operators, a division by the
+    value of its constant divisor as the parser divides."""
+    kind = tree[0]
+    if kind == "int":
+        return const(tree[1])
+    if kind == "t":
+        return t
+    if kind == "x":
+        return x
+    if kind == "jet":
+        return jet(tree[1], tree[2])
+    if kind == "neg":
+        return -_evaluate(tree[1])
+    if kind == "pow":
+        return _evaluate(tree[1]) ** tree[2]
+    if kind == "paren":
+        return _evaluate(tree[1])
+    a, b = _evaluate(tree[1]), _evaluate(tree[2])
+    if kind == "/":
+        return a / b.constant_value()
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+def _render(rng, tree):
+    """(text, precedence) of tree, with random whitespace between the
+    tokens, random jet spellings and parentheses where the precedence
+    needs them."""
+
+    def ws():
+        return rng.choice(["", "", "", " ", "  ", "\t", "\n"])
+
+    def operand(sub, least):
+        text, level = _render(rng, sub)
+        return text if level >= least else f"({ws()}{text}{ws()})"
+
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1]), 4
+    if kind in ("t", "x"):
+        return kind, 4
+    if kind == "jet":
+        nt, nx = tree[1:]
+        letters = list("t" * nt + "x" * nx)
+        rng.shuffle(letters)
+        if letters and rng.randrange(2):
+            return "u_" + "".join(letters), 4
+        if not letters and rng.randrange(2):
+            return "u", 4
+        return f"u{ws()}[{ws()}{nt}{ws()},{ws()}{nx}{ws()}]", 4
+    if kind == "paren":
+        return f"({ws()}{_render(rng, tree[1])[0]}{ws()})", 4
+    if kind == "neg":
+        return f"-{ws()}{operand(tree[1], 2)}", 2
+    if kind == "pow":
+        return f"{operand(tree[1], 4)}{ws()}^{ws()}{tree[2]}", 3
+    left, right = _OPERANDS[kind]
+    return f"{operand(tree[1], left)}{ws()}{kind}{ws()}{operand(tree[2], right)}", _LEVEL[kind]
+
+
+def _typed(e):
+    """The terms of e with the type of each coefficient."""
+    return {key: (c, type(c)) for key, c in e._d.items()}
+
+
+def test_parser_matches_the_operators():
+    # every term and the type of its coefficient: a coefficient is a
+    # Fraction exactly when a '/' or a Fraction took part in it
+    rng = random.Random(1818)
+    for _ in range(600):
+        tree = _tree(rng, 4)
+        text = _render(rng, tree)[0]
+        assert _typed(parse_expr(text)) == _typed(_evaluate(tree)), text
+    for text, want in (
+        ("4/2*u", {u: Fraction(2, 1)}),
+        ("(u + 1/2)*2", {u: 2, const(1): Fraction(1, 1)}),
+        ("2^3/4", {const(1): Fraction(2, 1)}),
+        ("u/2/3/4", {u: Fraction(1, 24)}),
+        ("6/2/3*u_x", {jet(0, 1): Fraction(1, 1)}),
+        ("2*3*u*u", {u**2: 6}),
+        ("-(u+1)^2/(1/2)", {u**2: Fraction(-2), u: Fraction(-4), const(1): Fraction(-2)}),
+    ):
+        got = parse_expr(text)
+        assert _typed(got) == {next(iter(m._d)): (c, type(c)) for m, c in want.items()}, text
+
+
+# inputs with the error each raises: its type, message and position
+# (None for errors without one), as the parser before this table gave them
+PARSE_ERRORS = [
+    ("u^-1", NonPolynomial, "negative exponent leaves the polynomial ring", None),
+    ("u^", ExprSyntaxError, "exponent must be an integer literal", 2),
+    ("u*", ExprSyntaxError, "expected a number, variable, or parenthesized expression", 2),
+    ("", ExprSyntaxError, "expected a number, variable, or parenthesized expression", 0),
+    ("  ", ExprSyntaxError, "expected a number, variable, or parenthesized expression", 2),
+    ("3 4", ExprSyntaxError, "unexpected '4'", 2),
+    ("u)", ExprSyntaxError, "unexpected ')'", 1),
+    ("u[65,0]", ExprSyntaxError, "jet order exceeds 64", 2),
+    ("u[64,1]", ExprSyntaxError, "jet order exceeds 64", 0),
+    ("u_" + "x" * 65, ExprSyntaxError, "jet order exceeds 64", 0),
+    ("t^32767*x", ExprSyntaxError, "exponent exceeds 256", 2),
+    ("(t^256)^256", ExponentOverflow, "a degree or exponent of a monomial exceeds 32767", None),
+    ("u/(u-u)", DivisionByZero, "division by zero", None),
+    ("x^2/x", NonPolynomial, "division by a non-constant expression", None),
+    ("1/u", NonPolynomial, "division by a non-constant expression", None),
+    ("1" + "0" * 5000, ExprSyntaxError, "integer literal exceeds 4300 digits", 0),
+    ("(u+u_x)^5000", ExprSyntaxError, "exponent exceeds 256", 8),
+    ("u[1 2]", ExprSyntaxError, "expected ','", 4),
+    ("u[", ExprSyntaxError, "expected an integer", 2),
+    ("u[1,", ExprSyntaxError, "expected an integer", 4),
+    ("u[1,2", ExprSyntaxError, "expected ']'", 5),
+    ("u[,1]", ExprSyntaxError, "expected an integer", 2),
+    ("u[1,2,3]", ExprSyntaxError, "expected ']'", 5),
+    ("u_y", ExprSyntaxError, "unexpected character '_'", 1),
+    ("u) $", ExprSyntaxError, "unexpected character '$'", 3),
+    ("1.5", ExprSyntaxError, "unexpected character '.'", 1),
+    ("u + * 2", ExprSyntaxError, "expected a number, variable, or parenthesized expression", 4),
+    ("(u", ExprSyntaxError, "expected ')'", 2),
+    ("(u))", ExprSyntaxError, "unexpected ')'", 3),
+    ("()", ExprSyntaxError, "expected a number, variable, or parenthesized expression", 1),
+    ("-(-(-", ExprSyntaxError, "expected a number, variable, or parenthesized expression", 5),
+    ("uu", ExprSyntaxError, "unexpected 'u'", 1),
+    ("t[1,2]", ExprSyntaxError, "unexpected '['", 1),
+    ("u^x", ExprSyntaxError, "exponent must be an integer literal", 2),
+    ("u^-x", ExprSyntaxError, "exponent must be an integer literal", 3),
+    ("u^(2)", ExprSyntaxError, "exponent must be an integer literal", 2),
+    ("u^2^3", ExprSyntaxError, "unexpected '^'", 3),
+    ("2^-0", NonPolynomial, "negative exponent leaves the polynomial ring", None),
+    ("u[1,2]^-1", NonPolynomial, "negative exponent leaves the polynomial ring", None),
+    ("u/0", DivisionByZero, "division by zero", None),
+    ("0/0", DivisionByZero, "division by zero", None),
+    ("1/0*u", DivisionByZero, "division by zero", None),
+    ("2/(1/2-1/2)", DivisionByZero, "division by zero", None),
+    ("(u+u_x)^2/(u-u)", DivisionByZero, "division by zero", None),
+    ("t/(u+1)", NonPolynomial, "division by a non-constant expression", None),
+    ("(u+1)/(u+1)", NonPolynomial, "division by a non-constant expression", None),
+    ("((t^256)^64)^2", ExponentOverflow, "a degree or exponent of a monomial exceeds 32767", None),
+    ("(t^200)^200", ExponentOverflow, "a degree or exponent of a monomial exceeds 32767", None),
+    ("t^256*(t^256)^127", ExponentOverflow, "a degree or exponent of a monomial exceeds 32767", None),
+    ("(u+u_x+u_xx+u_t+t+x)^17", ExprSyntaxError, "expansion exceeds 250000 term products", 21),
+    ("(u+u_x+u_xx+u_t+t)^9*(u+u_x+u_xx+u_t+t)^9", ExprSyntaxError,
+     "expansion exceeds 250000 term products", 20),
+]
+
+
+def test_parse_errors_keep_type_message_and_position():
+    for text, kind, message, pos in PARSE_ERRORS:
+        with pytest.raises(JetLawError) as info:
+            parse_expr(text)
+        err = info.value
+        assert type(err) is kind, text
+        if pos is None:
+            assert str(err) == message, text
+        else:
+            assert (str(err), err.pos) == (f"{message} (at position {pos})", pos), text
+    # the recursion is the one guard on nesting; where it stops depends
+    # on the interpreter's stack, so only the message is pinned
+    for text in ("(" * 3000 + "u" + ")" * 3000, "-" * 5000 + "u"):
+        with pytest.raises(ExprSyntaxError, match="^expression nested too deeply"):
+            parse_expr(text)
+    # a zero factor makes the rest of its term zero without building it
+    assert parse_expr("0*(t^256)^127*(t^256)^127").is_zero
+    with pytest.raises(ExponentOverflow):
+        parse_expr("(t^256)^127*(t^256)^127*0")
