@@ -29,9 +29,10 @@ encode and decode convert between a key and the tuple form
 which orders monomials for printing and for the ansatz.  No other
 module builds or takes apart a key: they use encode, decode and the
 helpers below.  What depends on the jet part of a key alone, its
-sorted factors, its D_t and D_x steps and, through jet_part_splitter,
-soln's consequence part and greatest consequence jet, is memoized per
-jet part, so the hot loops decode a jet part only on a memo miss.
+sorted factors, its D_t and D_x steps, the jets, exponents and field
+units partials reads and, through jet_part_splitter, soln's
+consequence part and greatest consequence jet, is memoized per jet
+part, so the hot loops decode a jet part only on a memo miss.
 
 Memo is the one rule for the memos of the program, here and in soln:
 keep clears it before an entry would take it past MEMO_CAP entries or
@@ -50,7 +51,9 @@ printing do not depend on the type.
 rref is the one exact elimination routine.  It works on sparse rows,
 dicts {col: int or Fraction} holding only the nonzero entries, and
 returns the unique reduced row echelon form in the same representation.
-Its row updates accumulate through _acc like every other routine here.
+Its row updates accumulate through _acc like every other routine here
+but the two hot loops, mul_into and the jet steps of _total, which
+build most terms and do the same get, add and delete inline.
 
 MAX_PRODUCTS is the one bound on work and spend the one refusal: mul
 prices len(a) * len(b) before it builds anything, so pow_ is priced at
@@ -297,11 +300,21 @@ def mul_into(out: dict, key: int, coeff, b: dict) -> None:
     adds a scaled copy of terms into a dict; key = ONE_MONO scales
     without a shift."""
     guards = _guards
+    # _acc inlined: this loop and the jet steps of _total build most terms
+    known = out.get
     for k, c in b.items():
         k += key
         if k & guards:
             raise _overflow()
-        _acc(out, k, coeff * c)
+        s = known(k)
+        if s is None:
+            out[k] = coeff * c
+        else:
+            s += coeff * c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
 
 
 def mul(a, b):
@@ -352,6 +365,30 @@ def diff_jet(a, nt, nx):
     return {} if off is None else _diff_field(a, off)
 
 
+# jet part -> ((nt, nx), e, unit) of each factor u_(nt,nx)^e, with unit
+# the key of u_(nt,nx) alone, so that key - unit lowers e by one
+_units = Memo()
+_known_units = _units.get
+
+
+def partials(a) -> dict:
+    """{(nt, nx): da/du_(nt,nx)} over the jets of a, in ascending
+    (nt, nx) order, in one pass over the terms of a.  Distinct keys
+    differentiate to distinct keys, so no partial cancels a term."""
+    out = {}
+    for key, coeff in a.items():
+        jp = key >> _JETS
+        units = _known_units(jp)
+        if units is None:
+            units = _units.keep(jp, tuple((jet, e, 1 << off) for jet, e, off in _scan(jp)))
+        for jet, e, unit in units:
+            d = out.get(jet)
+            if d is None:
+                d = out[jet] = {}
+            d[key - unit] = coeff * e
+    return {jet: out[jet] for jet in sorted(out)}
+
+
 # jet part -> its steps under D_t, and under D_x
 _steps_t = Memo()
 _steps_x = Memo()
@@ -385,6 +422,7 @@ def _total(a, off: int, memo: dict, deltas: dict, dt: int, dx: int) -> dict:
     plus the chain rule over the jets, each step (dt, dx)."""
     unit = 1 << off
     out = {}
+    built = out.get
     # bound once: a Memo's get is slower to look up than a dict's
     known = memo.get
     for key, coeff in a.items():
@@ -396,7 +434,17 @@ def _total(a, off: int, memo: dict, deltas: dict, dt: int, dx: int) -> dict:
         if steps is None:
             steps = _steps(jp, memo, deltas, dt, dx)
         for e, delta in steps:
-            _acc(out, key + delta, coeff * e)
+            # _acc inlined, as in mul_into
+            k = key + delta
+            s = built(k)
+            if s is None:
+                out[k] = coeff * e
+            else:
+                s += coeff * e
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
     return out
 
 

@@ -36,8 +36,11 @@ multiplier_from_current in the pair (T, X).  Each runs on the integral
 primitive part d Q (or d T, d X with one d; expr.primitive_parts),
 where the kernel makes no Fraction, and divides its result by d once
 (the divided result has Fraction coefficients throughout; with d = 1
-nothing is divided).  A predicate such as is_trivial_current keeps the
-primitive part.  An error message shows the input as given.
+nothing is divided).  current_from_multiplier inverts n d Q G, n the
+divisor of the divergence inversion, and divides by n d once, so its
+result has Fraction coefficients throughout.  A predicate such as
+is_trivial_current keeps the primitive part.  An error message shows
+the input as given.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ from math import comb, perm
 from ._kernel import impl as _k
 from .diffops import (
     ConservedCurrent,
+    _scaled_inverse,
     divergence,
     euler,
     euler_pieces,
     frechet_adjoint,
-    invert_divergence,
 )
 from .errors import (
     AnsatzError,
@@ -226,10 +229,11 @@ def current_from_multiplier(q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     inversion.  Raises NotAMultiplier."""
     d, (qd,) = primitive_parts(q)
     try:
-        T, X = invert_divergence(qd * pde.G)
+        n, T, X = _scaled_inverse(qd * pde.G)
     except NotADivergence:
         raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(q)}") from None
-    return ConservedCurrent(_divided(T, d), _divided(X, d))
+    # invert_divergence(qd G) is (T, X) / n; one division for both scales
+    return ConservedCurrent(T / (n * d), X / (n * d))
 
 
 def _monomial_equations(exprs: list[DiffExpr]) -> list[dict]:

@@ -8,7 +8,15 @@ total derivatives:
     euler(f)               E_u(f) = f'*(1)
 
 A differential polynomial is a total divergence D_t T + D_x X exactly
-when its Euler operator image vanishes.
+when its Euler operator image vanishes.  Each operator reads the
+partial derivatives df/du_J of f from the kernel's partials, one pass
+over the terms of f.  By the product rule the Euler image of a product
+splits into two adjoint Fréchet derivatives,
+
+    E_u(q f) = f'*(q) + q'*(f),
+
+which is how the symmetry action decides that q is a multiplier of
+f = 0 from the image f'*(q) it reads its operator from.
 
 Every standard coefficient of an operator comes from one Leibniz sum.
 For p a polynomial in t and x alone, D^J(p g) = sum_{K<=J} C(J, K)
@@ -32,13 +40,15 @@ identity
 
     h f'(g) - g f'*(h) = D_t Psi^t + D_x Psi^x
 
-and invert_divergence reconstructs a current (T, X) from a divergence.
+and invert_divergence reconstructs a current (T, X) from a divergence,
+building n T and n X, n the least common multiple of the divisors of
+its construction, so that it divides once and keeps int coefficients
+until then.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from ._kernel import impl as _k
 from .errors import NotADivergence
@@ -164,22 +174,14 @@ def _adjoint_coeffs(coeffs: dict, kmax) -> dict:
     return _leibniz(coeffs, kmax, lambda K, it, ix: derivs[K].get(it, ix), True)
 
 
-def _partials(f: DiffExpr) -> dict:
-    """{J: df/du_J} over the jets J of f, as raw terms."""
-    return {
-        (idx.nt, idx.nx): _k.diff_jet(f._d, idx.nt, idx.nx)
-        for idx in sorted(f.jet_indices())
-    }
-
-
 def frechet(f: DiffExpr, g: DiffExpr) -> DiffExpr:
     """Fréchet derivative of f in the direction g."""
-    return DiffExpr._raw(_apply_op(_partials(f), g._d))
+    return DiffExpr._raw(_apply_op(_k.partials(f._d), g._d))
 
 
 def frechet_adjoint(f: DiffExpr, h: DiffExpr) -> DiffExpr:
     """Adjoint Fréchet derivative of f applied to h."""
-    return DiffExpr._raw(_adjoint_op(_partials(f), h._d))
+    return DiffExpr._raw(_adjoint_op(_k.partials(f._d), h._d))
 
 
 _ONE = DiffExpr._raw({_k.ONE_MONO: 1})
@@ -198,7 +200,7 @@ def frechet_pieces(f: DiffExpr, g: DiffExpr, kmax) -> dict:
         frechet(f, p g) = sum_K D^K(p) F_K,
 
     and F_(0,0) = frechet(f, g)."""
-    partials = _partials(f)
+    partials = _k.partials(f._d)
     dg = _DerivCache(g._d)
     return _leibniz(partials, kmax, lambda J, it, ix: _k.mul(partials[J], dg.get(it, ix)), False)
 
@@ -212,7 +214,7 @@ def euler_pieces(f: DiffExpr, kmax) -> dict:
         euler(p f) = sum_K D^K(p) A_K(f),
 
     and A_(0,0)(f) = euler(f)."""
-    return _adjoint_coeffs(_partials(f), kmax)
+    return _adjoint_coeffs(_k.partials(f._d), kmax)
 
 
 def is_divergence(f: DiffExpr) -> bool:
@@ -236,7 +238,7 @@ def boundary_current(f: DiffExpr, g: DiffExpr, h: DiffExpr) -> ConservedCurrent:
     dg = _DerivCache(g._d)
     psi_t: dict = {}
     psi_x: dict = {}
-    for (i, j), pf in _partials(f).items():
+    for (i, j), pf in _k.partials(f._d).items():
         dw = _DerivCache(_k.mul(h._d, pf))
         for k in range(i):
             _k.mul_into(psi_t, _k.ONE_MONO, -1 if k % 2 else 1, _k.mul(dw.get(k, 0), dg.get(i - 1 - k, j)))
@@ -245,28 +247,13 @@ def boundary_current(f: DiffExpr, g: DiffExpr, h: DiffExpr) -> ConservedCurrent:
     return ConservedCurrent(DiffExpr._raw(psi_t), DiffExpr._raw(psi_x))
 
 
-def _integrate_x(d: dict) -> dict:
-    """Antiderivative in x of a jet-free polynomial in t and x."""
-    out = {}
-    for k, c in d.items():
-        a, b, m0 = _k.split_tx(k)
-        if m0 != _k.ONE_MONO:
-            raise AssertionError("x-integration of a jet-dependent term")
-        out[_k.encode(a, b + 1)] = Fraction(c, b + 1)
-    return out
-
-
-def invert_divergence(f: DiffExpr) -> ConservedCurrent:
-    """A current (T, X) with D_t T + D_x X = f, if one exists.
-
-    Raises NotADivergence, carrying euler(f), when that is nonzero.  The
-    jet-dependent part of f is inverted through the boundary current
-    Psi_f(u, 1) with each monomial weighted by the reciprocal of its jet
-    degree (the scaling homotopy in the dependent variable, evaluated in
-    closed form); the jet-free remainder is integrated in x.  The construction is exact
-    and deterministic, and the result is one representative of the
-    current's equivalence class.
-    """
+def _scaled_inverse(f: DiffExpr) -> tuple:
+    """(n, n T, n X) for the current (T, X) that invert_divergence(f)
+    returns, n the least common multiple of the divisors of its
+    construction, so that n T and n X have int coefficients for an f
+    with int coefficients.  Raises NotADivergence, carrying euler(f),
+    when that is nonzero, and AssertionError when the divergence of
+    (n T, n X) is not n f."""
     e = euler(f)
     if not e.is_zero:
         raise NotADivergence(e)
@@ -278,12 +265,36 @@ def invert_divergence(f: DiffExpr) -> ConservedCurrent:
         else:
             jet_free[k] = c
     psi_t, psi_x = boundary_current(DiffExpr._raw(jet_part), u, _ONE)
+    # each term of Psi is weighted by 1 over its jet degree, and the
+    # x-integration of the jet-free t^a x^b divides it by b + 1
+    degrees = {k: _k.jet_degree(k) for k in (*psi_t._d, *psi_x._d)}
+    free = [(*_k.split_tx(k)[:2], c) for k, c in jet_free.items()]
+    n = lcm(*degrees.values(), *(b + 1 for _, b, _ in free))
 
-    def weight(d: dict) -> dict:
-        return {k: Fraction(c, _k.jet_degree(k)) for k, c in d.items()}
+    def weighted(d: dict) -> dict:
+        return {k: c * (n // degrees[k]) for k, c in d.items()}
 
-    T = DiffExpr._raw(weight(psi_t._d))
-    X = DiffExpr._raw(_k.add(weight(psi_x._d), _integrate_x(jet_free)))
-    if divergence((T, X)) != f:
+    T = DiffExpr._raw(weighted(psi_t._d))
+    integrated = {_k.encode(a, b + 1): c * (n // (b + 1)) for a, b, c in free}
+    X = DiffExpr._raw(_k.add(weighted(psi_x._d), integrated))
+    if divergence((T, X)) != f * n:
         raise AssertionError("divergence inversion failed")
-    return ConservedCurrent(T, X)
+    return n, T, X
+
+
+def invert_divergence(f: DiffExpr) -> ConservedCurrent:
+    """A current (T, X) with D_t T + D_x X = f, if one exists.
+
+    Raises NotADivergence, carrying euler(f), when that is nonzero.  The
+    jet-dependent part of f is inverted through the boundary current
+    Psi_f(u, 1) with each monomial weighted by the reciprocal of its jet
+    degree (the scaling homotopy in the dependent variable, evaluated in
+    closed form); the jet-free remainder is integrated in x.  The
+    construction (_scaled_inverse) runs on n T and n X, n the least
+    common multiple of its divisors, and divides by n once, so the
+    result has Fraction coefficients throughout.  It is exact and
+    deterministic, and the result is one representative of the
+    current's equivalence class.
+    """
+    n, T, X = _scaled_inverse(f)
+    return ConservedCurrent(T / n, X / n)

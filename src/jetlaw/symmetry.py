@@ -14,10 +14,14 @@ current:
 where R_P(G) = frechet(G, P) and R_Q(G) = frechet_adjoint(G, Q).  R_P
 is derived once per query, also for a whole basis in action_matrix, and
 its extraction is the symmetry check: the remainder it leaves is
-restrict(frechet(G, P)).  The same multiplier arises, modulo expressions
-vanishing on the solution space, from the boundary current Psi_G(P, Q)
-and from transforming the current itself; psi_current and
-act_on_current expose those routes.
+restrict(frechet(G, P)).  The image R_Q is extracted from also decides
+the multiplier check: by the product rule E_u(Q G) = G'*(Q) + Q'*(G),
+so Q is a multiplier exactly when frechet_adjoint(G, Q) +
+frechet_adjoint(Q, G) vanishes, and no Euler image of Q G is taken.
+The same multiplier arises, modulo expressions vanishing on the
+solution space, from the boundary current Psi_G(P, Q) and from
+transforming the current itself; psi_current and act_on_current expose
+those routes.
 
 classify compares Q_acted with Q on the solution space: a multiplier
 with Q_acted = 0 is invariant under the symmetry, one with
@@ -50,7 +54,6 @@ from .conslaw import (
     _require_low_order,
     ansatz_monomials,
     check_adjoint_symmetry,
-    check_multiplier,
     solve_determining_system,
 )
 from .diffops import (
@@ -179,12 +182,15 @@ def _symmetry_operator(p: DiffExpr, pde: NormalPDE, given: DiffExpr) -> LinDiffO
 
 
 def _act(p: DiffExpr, r_p: LinDiffOp, q: DiffExpr, pde: NormalPDE, given: DiffExpr) -> DiffExpr:
-    """R_P*(Q) - R_Q*(P) for a symmetry P with operator R_P.  Raises
-    NotAMultiplier, showing given, the caller's Q, of which q is a
-    multiple."""
-    if not check_multiplier(q, pde):
+    """R_P*(Q) - R_Q*(P) for a symmetry P with operator R_P.  By the
+    product rule E_u(q G) = G'*(q) + q'*(G), and R_Q is extracted from
+    w = G'*(q), so w decides the multiplier condition with q'*(G):
+    raises NotAMultiplier exactly when check_multiplier(q) is false,
+    showing given, the caller's Q, of which q is a multiple."""
+    w = frechet_adjoint(pde.G, q)
+    if not (w + frechet_adjoint(q, pde.G)).is_zero:
         raise NotAMultiplier(f"E_u(q G) != 0 for q = {format_brief(given)}")
-    r_q = extract_operator(frechet_adjoint(pde.G, q), pde)
+    r_q = extract_operator(w, pde)
     return r_p.adjoint(q) - r_q.adjoint(p)
 
 

@@ -2,11 +2,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import oracle
 from helpers import random_expr
+from jetlaw.conslaw import current_from_multiplier
 from jetlaw.diffops import (
     ConservedCurrent,
     boundary_current,
@@ -19,7 +21,7 @@ from jetlaw.diffops import (
     total_derivative,
 )
 from jetlaw.errors import NotADivergence
-from jetlaw.expr import ONE, ZERO, const, jet, t, u
+from jetlaw.expr import ONE, ZERO, DiffExpr, Monomial, const, jet, t, u, x
 
 u_t = jet(1, 0)
 u_x = jet(0, 1)
@@ -160,6 +162,47 @@ def test_invert_divergence_round_trip_random():
         f = total_derivative(a, "t") + total_derivative(b, "x")
         cur = invert_divergence(f)
         assert divergence(cur) == f
+
+
+def _weighted_inverse(f):
+    """The current invert_divergence(f) gave when it weighted each term
+    in Fractions: each monomial of Psi_f(u, 1), f its jet-dependent
+    part, over its jet degree, and the jet-free part integrated in x."""
+    terms = f.terms
+    psi_t, psi_x = boundary_current(DiffExpr({m: c for m, c in terms.items() if m.jet_powers}), u, ONE)
+
+    def weighted(e):
+        return DiffExpr({m: c / sum(m.jet_powers.values()) for m, c in e.terms.items()})
+
+    free = {Monomial(m.t_deg, m.x_deg + 1): c / (m.x_deg + 1) for m, c in terms.items() if not m.jet_powers}
+    return ConservedCurrent(weighted(psi_t), weighted(psi_x) + DiffExpr(free))
+
+
+def _all_fractions(cur):
+    return all(type(c) is Fraction for e in cur for c in e._d.values())
+
+
+def test_invert_divergence_matches_the_weighted_construction():
+    rng = random.Random(18)
+    for fractions in [False] * 15 + [True] * 15:
+        a = random_expr(rng, max_terms=3, allow_fractions=fractions)
+        b = random_expr(rng, max_terms=3, allow_fractions=fractions)
+        f = total_derivative(a, "t") + total_derivative(b, "x")
+        cur = invert_divergence(f)
+        assert cur == _weighted_inverse(f) and _all_fractions(cur), f
+    # linear in the jets, with jet-free terms of degree 0 in x: nothing
+    # to divide, and still Fraction coefficients
+    for f in (jet(1, 0), total_derivative(3 * jet(0, 1) - u, "t") + 4 * t, const(5)):
+        cur = invert_divergence(f)
+        assert cur == _weighted_inverse(f) and _all_fractions(cur), f
+
+
+def test_current_from_multiplier_matches_the_inversion_of_q_g(kdv):
+    # it inverts the primitive part's q G scaled by the construction's
+    # divisors and divides once by both
+    for q in (u, u / 3, (jet(0, 2) + u**2 / 2) * Fraction(3, 2), t * u - x, Fraction(7, 1) * ONE):
+        cur = current_from_multiplier(q, kdv)
+        assert cur == invert_divergence(q * kdv.G) and _all_fractions(cur), q
 
 
 def test_invert_divergence_self_check_survives_optimize():

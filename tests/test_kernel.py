@@ -449,6 +449,32 @@ def test_packed_arithmetic_matches_tuple_reference():
     assert pure.diff_jet(f._d, 10**6, 0) == {}
 
 
+def test_partials_match_diff_jet_in_ascending_jet_order():
+    rng = random.Random(40)
+    # keys hundreds of slots wide
+    high = _fresh_jets(rng, 200)
+    cap = pure.CAP
+    exprs = [
+        DiffExpr(),
+        7 * t**2 * x + Fraction(1, 3),
+        u**cap * jet(0, 2) - Fraction(5, 2) * jet(1, 0) ** cap * u,
+        DiffExpr._raw({pure.encode(1, 0, ((*high[-1], cap), (0, 0, 1))): Fraction(2, 7), pure.encode(0, 3): 4}),
+    ]
+    for i in range(80):
+        jets = rng.sample(high, 3) + [(0, 0), (0, 1), (1, 0), (2, 1)] if i % 2 else None
+        exprs.append(random_expr(rng, max_terms=6, max_jet_degree=4, jets=jets, allow_fractions=i % 3 == 0))
+    for f in exprs:
+        got = pure.partials(f._d)
+        # ascending (nt, nx), the jet-free and zero cases giving {}
+        assert list(got) == sorted((idx.nt, idx.nx) for idx in f.jet_indices())
+        a = _tuples(f._d)
+        for jet_, d in got.items():
+            want = pure.diff_jet(f._d, *jet_)
+            assert d == want and [type(c) for c in d.values()] == [type(c) for c in want.values()]
+            assert _tuples(d) == _ref_diff(a, jet_)
+    assert pure.partials({}) == {} and pure.partials(exprs[1]._d) == {}
+
+
 def test_encode_and_decode_round_trip():
     rng = random.Random(39)
     high = _fresh_jets(rng, 20)

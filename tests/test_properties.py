@@ -4,18 +4,21 @@ symmetry satisfies the determining equation; the multiplier action
 equals the multiplier of the boundary current Psi_G(P, Q), and the
 current <-> multiplier round trip holds, on the solution space; each
 query raises its typed error exactly when the public check of its
-precondition is false; every query scales exactly with the scalar
-multiples of its arguments, and its errors show the arguments as
-given; and restriction, which multiplies memoized restrictions of
-consequence parts, agrees with the sympy reference and with the
-remainder of operator extraction, which runs the bucket loop on the
-whole input."""
+precondition is false, and the product rule E_u(q G) = G'*(q) +
+q'*(G) that the action queries decide the multiplier condition by
+holds on every candidate and against the sympy reference; every query
+scales exactly with the scalar multiples of its arguments, and its
+errors show the arguments as given; and restriction, which multiplies
+memoized restrictions of consequence parts, agrees with the sympy
+reference and with the remainder of operator extraction, which runs
+the bucket loop on the whole input."""
 
 import functools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 import oracle
 from helpers import random_expr
@@ -30,8 +33,7 @@ from jetlaw.conslaw import (
     solve_multipliers,
     verify_conservation_law,
 )
-from jetlaw.diffops import ConservedCurrent, total_derivative
-from jetlaw.diffops import divergence
+from jetlaw.diffops import ConservedCurrent, divergence, euler, frechet_adjoint, total_derivative
 from jetlaw.errors import (
     JetLawError,
     NotAdjointSymmetry,
@@ -165,8 +167,13 @@ def test_queries_raise_exactly_when_their_checks_fail():
             seen.add(("symmetry", ok))
         for q in _candidates(rng, pde, qs):
             ok = check_multiplier(q, pde)
+            # the product rule the action queries decide the condition by
+            rule = frechet_adjoint(pde.G, q) + frechet_adjoint(q, pde.G)
+            assert rule._d == euler(q * pde.G)._d, (pde, q)
             assert (_error(current_from_multiplier, q, pde) is NotAMultiplier) is not ok, (pde, q)
-            assert (_error(act_on_multiplier, p0, q, pde) is NotAMultiplier) is not ok, (pde, q)
+            for query in (act_on_multiplier, classify):
+                assert (_error(query, p0, q, pde) is NotAMultiplier) is not ok, (query, pde, q)
+            assert (_error(action_matrix, p0, [q], pde) is NotAMultiplier) is not ok, (pde, q)
             seen.add(("multiplier", ok))
             ok = check_adjoint_symmetry(q, pde)
             assert (_error(helmholtz_check, q, pde) is NotAdjointSymmetry) is not ok, (pde, q)
@@ -182,6 +189,20 @@ def test_queries_raise_exactly_when_their_checks_fail():
                 seen.add(("current", ok))
     # every equivalence is met from both sides
     assert len(seen) == 8, seen
+
+
+def test_multiplier_product_rule_matches_the_reference():
+    # E_u(q G) = G'*(q) + q'*(G), by the sympy transcription of the
+    # defining formulas
+    rng = random.Random(74)
+    for pde, _, qs, _ in _solved()[:4]:
+        g = oracle.to_sympy(pde.G)
+        for q in qs[:1] + [_small(rng)]:
+            h = oracle.to_sympy(q)
+            want = oracle.euler(h * g)
+            assert sp.expand(want - oracle.frechet_adjoint(g, h) - oracle.frechet_adjoint(h, g)) == 0
+            got = frechet_adjoint(pde.G, q) + frechet_adjoint(q, pde.G)
+            assert got == oracle.from_sympy(want), (pde, q)
 
 
 def _scalar(rng):

@@ -1,14 +1,15 @@
 """Each fact is decided once: a query whose precondition is decided by
 the computation it guards runs that computation once.  The extraction
 of R_P is the symmetry check, the extraction of a current's divergence
-is the conservation check, and the Euler image inside the divergence
-inversion of q G is the multiplier check."""
+is the conservation check, the Euler image inside the divergence
+inversion of q G is the multiplier check, and in the action queries
+the image G'*(q) that R_Q is extracted from decides it with q'*(G)."""
 
 from jetlaw import conslaw, diffops, soln, symmetry
 from jetlaw.conslaw import current_from_multiplier, multiplier_from_current
 from jetlaw.expr import ONE, DiffExpr, jet, t, u, x
 from jetlaw.soln import restrict
-from jetlaw.symmetry import act_on_multiplier, action_matrix
+from jetlaw.symmetry import act_on_multiplier, action_matrix, classify
 
 GALILEAN = 1 - t * jet(0, 1)
 ENERGY = jet(0, 2) + u**2 / 2
@@ -56,8 +57,32 @@ def test_current_from_multiplier_takes_one_euler_image(kdv, monkeypatch):
     calls = _counted(monkeypatch, diffops, "frechet_adjoint")
     current_from_multiplier(ENERGY, kdv)
     # frechet_adjoint(f, 1) is the Euler image E_u(f), taken of the
-    # primitive part 2 ENERGY of the multiplier
+    # primitive part 2 ENERGY of the multiplier.  It runs before the
+    # inversion, which is not left to decide the condition: a variant
+    # whose self-check decided it took 2.6-4.6 s to refuse
+    # current --Q "u[64,0]^6" on KdV (fresh processes, 2-core Xeon),
+    # past the 2 s of tests/test_cli.py, where the Euler image takes 0.4 s
     assert [f for f, h in calls] == [(2 * ENERGY) * kdv.G]
+
+
+def test_action_queries_decide_the_multiplier_by_the_product_rule(kdv, monkeypatch):
+    # E_u(q G) = G'*(q) + q'*(G), and R_Q is extracted from G'*(q); the
+    # primitive part of ENERGY / 3 is 2 ENERGY.  symmetry imports
+    # frechet_adjoint, and euler calls it in diffops as the Euler image
+    # frechet_adjoint(q G, 1), which no query takes
+    calls = _counted(monkeypatch, symmetry, "frechet_adjoint")
+    euler_images = _counted(monkeypatch, diffops, "frechet_adjoint")
+    q = 2 * ENERGY
+    for query in (act_on_multiplier, classify):
+        calls.clear()
+        query(GALILEAN, ENERGY / 3, kdv)
+        assert calls == [(kdv.G, q), (q, kdv.G)], query
+    # two calls per basis element
+    basis = [ONE, u, t * u - x]
+    calls.clear()
+    action_matrix(GALILEAN, basis, kdv)
+    assert calls == [c for b in basis for c in ((kdv.G, b), (b, kdv.G))]
+    assert euler_images == []
 
 
 def _fractional(calls):
