@@ -52,12 +52,14 @@ rref is the one exact elimination routine.  It works on sparse rows,
 dicts {col: int or Fraction} holding only the nonzero entries, and
 returns the unique reduced row echelon form in the same representation.
 Its row updates accumulate through _acc like every other routine here
-but the two hot loops, mul_into and the jet steps of _total, which
+but the three hot loops, mul_into, its row-major sibling mul_into_rows
+that writes the solves' equations, and the jet steps of _total, which
 build most terms and do the same get, add and delete inline.
 
 MAX_PRODUCTS is the one bound on work and spend the one refusal: mul
 prices len(a) * len(b) before it builds anything, so pow_ is priced at
-each squaring; the hot loop mul_into is not, and its callers spend.
+each squaring; the hot loops mul_into and mul_into_rows are not, and
+their callers spend.
 """
 
 from fractions import Fraction
@@ -315,6 +317,31 @@ def mul_into(out: dict, key: int, coeff, b: dict) -> None:
                 out[k] = s
             else:
                 del out[k]
+
+
+def mul_into_rows(rows: dict, col: int, key: int, coeff, b: dict) -> None:
+    """mul_into into column col of rows {monomial key: {col: coefficient}},
+    the equations of a linear system, each term written into the row of
+    its monomial; a row left empty is dropped."""
+    guards = _guards
+    known = rows.get
+    for k, c in b.items():
+        k += key
+        if k & guards:
+            raise _overflow()
+        row = known(k)
+        if row is None:
+            rows[k] = {col: coeff * c}
+        elif col not in row:
+            row[col] = coeff * c
+        else:
+            s = row[col] + coeff * c
+            if s:
+                row[col] = s
+            else:
+                del row[col]
+                if not row:
+                    del rows[k]
 
 
 def mul(a, b):

@@ -18,8 +18,9 @@ linear system for the ansatz coefficients.
 
 Every ansatz monomial is p m0 with p = t^a x^b and m0 a pure jet
 monomial, and both solves get the images of all (T+1)(X+1) monomials
-sharing a jet part m0 from pieces computed once for m0
-(_factored_images), by two Leibniz-rule identities:
+sharing a jet part m0 from pieces computed once for m0, by two
+Leibniz-rule identities, and write each term of an image straight into
+the equation of its monomial (_determining_rows):
 
     E_u(p m0 G) = sum_K D^K(p) A_K(m0 G)                    (multipliers)
     restrict(G'(p m0)) = sum_K D^K(p) restrict(F_K(m0))    (symmetries)
@@ -247,35 +248,43 @@ def _monomial_equations(exprs: list[DiffExpr]) -> list[dict]:
     return list(eqs.values())
 
 
-def _factored_images(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExpr]:
-    """The images under a linear map L of the ansatz monomials
-    p m0, with p = t^a x^b and m0 a pure jet monomial, given that
+def _determining_rows(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> dict:
+    """The equations {j: coefficient}, by monomial key, of
+    sum_j c_j L(basis[j]) = 0 for a linear map L of the ansatz monomials
+    p m0, p = t^a x^b and m0 a pure jet monomial of coefficient 1, with
 
         L(p m0) = sum_{K <= (a, b)} D^K(p) pieces(m0, kmax)[K]
 
-    with kmax = (max_t_degree, max_x_degree).  pieces returns raw terms
-    {K: dict}, with absent K meaning zero, and runs once per jet part
-    m0; D^K(t^a x^b) = a^(kt) b^(kx) t^(a-kt) x^(b-kx), with a^(k) the
-    falling factorial a (a-1) ... (a-k+1), so each image is a sum of
-    pieces shifted in t and x and scaled by an integer.  The basis
-    monomials have coefficient 1.
-    """
+    and kmax = (max_t_degree, max_x_degree).  pieces returns raw terms
+    {K: dict}, absent K meaning zero, once per jet part m0, and
+    D^K(t^a x^b) = a (a-1) ... (a-kt+1) b ... (b-kx+1) t^(a-kt) x^(b-kx),
+    so each term of a shifted, scaled piece goes straight into the
+    equation of its monomial (mul_into_rows); no image is built."""
     groups: dict = {}
     for j, m in enumerate(basis):
         (key,) = m._d
         a, b, m0 = _k.split_tx(key)
         groups.setdefault(m0, []).append((j, a, b))
     kmax = (ansatz.max_t_degree, ansatz.max_x_degree)
-    images: list = [None] * len(basis)
+    rows: dict = {}
     for m0, members in groups.items():
         ps = pieces(DiffExpr._raw({m0: 1}), kmax)
         for j, a, b in members:
-            out: dict = {}
             for (kt, kx), piece in ps.items():
                 if kt <= a and kx <= b:
-                    _k.mul_into(out, _k.encode(a - kt, b - kx), perm(a, kt) * perm(b, kx), piece)
-            images[j] = DiffExpr._raw(out)
-    return images
+                    _k.mul_into_rows(rows, j, _k.encode(a - kt, b - kx), perm(a, kt) * perm(b, kx), piece)
+    return rows
+
+
+def _null_combinations(basis: list[DiffExpr], rows) -> list[DiffExpr]:
+    """sum_j c_j basis[j] for each c of the canonical nullspace of rows."""
+    out = []
+    for v in sparse_nullspace(rows, len(basis)):
+        acc: dict = {}
+        for j, coeff in v.items():
+            _k.mul_into(acc, _k.ONE_MONO, coeff, basis[j]._d)
+        out.append(DiffExpr._raw(acc))
+    return out
 
 
 def solve_determining_system(
@@ -286,15 +295,10 @@ def solve_determining_system(
     Collects the coefficients of every monomial occurring in the images
     into an exact sparse linear system, one equation per monomial, and
     returns the combinations of the basis whose image vanishes, in the
-    deterministic order produced by the canonical nullspace.
+    deterministic order produced by the canonical nullspace, as the
+    solves read their systems off.
     """
-    out = []
-    for v in sparse_nullspace(_monomial_equations(images), len(basis)):
-        acc: dict = {}
-        for j, coeff in v.items():
-            _k.mul_into(acc, _k.ONE_MONO, coeff, basis[j]._d)
-        out.append(DiffExpr._raw(acc))
-    return out
+    return _null_combinations(basis, _monomial_equations(images))
 
 
 def _require_low_order(pde: NormalPDE, ansatz: Ansatz) -> None:
@@ -318,5 +322,5 @@ def solve_multipliers(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
     """
     _require_low_order(pde, ansatz)
     basis = ansatz_monomials(pde, ansatz)
-    images = _factored_images(basis, ansatz, lambda m0, kmax: euler_pieces(m0 * pde.G, kmax))
-    return solve_determining_system(basis, images)
+    rows = _determining_rows(basis, ansatz, lambda m0, kmax: euler_pieces(m0 * pde.G, kmax))
+    return _null_combinations(basis, rows.values())

@@ -136,7 +136,8 @@ def _adjoint_op(coeffs: dict, h: dict) -> dict:
     """Raw terms of sum_K (-D_t)^kt (-D_x)^kx (c_K h) for raw
     coefficients {K: c_K} and raw h."""
     out: dict = {}
-    budget = _k.MAX_PRODUCTS
+    # every product c_K h is priced before the first is built
+    budget = _k.spend(_k.MAX_PRODUCTS, len(h) * sum(map(len, coeffs.values())))
     for (kt, kx), c in coeffs.items():
         w = _k.mul(c, h)
         # each step builds at most one term per jet factor of each term

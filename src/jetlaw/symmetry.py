@@ -48,13 +48,13 @@ from fractions import Fraction
 
 from .conslaw import (
     Ansatz,
+    _determining_rows,
     _divided,
-    _factored_images,
     _monomial_equations,
+    _null_combinations,
     _require_low_order,
     ansatz_monomials,
     check_adjoint_symmetry,
-    solve_determining_system,
 )
 from .diffops import (
     ConservedCurrent,
@@ -140,7 +140,7 @@ def solve_symmetries(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
             for K, f in frechet_pieces(pde.G, m0, kmax).items()
         }
 
-    return solve_determining_system(basis, _factored_images(basis, ansatz, pieces))
+    return _null_combinations(basis, _determining_rows(basis, ansatz, pieces).values())
 
 
 def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:

@@ -53,8 +53,8 @@ HIGH_JETS = ["u[64,0]", "u[0,64]", "u[60,4]", "u_" + "x" * 60]
 # monomial fields, and the last two stay just below that cap
 NESTED = ["(u^256)^256", "(t^256)^256*u", "((u_x^16)^16)^128", "(u^128)^255", "(x^255)^128*u_x"]
 # a product of two sums of 300 monomials: the parser accepts its 90,000
-# terms, and the kernel refuses the product of Q with the PDE before
-# building it
+# terms; current refuses the product Q G, and act the products c_K Q
+# of G'*(Q), priced together, before building any of them
 LARGE_PRODUCT = "({})*({})".format(
     "+".join(f"t^{i}*x^{j}" for i in range(20) for j in range(15)),
     "+".join(f"u^{i + 1}*u_x^{j}" for i in range(20) for j in range(15)),

@@ -245,6 +245,29 @@ def test_rref_peels_the_kdv_symmetry_system(kdv, monkeypatch):
     assert len(calls) < 100
 
 
+def test_mul_into_rows_writes_the_transposed_images():
+    # column j of the rows is the image mul_into builds for j, entry for
+    # entry; entries that cancel and rows they leave empty are dropped
+    rng = random.Random(47)
+    for _ in range(40):
+        images, rows = [], {}
+        for j in range(rng.randint(1, 5)):
+            image = {}
+            steps = [(pure.encode(rng.randint(0, 2), rng.randint(0, 2)), rng.choice([1, -3, Fraction(2, 5)]),
+                      random_expr(rng, max_terms=4, max_order=2, allow_fractions=True)._d) for _ in range(3)]
+            steps += [(key, -c, b) for key, c, b in rng.sample(steps, rng.randint(0, 3))]
+            for key, c, b in steps:
+                pure.mul_into(image, key, c, b)
+                pure.mul_into_rows(rows, j, key, c, b)
+            images.append(image)
+        want = {}
+        for j, image in enumerate(images):
+            for k, c in image.items():
+                want.setdefault(k, {})[j] = c
+        assert rows == want
+        assert all(row and all(row.values()) for row in rows.values())
+
+
 def _random_coeff(rng):
     """A small or huge int, or a random entry (a Fraction)."""
     if rng.random() < 0.4:
@@ -584,6 +607,7 @@ def test_exponents_and_degrees_up_to_the_cap():
         lambda: pure.encode(cap + 1, 0),
         lambda: pure.encode(0, 0, ((5, 5, cap + 1),)),
         lambda: pure.times_jet(pure.encode(0, 0, ((0, 0, cap),)), (0, 0), 1),
+        lambda: pure.mul_into_rows({}, 0, pure.encode(cap, 0), 1, (t * u)._d),
     ):
         with pytest.raises(ExponentOverflow, match=f"exceeds {cap}"):
             overflow()

@@ -5,11 +5,15 @@ is the conservation check, the Euler image inside the divergence
 inversion of q G is the multiplier check, and in the action queries
 the image G'*(q) that R_Q is extracted from decides it with q'*(G)."""
 
+import pytest
+
 from jetlaw import conslaw, diffops, soln, symmetry
+from jetlaw._kernel import pure
 from jetlaw.conslaw import current_from_multiplier, multiplier_from_current
+from jetlaw.errors import JetLawError
 from jetlaw.expr import ONE, DiffExpr, jet, t, u, x
 from jetlaw.soln import restrict
-from jetlaw.symmetry import act_on_multiplier, action_matrix, classify
+from jetlaw.symmetry import act_on_multiplier, action_matrix, classify, psi_current
 
 GALILEAN = 1 - t * jet(0, 1)
 ENERGY = jet(0, 2) + u**2 / 2
@@ -109,3 +113,22 @@ def test_queries_run_on_integral_primitive_parts(kdv, monkeypatch):
     assert cur == (whole.T / 3, whole.X / 3)
     assert restrict(back, kdv) == restrict(q, kdv)
     assert acted == act_on_multiplier(GALILEAN, ENERGY, kdv) / 15
+
+
+def test_adjoint_op_prices_its_products_before_the_first(kdv, monkeypatch):
+    # Q = (A)*(B), A and B sums of 300 monomials, has 90,000 terms; with
+    # the four one-term coefficients of G' the products c_K Q of
+    # G'*(Q) price at 360,000 terms together, so the action queries and
+    # psi refuse before multiplying Q by anything
+    a = sum((t**i * x**j for i in range(20) for j in range(15)), DiffExpr())
+    b = sum((u ** (i + 1) * jet(0, 1) ** j for i in range(20) for j in range(15)), DiffExpr())
+    q = a * b
+    assert len(q._d) == 90_000
+    sizes = []
+    real = pure.mul
+    monkeypatch.setattr(pure, "mul", lambda f, g: sizes.append((len(f), len(g))) or real(f, g))
+    for query in (act_on_multiplier, classify, psi_current):
+        sizes.clear()
+        with pytest.raises(JetLawError, match=f"^work exceeds {pure.MAX_PRODUCTS} terms$"):
+            query(-jet(0, 1), q, kdv)
+        assert sizes and max(map(max, sizes)) < 100, query
