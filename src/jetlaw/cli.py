@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conslaw import (
     Ansatz,
@@ -62,8 +62,7 @@ _ANSATZ_KEYS = {key: field for field, key, _ in _ANSATZ_FIELDS}
 _RESERVED = re.compile(r"[txu]|u_[tx]+")
 
 
-@dataclass
-class Session:
+class Session(NamedTuple):
     pde: NormalPDE
     names: dict[str, DiffExpr]
     ansatz: Ansatz
@@ -90,7 +89,7 @@ def load_session(path: str) -> Session:
     try:
         with open(path, encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise SessionError(f"cannot read session file {path}: {ex}") from ex
     lead = rhs = None
     names: dict[str, DiffExpr] = {}

@@ -46,9 +46,9 @@ the input as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, perm
+from typing import NamedTuple
 
 from ._kernel import impl as _k
 from .diffops import (
@@ -78,26 +78,25 @@ _ONE = const(1)
 MAX_ANSATZ = 10_000
 
 
-@dataclass(frozen=True)
-class Ansatz:
-    """Bounds of the polynomial ansatz: differential order of the jets,
-    total degree in the jets, and degrees in the explicit t and x."""
-
+class _AnsatzBounds(NamedTuple):
     max_order: int = 1
     max_jet_degree: int = 1
     max_t_degree: int = 1
     max_x_degree: int = 1
 
-    def __post_init__(self):
-        for name in (
-            "max_order",
-            "max_jet_degree",
-            "max_t_degree",
-            "max_x_degree",
-        ):
-            v = getattr(self, name)
+
+class Ansatz(_AnsatzBounds):
+    """Bounds of the polynomial ansatz: differential order of the jets,
+    total degree in the jets, and degrees in the explicit t and x."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(self._fields, self):
             if not isinstance(v, int) or v < 0:
                 raise AnsatzError(f"{name} must be a non-negative integer, got {v!r}")
+        return self
 
 
 def _jet_count(order: int) -> int:
@@ -241,11 +240,10 @@ def _monomial_equations(exprs: list[DiffExpr]) -> list[dict]:
     """The sparse linear system sum_j c_j exprs[j] = 0 in the unknowns
     c_j: one equation {j: coefficient} per monomial occurring in the
     expressions."""
-    eqs: dict = {}
+    rows: dict = {}
     for j, e in enumerate(exprs):
-        for k, c in e._d.items():
-            eqs.setdefault(k, {})[j] = c
-    return list(eqs.values())
+        _k.mul_into_rows(rows, j, _k.ONE_MONO, 1, e._d)
+    return list(rows.values())
 
 
 def _determining_rows(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> dict:

@@ -43,8 +43,8 @@ error message shows the inputs as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .conslaw import (
     Ansatz,
@@ -80,8 +80,7 @@ from .ratlin import QMatrix, rational_eigenpairs
 from .soln import LinDiffOp, NormalPDE, extract_operator, restrict
 
 
-@dataclass(frozen=True)
-class SymmetryGen:
+class SymmetryGen(NamedTuple):
     """A point symmetry generator tau d/dt + xi d/dx + eta d/du.
 
     Use SymmetryGen.evolutionary(P) for a generator already in
@@ -234,8 +233,7 @@ def psi_current(gen, q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     return ConservedCurrent(_divided(T, dp * dq), _divided(X, dp * dq))
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Outcome of classify: verdict is 'Invariant', 'Homogeneous', or
     'NotHomogeneous'; lam is the weight (0 for invariant, None when not
     homogeneous); action is the compared form of the acted multiplier."""
@@ -276,8 +274,7 @@ def classify(
     return ClassificationResult("NotHomogeneous", None, action)
 
 
-@dataclass(frozen=True)
-class SymmetryAction:
+class SymmetryAction(NamedTuple):
     """The matrix of a symmetry action on a multiplier basis, columns
     holding the coordinates of each acted basis element, together with
     its rational eigenvalues and canonical eigenvector bases."""

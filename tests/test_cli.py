@@ -68,6 +68,13 @@ def test_session_errors(tmp_path, capsys):
     code, _, err = run(capsys, "-s", str(tmp_path / "nope"), "multipliers")
     assert code == 2
 
+    # a file that is not UTF-8
+    path = tmp_path / "latin.session"
+    path.write_bytes(b"lead = u_t\nrhs = u_xx\n# \xff\n")
+    code, out, err = run(capsys, "-s", str(path), "multipliers")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: SessionError: cannot read session file {path}: 'utf-8' codec")
+
 
 def test_check_conslaw_exit_codes(capsys):
     code, out, _ = run(

@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from math import comb
@@ -38,6 +39,21 @@ def test_ansatz_validation():
         Ansatz(max_order=-1)
     with pytest.raises(AnsatzError):
         Ansatz(max_jet_degree=-2)
+    with pytest.raises(AnsatzError, match="max_order must be a non-negative integer, got '1'"):
+        Ansatz("1")
+    with pytest.raises(AnsatzError, match="max_x_degree must be a non-negative integer, got 1.0"):
+        Ansatz(max_x_degree=1.0)
+    # a value record: repr, positional and keyword construction, pickling
+    # and read-only fields
+    assert repr(a) == "Ansatz(max_order=1, max_jet_degree=1, max_t_degree=1, max_x_degree=1)"
+    b = Ansatz(2, 3, max_x_degree=0)
+    assert (b.max_order, b.max_jet_degree, b.max_t_degree, b.max_x_degree) == (2, 3, 1, 0)
+    assert b == Ansatz(max_order=2, max_jet_degree=3, max_t_degree=1, max_x_degree=0)
+    c = pickle.loads(pickle.dumps(b))
+    assert type(c) is Ansatz and c == b
+    with pytest.raises(AttributeError):
+        b.max_order = 5
+    assert b.max_order == 2
 
 
 def test_ansatz_monomials_counts(kdv, wave):

@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jetlaw
@@ -168,3 +171,12 @@ def test_the_memo_rule_stays_in_the_kernel():
                 found.append(f"{path.relative_to(SRC)}:{line} {what}")
     assert inside == {"MEMO_CAP", "class Memo(dict)"}
     assert found == []
+
+
+def test_no_code_generating_modules_on_the_import_path():
+    # the value records are NamedTuples: dataclasses, and the inspect it
+    # loads, would add about 10 ms to every cold start of the command
+    code = "import sys, jetlaw.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out == "[]\n"

@@ -188,6 +188,10 @@ def test_classify_scaling_weights(kdv):
         assert res.verdict == "Homogeneous"
         assert res.lam == lam
         assert expected[str(q)] == lam
+    # the line the README quick start prints
+    assert repr(classify(gen, u, kdv)) == (
+        "ClassificationResult(verdict='Homogeneous', lam=Fraction(-3, 1), action=DiffExpr('-3*u'))"
+    )
     res = classify(gen, t * u - x, kdv)
     assert res.verdict == "Invariant"
     assert res.lam == 0
