@@ -91,23 +91,12 @@ class _DerivCache:
     that spends past MAX_PRODUCTS is refused and not kept, so one call's
     derivatives hold at most MAX_PRODUCTS terms; only that step builds
     more.  It is not priced first, as _adjoint_op's steps are, since
-    derivative_terms costs about a third of a step.
-
-    A cache kept across calls, as a NormalPDE keeps the derivatives of
-    its g, is renewed at the start of each call: the call gets the whole
-    budget, derivatives kept from earlier calls cost it nothing, and they
-    are dropped only there, once they hold more than MAX_PRODUCTS terms,
-    so a call never builds a derivative twice."""
+    derivative_terms costs about a third of a step.  A cache lives for
+    one call, as the derivatives of a NormalPDE's g do in restrict and
+    extract_operator, and is not kept past it."""
 
     def __init__(self, d: dict):
         self._cache = {(0, 0): d}
-        self._budget, self._held = _k.MAX_PRODUCTS, 0
-
-    def renew(self) -> None:
-        """Start a call with the whole budget."""
-        if self._held > _k.MAX_PRODUCTS:
-            self._cache = {(0, 0): self._cache[(0, 0)]}
-            self._held = 0
         self._budget = _k.MAX_PRODUCTS
 
     def get(self, i: int, j: int) -> dict:
@@ -115,9 +104,7 @@ class _DerivCache:
         if d is not None:
             return d
         d = _k.total_x(self.get(i, j - 1)) if j else _k.total_t(self.get(i - 1, 0))
-        n = len(d)
-        self._budget = _k.spend(self._budget, n)
-        self._held += n
+        self._budget = _k.spend(self._budget, len(d))
         self._cache[(i, j)] = d
         return d
 

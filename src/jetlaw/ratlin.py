@@ -166,60 +166,23 @@ def _integral(M: QMatrix) -> tuple[int, list[list[int]]]:
 
 def _int_charpoly(A: list[list[int]]) -> list[int]:
     """Coefficients [1, c1, ..., cn] of det(lambda I - A) for a square
-    integer matrix A (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.2.9).
+    integer matrix A, by Berkowitz's division-free algorithm (Inform.
+    Process. Lett. 18, 1984), in ints throughout.
 
-    A is reduced to upper Hessenberg form H by similarity, a row and
-    column swap bringing a nonzero entry onto the sub-diagonal where the
-    pivot is 0; a matrix already in that form, an upper triangular one
-    for instance, is left as it is.  Then p_0 = 1 and
-
-        p_m = (lambda - h_mm) p_(m-1)
-              - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1)
-
-    gives det(lambda I - A) = p_n in O(n^3) operations.  The entries of
-    H are Fractions only where the reduction divided; the coefficients
-    of p_n are integers.
+    With A_r the leading r x r block, R and C the first r entries of row
+    and column r and a = A[r][r], the polynomial of A_(r+1) is that of A_r
+    multiplied by the lower triangular Toeplitz matrix whose first column
+    is 1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C: O(n^4) operations.
     """
-    n = len(A)
-    H = [list(row) for row in A]
-    for m in range(1, n - 1):
-        # the rows at or below the sub-diagonal that are nonzero in column
-        # m - 1; the first is swapped onto the sub-diagonal
-        nonzero = [i for i in range(m, n) if H[i][m - 1]]
-        if not nonzero or nonzero == [m]:
-            continue
-        i = nonzero[0]
-        if i > m:
-            H[i], H[m] = H[m], H[i]
-            for row in H:
-                row[i], row[m] = row[m], row[i]
-        pivot = H[m][m - 1]
-        for i in range(m + 1, n):
-            if H[i][m - 1]:
-                f = Fraction(H[i][m - 1], pivot)
-                H[i] = [a - f * b for a, b in zip(H[i], H[m])]
-                for row in H:
-                    row[m] += f * row[i]
-    p = [[1]]
-    for m in range(n):
-        # p_(m+1) = (lambda - h_mm) p_m - sum_(i<m) h_im t_i p_i, with
-        # t_i = h_(i+1,i) h_(i+2,i+1) ... h_(m,m-1)
-        nxt = p[m] + [0]
-        for k, c in enumerate(p[m]):
-            nxt[k + 1] -= H[m][m] * c
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t *= H[i + 1][i]
-            if not t:
-                break
-            f = H[i][m] * t
-            if f:
-                off = m + 1 - i
-                for k, c in enumerate(p[i]):
-                    nxt[k + off] -= f * c
-        p.append(nxt)
-    return [int(c) for c in p[n]]
+    p = [1]
+    for r in range(len(A)):
+        t = [1, -A[r][r]]
+        col = [row[r] for row in A[:r]]
+        for _ in range(r):
+            t.append(-sum(a * c for a, c in zip(A[r], col)))
+            col = [sum(a * c for a, c in zip(row, col)) for row in A[:r]]
+        p = [sum(t[k - j] * c for j, c in enumerate(p[: k + 1])) for k in range(r + 2)]
+    return p
 
 
 def charpoly(M: QMatrix) -> list[Fraction]:

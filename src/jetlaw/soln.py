@@ -15,15 +15,16 @@ buckets: every term is filed under its lex-greatest consequence jet,
 and the buckets are emptied from the greatest down, each exactly once:
 in each term base * u_m^e the power is replaced by the memoized
 (D^K g)^e, whose products with base only land in lower buckets or in
-the result.  The powers are memoized on the NormalPDE, next to the
-derivatives D^K g themselves, each already filed by the greatest
-consequence jet of its terms.  That jet, with the consequence part, is
-memoized per jet part in the kernel's jet_part_splitter: the kernel's
-keys give jets slots in first-use order, not in lex order, so it is
-found from the key's fields once per jet part and then looked up.
-Every memo here is a kernel Memo, under the kernel's one clearing rule,
-except the derivatives D^K g: a call must not rebuild one it built, so
-they are dropped only between calls (see diffops._DerivCache).
+the result.  The powers are memoized on the NormalPDE, each already
+filed by the greatest consequence jet of its terms.  That jet, with the
+consequence part, is memoized per jet part in the kernel's
+jet_part_splitter: the kernel's keys give jets slots in first-use
+order, not in lex order, so it is found from the key's fields once per
+jet part and then looked up.
+Every memo here is a kernel Memo, under the kernel's one clearing rule.
+The derivatives D^K g the powers are built from live for one call: each
+call builds one diffops._DerivCache of g and passes it down, so it never
+builds a derivative twice and keeps none.
 
 Restriction is a ring homomorphism R onto the polynomials free of
 consequence jets that fixes t, x and every other jet.  So restrict
@@ -61,17 +62,15 @@ class NormalPDE:
     """A scalar PDE u_L = g in normal solved form.
 
     Attributes: lead (JetIndex L), rhs (g), G (u_L - g).  Instances
-    memoize what restriction and operator extraction need: the total
-    derivatives of g, of which each call may build MAX_PRODUCTS terms
-    and which are dropped between calls once they hold more; and, in
-    kernel Memos, the consequence part and greatest consequence jet of
-    each jet part, the powers of the derivatives filed by that jet, and
-    the restrictions of consequence parts.  So reuse one instance per
+    memoize what restriction and operator extraction need, in kernel
+    Memos: the consequence part and greatest consequence jet of each jet
+    part, the powers of the derivatives of g filed by that jet, and the
+    restrictions of consequence parts.  So reuse one instance per
     equation.
     """
 
     __slots__ = (
-        "lead", "rhs", "G", "_drhs", "_split", "_pow", "_restricted", "_known_pow", "_known_restricted"
+        "lead", "rhs", "G", "_split", "_pow", "_restricted", "_known_pow", "_known_restricted"
     )
 
     def __init__(self, lead, rhs: DiffExpr):
@@ -90,7 +89,6 @@ class NormalPDE:
         self.lead = lead
         self.rhs = rhs
         self.G = jet(lead.nt, lead.nx) - rhs
-        self._drhs = _DerivCache(rhs._d)
         # monomial key -> (free factors, consequence part, its greatest jet)
         self._split = _k.jet_part_splitter(self.is_consequence)
         # (jet, e) -> (D^K g)^e as consequence_pow returns it
@@ -106,15 +104,17 @@ class NormalPDE:
         nt, nx = idx
         return nt >= self.lead.nt and nx >= self.lead.nx
 
-    def consequence_pow(self, idx, e: int) -> tuple:
+    def consequence_pow(self, idx, e: int, drhs: _DerivCache) -> tuple:
         """(n, groups) for the n raw terms of (D_t^kt D_x^kx g)^e, with
         u_idx = u_{L + (kt,kx)} and idx an (nt, nx) pair: groups lists
         (jet, terms) pairs that file the terms by their greatest
-        consequence jet, in the order of first appearance."""
+        consequence jet, in the order of first appearance.  On a miss
+        the derivative is read from drhs, the calling restriction's or
+        extraction's derivatives of g."""
         key = (idx, e)
         filed = self._known_pow(key)
         if filed is None:
-            p = _k.pow_(self._drhs.get(idx[0] - self.lead.nt, idx[1] - self.lead.nx), e)
+            p = _k.pow_(drhs.get(idx[0] - self.lead.nt, idx[1] - self.lead.nx), e)
             groups: dict = {}
             for pk, pc in p.items():
                 groups.setdefault(self._split(pk)[2], {})[pk] = pc
@@ -161,11 +161,12 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     call builds is kept in the memo only if the call is not refused, so
     a refused call leaves the memo as it found it, and a jet such as
     u[64,0] on KdV is refused with the kernel's message.  The
-    derivatives of g that the call builds are paid from a budget of
-    their own, as on a fresh NormalPDE.
+    derivatives of g are built in a table of the call's own and paid
+    from a budget of their own, so earlier calls cost a later one
+    nothing.
     """
     split = pde._split
-    pde._drhs.renew()
+    drhs = _DerivCache(pde.rhs._d)
     out: dict = {}
     # consequence part -> the free factors and coefficients of its terms
     parts: dict = {}
@@ -180,7 +181,7 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     # the parts this call builds
     built: dict = {}
     for cons in sorted(parts, key=lambda c: split(c)[2], reverse=True):
-        r, cost = _restricted_part(cons, pde, budget, built)
+        r, cost = _restricted_part(cons, pde, drhs, budget, built)
         budget -= cost
         for free, coeff in parts[cons]:
             budget = _k.spend(budget, len(r))
@@ -190,14 +191,14 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     return DiffExpr._raw(out)
 
 
-def _restricted_part(cons: int, pde: NormalPDE, budget: int, built: dict) -> tuple[dict, int]:
+def _restricted_part(cons: int, pde: NormalPDE, drhs: _DerivCache, budget: int, built: dict) -> tuple[dict, int]:
     """(R(c), cost) for the key c of a consequence part, cost the term
     products building R(c) took, from the PDE's memo, from built or
-    built into built.  With u_m^e the greatest power in c and c = u_m^e
-    rest, R(c) is R(u_m^e) R(rest) when R(rest) is known, and otherwise
-    the bucket loop on c alone.  A known entry spends its cost from
-    budget, and a build spends as it goes, so either raises when budget
-    runs out."""
+    built into built, with the call's derivatives of g in drhs.  With
+    u_m^e the greatest power in c and c = u_m^e rest, R(c) is
+    R(u_m^e) R(rest) when R(rest) is known, and otherwise the bucket
+    loop on c alone.  A known entry spends its cost from budget, and a
+    build spends as it goes, so either raises when budget runs out."""
     known = built.get(cons) or pde._known_restricted(cons)
     if known is not None:
         _k.spend(budget, known[1])
@@ -208,23 +209,24 @@ def _restricted_part(cons: int, pde: NormalPDE, budget: int, built: dict) -> tup
     if below:
         r, cost = below
         left = _k.spend(budget, cost)
-        power, pcost = _restricted_part(_k.times_jet(_k.ONE_MONO, m, e), pde, left, built)
+        power, pcost = _restricted_part(_k.times_jet(_k.ONE_MONO, m, e), pde, drhs, left, built)
         n = len(power) * len(r)
         _k.spend(left - pcost, n)
         r = _k.mul(power, r)
         cost += pcost + n
     else:
-        r, left = _rewrite({cons: 1}, pde, None, budget)
+        r, left = _rewrite({cons: 1}, pde, drhs, None, budget)
         cost = budget - left
     built[cons] = r, cost
     return r, cost
 
 
-def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None, budget: int) -> tuple[dict, int]:
+def _rewrite(d: dict, pde: NormalPDE, drhs: _DerivCache, quotients: dict | None, budget: int) -> tuple[dict, int]:
     """The rewriting loop: (rest, budget left) with rest the raw terms d
     modulo the PDE and its differential consequences, emptying one
-    bucket per consequence jet as the module docstring describes, and
-    every term product spent from budget.
+    bucket per consequence jet as the module docstring describes, every
+    term product spent from budget and the derivatives of g read from
+    drhs.
 
     When quotients is a dict, each replaced term base * u_m^e, with
     m = L + K, also adds the telescoped quotient
@@ -251,7 +253,7 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None, budget: int) -> tu
         for mono, coeff in buckets.pop(m).items():
             e, base = split(mono, m)
             btop = part_of(base)[2]
-            n, groups = pde.consequence_pow(m, e)
+            n, groups = pde.consequence_pow(m, e, drhs)
             budget = _k.spend(budget, n)
             for ptop, terms in groups:
                 dest = btop if btop > ptop else ptop
@@ -261,7 +263,7 @@ def _rewrite(d: dict, pde: NormalPDE, quotients: dict | None, budget: int) -> tu
                 mul_into(tgt, base, coeff, terms)
             if quotient is not None:
                 for k in range(e):
-                    n, groups = pde.consequence_pow(m, e - 1 - k)
+                    n, groups = pde.consequence_pow(m, e - 1 - k, drhs)
                     budget = _k.spend(budget, n)
                     key = _k.times_jet(base, m, k) if k else base
                     for _, terms in groups:
@@ -340,8 +342,7 @@ def extract_operator(f: DiffExpr, pde: NormalPDE) -> LinDiffOp:
     coefficients vanish on the solution space.
     """
     quotients: dict = {}
-    pde._drhs.renew()
-    rest, _ = _rewrite(f._d, pde, quotients, _k.MAX_PRODUCTS)
+    rest, _ = _rewrite(f._d, pde, _DerivCache(pde.rhs._d), quotients, _k.MAX_PRODUCTS)
     if rest:
         raise NotOnSolutionSpace(DiffExpr._raw(rest))
     return LinDiffOp({K: DiffExpr._raw(q) for K, q in quotients.items()})

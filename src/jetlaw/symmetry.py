@@ -52,6 +52,7 @@ from .conslaw import (
     _divided,
     _monomial_equations,
     _null_combinations,
+    _primitive_multiplier,
     _require_low_order,
     ansatz_monomials,
     check_adjoint_symmetry,
@@ -152,11 +153,15 @@ def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:
         T' = frechet(T, P) + tau D_t T + xi D_x T + T D_x xi - X D_x tau
         X' = frechet(X, P) + tau D_t X + xi D_x X + X D_t tau - T D_t xi
 
-    The result is conserved whenever (T, X) is and the generator is a
-    symmetry.
+    The result is conserved because the generator is a symmetry and
+    (T, X) is conserved: raises NotASymmetry and then NotConserved
+    otherwise, checked in that order, as act_on_multiplier and
+    multiplier_from_current do.
     """
-    T, X = current
     p = characteristic(gen)
+    _symmetry_operator(p, pde, p)
+    _primitive_multiplier(current, pde)
+    T, X = current
     tp = frechet(T, p)
     xp = frechet(X, p)
     if isinstance(gen, DiffExpr) or gen.is_evolutionary:

@@ -167,6 +167,16 @@ def test_act_command_multiplier_and_current(capsys):
     assert code == 0
     assert "T = -u_x" in out
 
+    # u_xx is not a symmetry, and (u, u) is not a conserved current
+    code, out, err = run(
+        capsys, "-s", KDV_SESSION, "act", "--P", "u_xx", "--T", "u", "--X", "u^2/2 + u_xx"
+    )
+    assert (code, out) == (2, "")
+    assert "NotASymmetry: determining equation fails for P = u_xx" in err
+    code, out, err = run(capsys, "-s", KDV_SESSION, "act", "--P", "-u_x", "--T", "u", "--X", "u")
+    assert (code, out) == (2, "")
+    assert "NotConserved: not conserved: D_t T + D_x X = u_t + u_x off" in err
+
     code, _, err = run(capsys, "-s", KDV_SESSION, "act", "--P", "-u_x")
     assert code == 2
     code, _, err = run(

@@ -325,9 +325,9 @@ def test_restriction_agrees_with_the_reference_and_with_extraction(monkeypatch):
     loops = []
     rewrite = soln._rewrite
 
-    def counted(d, pde, quotients, budget):
+    def counted(d, pde, drhs, quotients, budget):
         loops.append(quotients is None)
-        return rewrite(d, pde, quotients, budget)
+        return rewrite(d, pde, drhs, quotients, budget)
 
     monkeypatch.setattr(soln, "_rewrite", counted)
     entries = 0

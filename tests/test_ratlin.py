@@ -113,8 +113,8 @@ def _sympy_matrix(M):
 
 def _charpoly_battery():
     """Square matrices with n = 0..7: dense, upper triangular, with zero
-    sub-diagonal entries that force a pivot swap in the Hessenberg
-    reduction, and with large coprime denominators."""
+    sub-diagonal entries above nonzero ones, and with large coprime
+    denominators."""
     rng = random.Random(35)
     primes = [101, 103, 107, 109, 113, 127, 2**31 - 1, 2**61 - 1]
     out = [QMatrix([])]

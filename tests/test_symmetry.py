@@ -15,6 +15,7 @@ from jetlaw.errors import (
     NotAMultiplier,
     NotASymmetry,
     NotClosed,
+    NotConserved,
     TrivialMultiplier,
 )
 from jetlaw.expr import ONE, ZERO, const, jet, t, u, x
@@ -126,6 +127,13 @@ def test_act_on_current_full_generator_scaling(kdv):
     assert acted.T == -u
     assert acted.X == -u_xx - u**2 / 2
     assert verify_conservation_law(acted, kdv)
+    # the generator must be a symmetry and then the current conserved
+    not_symmetric = "^determining equation fails for P = -x\\*u_t$"
+    for cur in (mass, (u, u)):
+        with pytest.raises(NotASymmetry, match=not_symmetric):
+            act_on_current(SymmetryGen(x, ZERO, ZERO), cur, kdv)
+    with pytest.raises(NotConserved, match="^not conserved: D_t T \\+ D_x X = u_t \\+ u_x off"):
+        act_on_current(gen, (u, u), kdv)
 
 
 def test_act_on_current_forms_agree_up_to_trivial(kdv):
