@@ -62,6 +62,7 @@ each squaring; the hot loops mul_into and mul_into_rows are not, and
 their callers spend.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 from ..errors import ExponentOverflow, JetLawError
@@ -527,13 +528,15 @@ def rref(rows):
     """
     rows = list(rows)
     count = []
-    holders = {}
+    # setdefault would build a list per entry, and on a determining
+    # system this index is about half of rref
+    holders = defaultdict(list)
     for i, row in enumerate(rows):
         n = 0
         for c, v in row.items():
             if v:
                 n += 1
-                holders.setdefault(c, []).append(i)
+                holders[c].append(i)
         count.append(n)
     peeled = set()
     stack = [i for i, n in enumerate(count) if n == 1]

@@ -19,8 +19,7 @@ linear system for the ansatz coefficients.
 Every ansatz monomial is p m0 with p = t^a x^b and m0 a pure jet
 monomial, and both solves get the images of all (T+1)(X+1) monomials
 sharing a jet part m0 from pieces computed once for m0, by two
-Leibniz-rule identities, and write each term of an image straight into
-the equation of its monomial (_determining_rows):
+Leibniz-rule identities:
 
     E_u(p m0 G) = sum_K D^K(p) A_K(m0 G)                    (multipliers)
     restrict(G'(p m0)) = sum_K D^K(p) restrict(F_K(m0))    (symmetries)
@@ -30,7 +29,14 @@ with A_K the standard coefficients of the adjoint Fréchet derivative
 (diffops.euler_pieces, diffops.frechet_pieces), and
 D^K(t^a x^b) = a^(kt) b^(kx) t^(a-kt) x^(b-kx) in falling factorials.
 restrict is linear over polynomials in t and x, so the second identity
-holds on the solution space too.
+holds on the solution space too.  Both solves take the kernel of this
+map in _determining_kernel.  When G is free of t and x, so is every
+piece, the system is block upper triangular in the levels t^a x^b with
+the pieces of K = (0, 0) on every diagonal block, and the kernel is
+taken level by level from the pieces alone (_block_kernel).  Explicit t
+or x in G breaks that structure; then each term of an image goes
+straight into the equation of its monomial (_determining_rows) and the
+whole system is eliminated at once.
 
 The queries are linear: current_from_multiplier in Q and
 multiplier_from_current in the pair (T, X).  Each runs on the integral
@@ -74,7 +80,7 @@ from .soln import NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
 # the most monomials an ansatz may have: the solves in use have up to
-# 1,890, and KdV symmetries in A(2,5,2,2), 4,158, already take seconds
+# 1,890, and KdV symmetries in A(2,5,2,2), 4,158, take about 0.6 s
 MAX_ANSATZ = 10_000
 
 
@@ -257,7 +263,10 @@ def _determining_rows(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> dict:
     {K: dict}, absent K meaning zero, once per jet part m0, and
     D^K(t^a x^b) = a (a-1) ... (a-kt+1) b ... (b-kx+1) t^(a-kt) x^(b-kx),
     so each term of a shifted, scaled piece goes straight into the
-    equation of its monomial (mul_into_rows); no image is built."""
+    equation of its monomial (mul_into_rows); no image is built.  The
+    solves write these rows only for G with explicit t or x; for
+    autonomous G, _block_kernel takes the kernel from the pieces alone,
+    and these rows are its oracle in the tests."""
     groups: dict = {}
     for j, m in enumerate(basis):
         (key,) = m._d
@@ -274,15 +283,96 @@ def _determining_rows(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> dict:
     return rows
 
 
-def _null_combinations(basis: list[DiffExpr], rows) -> list[DiffExpr]:
-    """sum_j c_j basis[j] for each c of the canonical nullspace of rows."""
+def _combinations(basis: list[DiffExpr], vectors) -> list[DiffExpr]:
+    """sum_j c_j basis[j] for each vector c = {j: c_j} of vectors."""
     out = []
-    for v in sparse_nullspace(rows, len(basis)):
+    for v in vectors:
         acc: dict = {}
         for j, coeff in v.items():
             _k.mul_into(acc, _k.ONE_MONO, coeff, basis[j]._d)
         out.append(DiffExpr._raw(acc))
     return out
+
+
+def _null_combinations(basis: list[DiffExpr], rows) -> list[DiffExpr]:
+    """sum_j c_j basis[j] for each c of the canonical nullspace of rows."""
+    return _combinations(basis, sparse_nullspace(rows, len(basis)))
+
+
+def _block_kernel(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExpr]:
+    """_null_combinations(basis, _determining_rows(basis, ansatz, pieces))
+    for pieces free of t and x, without writing those rows.
+
+    Then L = sum_K S_K (x) P_K, S_K = D^K on the polynomials in t and x
+    and P_K the matrix of piece K over the jet parts, so the equations
+    of level t^a x^b are P_(0,0) c_(a,b) + sum_(K != 0) perm(a+kt, kt)
+    perm(b+kx, kx) P_K c_(a+kt, b+kx) = 0: block upper triangular, with
+    P_(0,0) on every diagonal block.  Walking the levels from the top
+    down, sols spans the kernel on the levels done, and each level
+    takes the kernel of [P_(0,0) | M] with one column of M per element
+    of sols.  The kernel of L is then brought to the canonical form of
+    sparse_nullspace: the free columns of the full system are exactly
+    the highest nonzero positions of kernel vectors, so the reduced
+    echelon form of the kernel with its columns taken from the highest
+    down, ordered by free column, is that basis."""
+    # the jet parts in first-use order; column j -> (a, b, jet part index)
+    parts: dict = {}
+    where = []
+    for m in basis:
+        (key,) = m._d
+        a, b, m0 = _k.split_tx(key)
+        where.append((a, b, parts.setdefault(m0, len(parts))))
+    column = {w: j for j, w in enumerate(where)}
+    kmax = (ansatz.max_t_degree, ansatz.max_x_degree)
+    ps = [pieces(DiffExpr._raw({m0: 1}), kmax) for m0 in parts]
+    n = len(ps)
+    p00: dict = {}
+    for i, p in enumerate(ps):
+        if (0, 0) in p:
+            _k.mul_into_rows(p00, i, _k.ONE_MONO, 1, p[(0, 0)])
+    sols: list = []
+    # each level after all levels above it, in t or in x
+    for a in range(kmax[0], -1, -1):
+        for b in range(kmax[1], -1, -1):
+            m: dict = {}
+            for col, s in enumerate(sols, n):
+                for j, c in s.items():
+                    a1, b1, i = where[j]
+                    # K = (a1 - a, b1 - b); no piece has kx < 0, which
+                    # a level with b1 < b would give
+                    piece = ps[i].get((a1 - a, b1 - b))
+                    if piece:
+                        _k.mul_into_rows(m, col, _k.ONE_MONO, perm(a1, a1 - a) * perm(b1, b1 - b) * c, piece)
+            rows = [r | m.pop(mu) if mu in m else r for mu, r in p00.items()]
+            rows += m.values()
+            new = []
+            for v in sparse_nullspace(rows, n + len(sols)):
+                s = {}
+                for col, c in v.items():
+                    if col < n:
+                        s[column[a, b, col]] = c
+                        continue
+                    for j, w in sols[col - n].items():
+                        w = s.get(j, 0) + c * w
+                        if w:
+                            s[j] = w
+                        else:
+                            del s[j]
+                new.append(s)
+            sols = new
+    top = len(basis) - 1
+    echelon, _ = _k.rref([{top - j: c for j, c in s.items()} for s in sols])
+    return _combinations(basis, [dict(sorted((top - j, c) for j, c in v.items())) for v in reversed(echelon)])
+
+
+def _determining_kernel(pde: NormalPDE, basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExpr]:
+    """The canonical basis of the kernel of the map L of
+    _determining_rows: block by block (_block_kernel) when G, and so
+    every piece, is free of t and x; otherwise, explicit t or x breaking
+    the block structure, by eliminating the rows of L."""
+    if pde.G.depends_on("t") or pde.G.depends_on("x"):
+        return _null_combinations(basis, _determining_rows(basis, ansatz, pieces).values())
+    return _block_kernel(basis, ansatz, pieces)
 
 
 def solve_determining_system(
@@ -320,5 +410,4 @@ def solve_multipliers(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
     """
     _require_low_order(pde, ansatz)
     basis = ansatz_monomials(pde, ansatz)
-    rows = _determining_rows(basis, ansatz, lambda m0, kmax: euler_pieces(m0 * pde.G, kmax))
-    return _null_combinations(basis, rows.values())
+    return _determining_kernel(pde, basis, ansatz, lambda m0, kmax: euler_pieces(m0 * pde.G, kmax))

@@ -48,10 +48,9 @@ from typing import NamedTuple
 
 from .conslaw import (
     Ansatz,
-    _determining_rows,
+    _determining_kernel,
     _divided,
     _monomial_equations,
-    _null_combinations,
     _primitive_multiplier,
     _require_low_order,
     ansatz_monomials,
@@ -140,7 +139,7 @@ def solve_symmetries(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
             for K, f in frechet_pieces(pde.G, m0, kmax).items()
         }
 
-    return _null_combinations(basis, _determining_rows(basis, ansatz, pieces).values())
+    return _determining_kernel(pde, basis, ansatz, pieces)
 
 
 def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:

@@ -1,12 +1,18 @@
 """The two solve workloads of perfbench, run in-process: their reports
 must equal the frozen references in perfbench/data byte for byte, as
-the benchmark demands of every run.  The files are only read."""
+the benchmark demands of every run.  The files are only read.  Two
+larger solves of the same equations are pinned by digest."""
 
+import hashlib
 import os
 
 import pytest
 
+from jetlaw import format_expr, parse_expr
 from jetlaw.cli import main
+from jetlaw.conslaw import Ansatz, solve_multipliers
+from jetlaw.soln import make_pde
+from jetlaw.symmetry import solve_symmetries
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data")
 ANSATZ = "--order {} --jet-degree 3 --t-degree 1 --x-degree 1"
@@ -26,3 +32,30 @@ def test_solve_report_matches_benchmark_reference(capsys, session, command, orde
     assert captured.err == ""
     with open(os.path.join(DATA, reference), encoding="utf-8") as fh:
         assert captured.out == fh.read()
+
+
+# larger solves than the benchmark's, pinned by the sha256 of their
+# printed bases, "\n".join(map(format_expr, basis))
+PINNED = [
+    (
+        "symmetries",
+        "-u*u_x - u_xxx",
+        Ansatz(2, 4, 2, 2),
+        "273deda19b16135aa6d55f7dad09b9b3a1a39fddfa10f4bb9a72f9e0b561b149",
+    ),
+    (
+        "multipliers",
+        "-u_xxxxx - 10*u*u_xxx - 25*u_x*u_xx - 20*u^2*u_x",
+        Ansatz(4, 4, 2, 2),
+        "1d916d0dc553bf00f027f7c09377114c557fcfc134cfde27bedaed43a5a05d08",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, rhs, ansatz, digest", PINNED, ids=["kdv-symmetries", "kdv5-multipliers"])
+def test_large_basis_matches_pinned_digest(command, rhs, ansatz, digest):
+    solve = solve_symmetries if command == "symmetries" else solve_multipliers
+    basis = solve(make_pde((1, 0), parse_expr(rhs)), ansatz)
+    assert len(basis) == 4
+    printed = "\n".join(map(format_expr, basis))
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest

@@ -20,22 +20,35 @@ from jetlaw.symmetry import solve_symmetries
 LEADS = [(1, 0), (2, 0), (1, 1), (2, 1)]
 
 
-def _rows(module, solve, pde, ansatz, monkeypatch):
-    """The basis of a solve and the equations {monomial key: {j: c}} it
-    builds for it."""
+def _solved(module, solve, pde, ansatz, monkeypatch):
+    """The basis a solve returns, its ansatz monomials and its piece
+    function, captured where the solve takes its kernel."""
     seen = []
-    real = module._determining_rows
+    real = module._determining_kernel
 
-    def capture(basis, ansatz, pieces):
-        rows = real(basis, ansatz, pieces)
-        seen.append((basis, rows))
-        return rows
+    def capture(pde, basis, ansatz, pieces):
+        seen.append((basis, pieces))
+        return real(pde, basis, ansatz, pieces)
 
-    monkeypatch.setattr(module, "_determining_rows", capture)
-    solve(pde, ansatz)
+    monkeypatch.setattr(module, "_determining_kernel", capture)
+    got = solve(pde, ansatz)
     monkeypatch.undo()
-    (pair,) = seen
-    return pair
+    ((basis, pieces),) = seen
+    return got, basis, pieces
+
+
+def _rows(module, solve, pde, ansatz, monkeypatch):
+    """The ansatz monomials of a solve and the equations
+    {monomial key: {j: c}} of its determining system, written by
+    _determining_rows from the solve's own pieces; an autonomous solve
+    takes its kernel block by block and never writes them."""
+    _, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
+    return basis, conslaw._determining_rows(basis, ansatz, pieces)
+
+
+def _row_kernel(basis, ansatz, pieces):
+    """The canonical kernel of the rows _determining_rows writes."""
+    return conslaw._null_combinations(basis, conslaw._determining_rows(basis, ansatz, pieces).values())
 
 
 def _transposed(images):
@@ -82,6 +95,99 @@ def test_solves_equal_the_per_monomial_determining_system():
         want = solve_determining_system(basis, [restrict(frechet(pde.G, m), pde) for m in basis])
         got = solve_symmetries(pde, ansatz)
         assert got == want and list(map(format_expr, got)) == list(map(format_expr, want))
+
+
+def _autonomous_pdes(seed, n):
+    """n random normal PDEs free of t and x, leads cycled through LEADS
+    and (3, 0), with fractional right-hand sides, each with a random
+    ansatz of order below its own, down to T = 0, X = 0 and jet
+    degree 0."""
+    rng = random.Random(seed)
+    leads = LEADS + [(3, 0)]
+    for i in range(n):
+        lead = leads[i % len(leads)]
+        below = [(nt, o - nt) for o in range(4) for nt in range(o + 1) if (nt, o - nt) < lead]
+        rhs = random_expr(rng, max_terms=4, max_jet_degree=2, max_tx_degree=0, allow_fractions=True, jets=below)
+        pde = make_pde(lead, rhs)
+        top = min(2, pde.G.max_order() - 1)
+        yield pde, Ansatz(rng.randint(0, top), rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+
+
+def _terms(basis):
+    return [list(e._d) for e in basis]
+
+
+def test_block_kernel_equals_the_row_builder(monkeypatch):
+    # an autonomous solve never writes its (T+1)(X+1)-fold system; its
+    # basis must equal the canonical nullspace of the rows
+    # _determining_rows writes from the same pieces, element for
+    # element, in key order and printed
+    seen = set()
+    for pde, ansatz in _autonomous_pdes(65, 200):
+        for module, solve in ((conslaw, solve_multipliers), (symmetry, solve_symmetries)):
+            got, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
+            want = _row_kernel(basis, ansatz, pieces)
+            assert got == want
+            assert _terms(got) == _terms(want)
+            assert list(map(format_expr, got)) == list(map(format_expr, want))
+            seen.add("empty" if not want else "nonempty")
+        seen |= {name for name, v in zip(("T = 0", "X = 0", "degree 0"), ansatz[3:0:-1]) if not v}
+    assert seen == {"empty", "nonempty", "T = 0", "X = 0", "degree 0"}
+
+
+def test_block_kernel_takes_any_column_order(monkeypatch):
+    # the block kernel maps each column to its level and jet part and
+    # returns the canonical nullspace of the columns as given, which
+    # need not run level by level
+    rng = random.Random(66)
+    for pde, ansatz in _autonomous_pdes(67, 30):
+        for module, solve in ((conslaw, solve_multipliers), (symmetry, solve_symmetries)):
+            _, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
+            basis = rng.sample(basis, len(basis))
+            got = conslaw._block_kernel(basis, ansatz, pieces)
+            want = _row_kernel(basis, ansatz, pieces)
+            assert got == want
+            assert _terms(got) == _terms(want)
+
+
+def test_block_kernel_keeps_coefficient_types(kdv, monkeypatch):
+    # the benchmark solves, the tests/data solve and the README's
+    # symmetries: the block kernel makes ints where the row builder does
+    kdv5 = make_pde((1, 0), parse_expr("-u_xxxxx - 10*u*u_xxx - 25*u_x*u_xx - 20*u^2*u_x"))
+    for module, solve, pde, ansatz in (
+        (symmetry, solve_symmetries, kdv, Ansatz(2, 3, 1, 1)),
+        (conslaw, solve_multipliers, kdv5, Ansatz(4, 3, 1, 1)),
+        (conslaw, solve_multipliers, kdv, Ansatz(2, 2, 1, 1)),
+        (symmetry, solve_symmetries, kdv, Ansatz(1, 1, 1, 1)),
+    ):
+        got, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
+        want = _row_kernel(basis, ansatz, pieces)
+        assert got and got == want
+        assert [[(k, c, type(c)) for k, c in e._d.items()] for e in got] == [
+            [(k, c, type(c)) for k, c in e._d.items()] for e in want
+        ]
+
+
+def test_explicit_t_or_x_takes_the_row_builder(heat, monkeypatch):
+    # explicit t or x in G breaks the block structure, so such a solve
+    # eliminates the rows of its determining system; an autonomous one
+    # never writes them
+    calls = []
+    real = conslaw._determining_rows
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(conslaw, "_determining_rows", counted)
+    solves = (solve_multipliers, solve_symmetries)
+    for solve in solves:
+        solve(heat, Ansatz(1, 1, 1, 1))
+    assert calls == []
+    for rhs in ("u_xx + x*u_x", "u_xx + t*u"):
+        for solve in solves:
+            solve(make_pde((1, 0), parse_expr(rhs)), Ansatz(1, 1, 1, 1))
+    assert len(calls) == 4
 
 
 def _shifts(kmax):
