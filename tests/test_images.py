@@ -131,7 +131,8 @@ def test_block_kernel_equals_the_row_builder(monkeypatch):
             assert _terms(got) == _terms(want)
             assert list(map(format_expr, got)) == list(map(format_expr, want))
             seen.add("empty" if not want else "nonempty")
-        seen |= {name for name, v in zip(("T = 0", "X = 0", "degree 0"), ansatz[3:0:-1]) if not v}
+        bounds = {"T = 0": ansatz.max_t_degree, "X = 0": ansatz.max_x_degree, "degree 0": ansatz.max_jet_degree}
+        seen |= {name for name, v in bounds.items() if not v}
     assert seen == {"empty", "nonempty", "T = 0", "X = 0", "degree 0"}
 
 
