@@ -51,7 +51,10 @@ printing do not depend on the type.
 rref is the one exact elimination routine.  It works on sparse rows,
 dicts {col: int or Fraction} holding only the nonzero entries, and
 returns the unique reduced row echelon form in the same representation.
-Its row updates accumulate through _acc like every other routine here
+Reduced runs the same peel and residual loop once on a block of rows,
+for the reduced echelon forms of that block joined to many blocks of
+new columns, each equal to rref's value for value and type for type.
+Their row updates accumulate through _acc like every other routine here
 but the three hot loops, mul_into, its row-major sibling mul_into_rows
 that writes the solves' equations, and the jet steps of _total, which
 build most terms and do the same get, add and delete inline.
@@ -494,39 +497,20 @@ def _sub_multiple(row, f, other):
         _acc(row, k, f * v)
 
 
-def rref(rows):
-    """Reduced row echelon form of sparse rows over the rationals,
-    returning (rows, pivot_cols).
+def _peel(rows) -> tuple:
+    """The singleton peel of a list of sparse rows: (peels, peeled,
+    holders, residual), with peels each peel row -> its column in peel
+    order, peeled those columns, holders the column -> rows index and
+    residual the rows left with two or more live entries, fewest first
+    (Markowitz's order for sparsity).
 
-    rows is an iterable of dicts {col: int or Fraction}, with col a
-    non-negative int; absent columns and zero values are zero, and the
-    dicts are not modified.  The result lists the nonzero rows of the
-    unique reduced row echelon form as dicts in ascending pivot order
-    (the pivot entry 1 included, zeros absent) together with their
-    pivot columns, so it does not depend on the order of the input rows.
-
-    First, singleton rows are peeled.  A row whose only nonzero entry
-    outside the peeled columns lies in column c puts e_c in the row
-    space, so c is peeled: its row of the result is e_c.  Every row
+    A row whose only nonzero entry outside the peeled columns lies in
+    column c puts e_c in the row space, so c is peeled.  Every row
     holding c then loses one live entry, and a row left with one joins
-    the peel, so the peel cascades.  This takes a column -> rows index
-    and a live count per row; no row is copied.  In a determining
-    system nearly every unknown is peeled this way.
-
-    The residual rows, those with two or more live entries, are then
-    consumed one at a time, fewest live entries first (Markowitz's
-    order for sparsity), without their peeled columns.  The pivot rows
-    found so far are kept fully reduced, so subtracting their multiples
-    clears every pivot column of an incoming row and leaves only free
-    columns.  If anything remains, its lowest column becomes a new
-    pivot: the row is scaled to 1 there and that column is cleared from
-    the earlier pivot rows.  After each input row the pivot rows are
-    the reduced echelon form of the residual rows seen so far, so their
-    coefficients stay as small as those of that form.  No peeled column
-    occurs in them, so with the rows e_c of the peeled columns they
-    form the reduced echelon form of the whole system.
-    """
-    rows = list(rows)
+    the peel, so the peel cascades; a row left with none is dead.  The
+    peeled columns do not depend on the order of the rows.  No row is
+    copied.  In a determining system nearly every unknown is peeled
+    this way."""
     count = []
     # setdefault would build a list per entry, and on a determining
     # system this index is about half of rref
@@ -538,24 +522,41 @@ def rref(rows):
                 n += 1
                 holders[c].append(i)
         count.append(n)
+    peels = {}
     peeled = set()
     stack = [i for i, n in enumerate(count) if n == 1]
     while stack:
         i = stack.pop()
         if count[i] != 1:
             continue
-        c = next(c for c, v in rows[i].items() if v and c not in peeled)
+        for c, v in rows[i].items():
+            if v and c not in peeled:
+                break
+        peels[i] = c
         peeled.add(c)
         for j in holders[c]:
             count[j] -= 1
             if count[j] == 1:
                 stack.append(j)
     residual = sorted((i for i, n in enumerate(count) if n > 1), key=count.__getitem__)
-    # pivot column -> the pivot row without its entry 1; only free
-    # columns occur in these tails
+    return peels, peeled, holders, residual
+
+
+def _eliminate(rows, peeled) -> dict:
+    """Pivot column -> the pivot row without its entry 1, of the reduced
+    echelon form of rows with their peeled columns left out.
+
+    The rows are consumed one at a time, in the order given.  The pivot
+    rows found so far are kept fully reduced, so subtracting their
+    multiples clears every pivot column of an incoming row and leaves
+    only free columns.  If anything remains, its lowest column
+    becomes a new pivot: the row is scaled to 1 there and that column is
+    cleared from the earlier pivot rows.  After each row the pivot rows
+    are the reduced echelon form of the rows seen so far, so their
+    coefficients stay as small as those of that form."""
     tails = {}
-    for i in residual:
-        r = {c: v for c, v in rows[i].items() if v and c not in peeled}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v and c not in peeled}
         for p in [c for c in r if c in tails]:
             _sub_multiple(r, r.pop(p), tails[p])
         if not r:
@@ -570,7 +571,113 @@ def rref(rows):
             if f is not None:
                 _sub_multiple(tail, f, r)
         tails[p] = r
+    return tails
+
+
+def _tails(rows: list) -> dict:
+    """_eliminate for the whole of rows: the peel, then its residual
+    rows.  No peeled column occurs in the residual's pivot rows, so with
+    the rows e_c of the peeled columns they form the reduced echelon
+    form of rows."""
+    _, peeled, _, residual = _peel(rows)
+    tails = _eliminate((rows[i] for i in residual), peeled)
     for c in peeled:
         tails[c] = {}
+    return tails
+
+
+def _echelon(tails: dict) -> tuple:
+    """(rows, pivot_cols) of the reduced echelon form with these tails."""
     pivot_cols = sorted(tails)
     return [{p: 1, **tails[p]} for p in pivot_cols], pivot_cols
+
+
+def rref(rows):
+    """Reduced row echelon form of sparse rows over the rationals,
+    returning (rows, pivot_cols).
+
+    rows is an iterable of dicts {col: int or Fraction}, with col a
+    non-negative int; absent columns and zero values are zero, and the
+    dicts are not modified.  The result lists the nonzero rows of the
+    unique reduced row echelon form as dicts in ascending pivot order
+    (the pivot entry 1 included, zeros absent) together with their
+    pivot columns, so it does not depend on the order of the input rows.
+
+    Singleton rows are peeled first (_peel), then the residual rows are
+    eliminated without their peeled columns (_eliminate).  The same peel
+    and loop serve Reduced, which eliminates one block of rows once for
+    the many blocks of columns joined to it.
+    """
+    return _echelon(_tails(list(rows)))
+
+
+class Reduced:
+    """Sparse rows {key: row}, eliminated once, for the rref of the same
+    rows joined to many blocks of new columns (joined).
+
+    Kept from the peel: each peel row's column, the column -> rows
+    index, and the residual rows with the pivot rows they reduce to
+    alone.  Added columns change the peel only on the rows they reach:
+    the rows they touch and, from each peel row reached, every row
+    holding its column, as in the sparse triangular solve of Gilbert and
+    Peierls ("Sparse partial pivoting in time proportional to
+    arithmetic operations", SIAM J. Sci. Stat. Comput. 1988)."""
+
+    __slots__ = ("index", "rows", "peels", "peeled", "holders", "residual", "tails")
+
+    def __init__(self, rows: dict):
+        self.index = {key: i for i, key in enumerate(rows)}
+        self.rows = rows = list(rows.values())
+        self.peels, self.peeled, self.holders, self.residual = _peel(rows)
+        self.tails = _eliminate((rows[i] for i in self.residual), self.peeled)
+
+    def _reach(self, touched) -> set:
+        """The rows touched, and every row holding the column of a peel
+        row reached."""
+        peels, holders = self.peels, self.holders
+        reached = set(touched)
+        stack = list(reached)
+        while stack:
+            c = peels.get(stack.pop())
+            if c is not None:
+                for j in holders[c]:
+                    if j not in reached:
+                        reached.add(j)
+                        stack.append(j)
+        return reached
+
+    def joined(self, m: dict) -> tuple:
+        """rref(rows | m) for rows m {key: {col: coefficient}} over
+        columns that the rows do not hold, joined to the row of the same
+        key, or added after the rows at a key that is not one of them;
+        equal to that rref in its values and in their types.
+
+        A column peeled from rows no added column reaches is peeled from
+        the joined rows too, so it is dropped from the rows reached, and
+        only those rows and the added ones are eliminated.  They hold no
+        free column of the rows, unless a residual row is reached, so the
+        residual's pivot rows stand in for its rows; a reached residual
+        row puts all of them back."""
+        index = self.index
+        joined, added = {}, []
+        for key, r in m.items():
+            i = index.get(key)
+            if i is None:
+                added.append(r)
+            else:
+                joined[i] = r
+        reached = self._reach(joined)
+        drop = self.peeled.difference([self.peels[i] for i in reached if i in self.peels])
+        if reached.isdisjoint(self.residual):
+            rows = [{p: 1, **t} for p, t in self.tails.items()]
+        else:
+            rows = []
+            reached.update(self.residual)
+        own = self.rows
+        rows += [
+            {c: v for c, v in own[i].items() if v and c not in drop} | joined.get(i, {}) for i in sorted(reached)
+        ]
+        tails = _tails(rows + added) if reached or added else dict(self.tails)
+        for c in drop:
+            tails[c] = {}
+        return _echelon(tails)

@@ -33,7 +33,8 @@ holds on the solution space too.  Both solves take the kernel of this
 map in _determining_kernel.  When G is free of t and x, so is every
 piece, the system is block upper triangular in the levels t^a x^b with
 the pieces of K = (0, 0) on every diagonal block, and the kernel is
-taken level by level from the pieces alone (_block_kernel).  Explicit t
+taken level by level from the pieces alone (_block_kernel), their rows
+of K = (0, 0) eliminated once for all levels.  Explicit t
 or x in G breaks that structure; then each term of an image goes
 straight into the equation of its monomial (_determining_rows) and the
 whole system is eliminated at once.
@@ -75,12 +76,13 @@ from .errors import (
 )
 from .expr import DiffExpr, JetIndex, const, primitive_parts
 from .grammar import format_brief
-from .ratlin import sparse_nullspace
+from .ratlin import echelon_nullspace, sparse_nullspace
 from .soln import NormalPDE, extract_operator, restrict
 
 _ONE = const(1)
 # the most monomials an ansatz may have: the solves in use have up to
-# 1,890, and KdV symmetries in A(2,5,2,2), 4,158, take about 0.6 s
+# 1,890, and KdV symmetries in A(2,5,2,2), 4,158, take about 0.55 s in a
+# fresh process (0.50-0.67 s over six runs on a 2-core Xeon)
 MAX_ANSATZ = 10_000
 
 
@@ -310,7 +312,11 @@ def _block_kernel(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExp
     P_(0,0) on every diagonal block.  Walking the levels from the top
     down, sols spans the kernel on the levels done, and each level
     takes the kernel of [P_(0,0) | M] with one column of M per element
-    of sols.  The kernel of L is then brought to the canonical form of
+    of sols.  P_(0,0) is eliminated once (the kernel's Reduced), so a
+    level eliminates only the rows of P_(0,0) that M reaches, and its
+    kernel is read off as sparse_nullspace reads it.  The top level,
+    with no column in M, is that one elimination.  The kernel of L is
+    then brought to the canonical form of
     sparse_nullspace: the free columns of the full system are exactly
     the highest nonzero positions of kernel vectors, so the reduced
     echelon form of the kernel with its columns taken from the highest
@@ -330,6 +336,7 @@ def _block_kernel(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExp
     for i, p in enumerate(ps):
         if (0, 0) in p:
             _k.mul_into_rows(p00, i, _k.ONE_MONO, 1, p[(0, 0)])
+    p00 = _k.Reduced(p00)
     sols: list = []
     # each level after all levels above it, in t or in x
     for a in range(kmax[0], -1, -1):
@@ -343,10 +350,8 @@ def _block_kernel(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExp
                     piece = ps[i].get((a1 - a, b1 - b))
                     if piece:
                         _k.mul_into_rows(m, col, _k.ONE_MONO, perm(a1, a1 - a) * perm(b1, b1 - b) * c, piece)
-            rows = [r | m.pop(mu) if mu in m else r for mu, r in p00.items()]
-            rows += m.values()
             new = []
-            for v in sparse_nullspace(rows, n + len(sols)):
+            for v in echelon_nullspace(*p00.joined(m), n + len(sols)):
                 s = {}
                 for col, c in v.items():
                     if col < n:

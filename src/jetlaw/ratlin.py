@@ -97,19 +97,20 @@ def sparse_nullspace(rows, ncols: int) -> list[dict[int, int | Fraction]]:
     Deterministic because the rref is unique.  With no rows the basis is
     the identity.
     """
-    rref_rows, pivots = _k.rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        v = {j: 1}
-        for row, pc in zip(rref_rows, pivots):
-            c = row.get(j)
-            if c is not None:
-                v[pc] = -c
-        basis.append(dict(sorted(v.items())))
-    return basis
+    return echelon_nullspace(*_k.rref(rows), ncols)
+
+
+def echelon_nullspace(rows, pivots, ncols: int) -> list[dict[int, int | Fraction]]:
+    """sparse_nullspace of a system given by its rref (rows, pivots)."""
+    basis = {j: {j: 1} for j in range(ncols)}
+    for pc in pivots:
+        del basis[pc]
+    # a row of the rref holds its pivot and free columns only
+    for row, pc in zip(rows, pivots):
+        for j, c in row.items():
+            if j != pc:
+                basis[j][pc] = -c
+    return [dict(sorted(v.items())) for v in basis.values()]
 
 
 def _dense_nullspace(rows, ncols: int) -> list[Vector]:

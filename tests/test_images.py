@@ -9,8 +9,10 @@ per-monomial definitions restrict(frechet(G, m)) and euler(m G)."""
 import random
 
 import oracle
+import pytest
 from helpers import random_expr
 from jetlaw import conslaw, format_expr, parse_expr, symmetry
+from jetlaw._kernel import pure
 from jetlaw.conslaw import Ansatz, ansatz_monomials, solve_determining_system, solve_multipliers
 from jetlaw.diffops import euler, euler_pieces, frechet, frechet_pieces
 from jetlaw.expr import DiffExpr, t, x
@@ -151,22 +153,47 @@ def test_block_kernel_takes_any_column_order(monkeypatch):
             assert _terms(got) == _terms(want)
 
 
+def _typed_terms(basis):
+    return [[(k, c, type(c)) for k, c in e._d.items()] for e in basis]
+
+
 def test_block_kernel_keeps_coefficient_types(kdv, monkeypatch):
-    # the benchmark solves, the tests/data solve and the README's
-    # symmetries: the block kernel makes ints where the row builder does
+    # the benchmark solves, the tests/data solve, the README's symmetries
+    # and the random autonomous draws: the block kernel makes ints where
+    # the row builder does.  Some levels of the draws reach a residual
+    # row of P_(0,0), whose rows the kernel then eliminates again.
     kdv5 = make_pde((1, 0), parse_expr("-u_xxxxx - 10*u*u_xxx - 25*u_x*u_xx - 20*u^2*u_x"))
-    for module, solve, pde, ansatz in (
+    fixed = [
         (symmetry, solve_symmetries, kdv, Ansatz(2, 3, 1, 1)),
         (conslaw, solve_multipliers, kdv5, Ansatz(4, 3, 1, 1)),
         (conslaw, solve_multipliers, kdv, Ansatz(2, 2, 1, 1)),
         (symmetry, solve_symmetries, kdv, Ansatz(1, 1, 1, 1)),
-    ):
-        got, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
+    ]
+    drawn = [
+        (module, solve, pde, ansatz)
+        for seed, n in ((65, 200), (67, 30))
+        for pde, ansatz in _autonomous_pdes(seed, n)
+        for module, solve in ((conslaw, solve_multipliers), (symmetry, solve_symmetries))
+    ]
+    levels = []
+    joined = pure.Reduced.joined
+
+    def counted(self, m):
+        touched = [self.index[k] for k in m if k in self.index]
+        levels.append(not self._reach(touched).isdisjoint(self.residual))
+        return joined(self, m)
+
+    sizes = []
+    for module, solve, pde, ansatz in fixed + drawn:
+        with pytest.MonkeyPatch.context() as spy:
+            spy.setattr(pure.Reduced, "joined", counted)
+            got, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
         want = _row_kernel(basis, ansatz, pieces)
-        assert got and got == want
-        assert [[(k, c, type(c)) for k, c in e._d.items()] for e in got] == [
-            [(k, c, type(c)) for k, c in e._d.items()] for e in want
-        ]
+        assert got == want
+        assert _typed_terms(got) == _typed_terms(want)
+        sizes.append(len(got))
+    assert all(sizes[: len(fixed)]) and len(drawn) == 460
+    assert sum(levels) > 0
 
 
 def test_explicit_t_or_x_takes_the_row_builder(heat, monkeypatch):

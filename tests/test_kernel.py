@@ -245,6 +245,65 @@ def test_rref_peels_the_kdv_symmetry_system(kdv, monkeypatch):
     assert len(calls) < 100
 
 
+def _block_system(rng, ints):
+    """Rows {key: row} over columns 0..n-1, shaped like the rows of
+    P_(0,0) that a block kernel eliminates once, with peel rows, dead
+    rows and residual rows, and rows {key: row} over columns n and up,
+    at keys of those rows and at keys that are not.  Pivots other than
+    1 are common, and the entries are ints only if ints."""
+
+    def entry():
+        if ints or rng.random() < 0.5:
+            return rng.choice([1, 1, -1, 2, -3])
+        return Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.choice([1, 2, 3]))
+
+    n = rng.randint(1, 8)
+    rows = {}
+    for key in range(0, 2 * rng.randint(1, 3 * n), 2):
+        rows[key] = {c: entry() for c in rng.sample(range(n), rng.randint(1, min(n, 3)))}
+    width = rng.randint(1, 3)
+    m = {}
+    for key in rng.sample(list(rows) + [1, 3, 5], rng.randint(0, 4)):
+        m[key] = {c: entry() for c in rng.sample(range(n, n + width), rng.randint(1, width))}
+    return rows, m
+
+
+def _typed(echelon):
+    rows, pivots = echelon
+    return [[(k, v, type(v)) for k, v in row.items()] for row in rows], pivots
+
+
+def test_reduced_rows_joined_equal_rref_of_the_joined_rows():
+    # the rows are eliminated once; joined to new columns, they must give
+    # the rref of the joined rows in its values, their types and their
+    # order, whichever kind of row the new columns touch
+    rng = random.Random(39)
+    seen = set()
+    for i in range(600):
+        rows, m = _block_system(rng, ints=i % 2 == 0)
+        copy = {k: dict(r) for k, r in rows.items()}
+        once = pure.Reduced(rows)
+        for extra in ({}, m):
+            left = dict(extra)
+            joined = [r | left.pop(k) if k in left else r for k, r in rows.items()] + list(left.values())
+            assert _typed(once.joined(extra)) == _typed(pure.rref(joined))
+        assert rows == copy
+        for key in m:
+            j = once.index.get(key)
+            seen.add(
+                "absent" if j is None
+                else "peel" if j in once.peels
+                else "residual" if j in once.residual
+                else "dead"
+            )
+        if any(once.rows[j][c] != 1 for j, c in once.peels.items()):
+            seen.add("ints, pivot not 1" if i % 2 == 0 else "fractions, pivot not 1")
+        seen.add("empty" if not m else "joined")
+    assert seen == {
+        "absent", "peel", "residual", "dead", "ints, pivot not 1", "fractions, pivot not 1", "empty", "joined",
+    }
+
+
 def test_mul_into_rows_writes_the_transposed_images():
     # column j of the rows is the image mul_into builds for j, entry for
     # entry; entries that cancel and rows they leave empty are dropped
