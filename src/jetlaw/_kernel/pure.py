@@ -59,10 +59,15 @@ but the three hot loops, mul_into, its row-major sibling mul_into_rows
 that writes the solves' equations, and the jet steps of _total, which
 build most terms and do the same get, add and delete inline.
 
-MAX_PRODUCTS is the one bound on work and spend the one refusal: mul
-prices len(a) * len(b) before it builds anything, so pow_ is priced at
-each squaring; the hot loops mul_into and mul_into_rows are not, and
-their callers spend.
+There is one product loop: mul_add(out, coeff, a, b) adds coeff * a * b
+into out in place, one mul_into per term of the shorter factor, so a
+sum of products is built without a copy of each product, and
+mul(a, b) is mul_add({}, 1, a, b).
+
+MAX_PRODUCTS is the one bound on work and spend the one refusal:
+mul_add, and so mul, prices len(a) * len(b) before it builds anything
+or touches out, so pow_ is priced at each squaring; the hot loops
+mul_into and mul_into_rows are not, and their callers spend.
 """
 
 from collections import defaultdict
@@ -224,10 +229,14 @@ def derivative_terms(a: dict) -> int:
     """The most terms a total derivative of a builds: one per term for
     its t or x and one per jet factor."""
     # adding 2^(W-1) - 1 to every field sets the guard bit of exactly
-    # the nonzero ones
+    # the nonzero ones; a loop, as a generator costs twice as much
     guards = _guards
     lows = guards - (guards >> (W - 1))
-    return len(a) + sum((((key + lows) & guards) >> _JETS).bit_count() for key in a)
+    jets = guards >> _JETS << _JETS
+    n = len(a)
+    for key in a:
+        n += ((key + lows) & jets).bit_count()
+    return n
 
 
 def split_jet(key: int, jet) -> tuple:
@@ -348,16 +357,22 @@ def mul_into_rows(rows: dict, col: int, key: int, coeff, b: dict) -> None:
                     del rows[k]
 
 
-def mul(a, b):
-    if not a or not b:
-        return {}
+def mul_add(out: dict, coeff, a: dict, b: dict) -> dict:
+    """out += coeff * a * b in place, returning out: one mul_into per
+    term of the shorter of a and b.  len(a) * len(b) is priced first, so
+    a product past MAX_PRODUCTS is refused before out is touched."""
+    if not coeff or not a or not b:
+        return out
     spend(MAX_PRODUCTS, len(a) * len(b))
     if len(a) > len(b):
         a, b = b, a
-    out = {}
-    for key, coeff in a.items():
-        mul_into(out, key, coeff, b)
+    for key, c in a.items():
+        mul_into(out, key, coeff * c, b)
     return out
+
+
+def mul(a, b):
+    return mul_add({}, 1, a, b)
 
 
 def pow_(a, n):

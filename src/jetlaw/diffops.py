@@ -18,6 +18,17 @@ splits into two adjoint Fréchet derivatives,
 which is how the symmetry action decides that q is a multiplier of
 f = 0 from the image f'*(q) it reads its operator from.
 
+An adjoint R*(h) = sum_K (-D_t)^kt (-D_x)^kx (c_K h) is applied in
+nested (Horner) form, as a polynomial in D_t and D_x is evaluated:
+
+    R*(h) = sum_kt (-D_t)^kt S_kt,  S_kt = sum_kx (-D_x)^kx (c_K h)
+
+with each S_kt one D_x chain from its highest kx down and the rows
+one D_t chain, so an operator of order (T, X) takes at most
+T + (T+1) X derivative steps, and euler(f) for f of x-order n takes
+n.  Every product is added straight into its sum (the kernel's
+mul_add), in the apply loops and in boundary_current alike.
+
 Every standard coefficient of an operator comes from one Leibniz sum.
 For p a polynomial in t and x alone, D^J(p g) = sum_{K<=J} C(J, K)
 D^K(p) D^(J-K) g, with C(J, K) = C(jt, kt) C(jx, kx), splits the
@@ -91,7 +102,7 @@ class _DerivCache:
     that spends past MAX_PRODUCTS is refused and not kept, so one call's
     derivatives hold at most MAX_PRODUCTS terms; only that step builds
     more.  It is not priced first, as _adjoint_op's steps are, since
-    derivative_terms costs about a third of a step.  A cache lives for
+    derivative_terms costs about a fifth of a step.  A cache lives for
     one call, as the derivatives of a NormalPDE's g do in restrict and
     extract_operator, and is not kept past it."""
 
@@ -115,24 +126,52 @@ def _apply_op(coeffs: dict, g: dict) -> dict:
     dg = _DerivCache(g)
     out: dict = {}
     for (kt, kx), c in coeffs.items():
-        _k.mul_into(out, _k.ONE_MONO, 1, _k.mul(c, dg.get(kt, kx)))
+        _k.mul_add(out, 1, c, dg.get(kt, kx))
     return out
 
 
 def _adjoint_op(coeffs: dict, h: dict) -> dict:
     """Raw terms of sum_K (-D_t)^kt (-D_x)^kx (c_K h) for raw
-    coefficients {K: c_K} and raw h."""
-    out: dict = {}
+    coefficients {K: c_K} and raw h, in nested (Horner) form.  For each
+    t-order kt, from the highest down, the row
+
+        (-1)^kt S_kt = sum_kx (-1)^(kt+kx) D_x^kx (c_K h)
+
+    is one D_x chain from its highest kx down, acc <- D_x(acc) +
+    (-1)^(kt+kx) c_K h, and the rows are one D_t chain,
+    out <- D_t(out) + (-1)^kt S_kt.  An operator of order (T, X) takes
+    at most T + (T+1) X steps, where a chain per K would take
+    sum_K |K|.  Each product is accumulated in place (mul_add)."""
+    rows: dict = {}
+    for (kt, kx), c in coeffs.items():
+        rows.setdefault(kt, {})[kx] = c
     # every product c_K h is priced before the first is built
     budget = _k.spend(_k.MAX_PRODUCTS, len(h) * sum(map(len, coeffs.values())))
-    for (kt, kx), c in coeffs.items():
-        w = _k.mul(c, h)
-        # each step builds at most one term per jet factor of each term
-        # of w, and one for its t or x; price them before it starts
-        for step in (_k.total_t,) * kt + (_k.total_x,) * kx:
-            budget = _k.spend(budget, _k.derivative_terms(w))
-            w = step(w)
-        _k.mul_into(out, _k.ONE_MONO, -1 if (kt + kx) % 2 else 1, w)
+    out: dict = {}
+    for kt in range(max(rows, default=-1), -1, -1):
+        # a step builds at most one term per jet factor of each term of
+        # the sum it differentiates, and one for its t or x; price them
+        # before it starts
+        if out:
+            budget = _k.spend(budget, _k.derivative_terms(out))
+            out = _k.total_t(out)
+        row = rows.get(kt)
+        if row is None:
+            continue
+        acc: dict = {}
+        for kx in range(max(row), 0, -1):
+            c = row.get(kx)
+            if c is not None:
+                _k.mul_add(acc, -1 if (kt + kx) % 2 else 1, c, h)
+            budget = _k.spend(budget, _k.derivative_terms(acc))
+            acc = _k.total_x(acc)
+        # the row joins the sum through the shorter of the two
+        if len(acc) > len(out):
+            out, acc = acc, out
+        _k.mul_into(out, _k.ONE_MONO, 1, acc)
+        c = row.get(0)
+        if c is not None:
+            _k.mul_add(out, -1 if kt % 2 else 1, c, h)
     return out
 
 
@@ -229,9 +268,9 @@ def boundary_current(f: DiffExpr, g: DiffExpr, h: DiffExpr) -> ConservedCurrent:
     for (i, j), pf in _k.partials(f._d).items():
         dw = _DerivCache(_k.mul(h._d, pf))
         for k in range(i):
-            _k.mul_into(psi_t, _k.ONE_MONO, -1 if k % 2 else 1, _k.mul(dw.get(k, 0), dg.get(i - 1 - k, j)))
+            _k.mul_add(psi_t, -1 if k % 2 else 1, dw.get(k, 0), dg.get(i - 1 - k, j))
         for l in range(j):
-            _k.mul_into(psi_x, _k.ONE_MONO, -1 if (i + l) % 2 else 1, _k.mul(dw.get(i, l), dg.get(0, j - 1 - l)))
+            _k.mul_add(psi_x, -1 if (i + l) % 2 else 1, dw.get(i, l), dg.get(0, j - 1 - l))
     return ConservedCurrent(DiffExpr._raw(psi_t), DiffExpr._raw(psi_x))
 
 

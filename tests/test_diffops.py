@@ -5,9 +5,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 import oracle
 from helpers import random_expr
+from jetlaw import format_expr
+from jetlaw._kernel import pure
 from jetlaw.conslaw import current_from_multiplier
 from jetlaw.diffops import (
     ConservedCurrent,
@@ -22,6 +25,7 @@ from jetlaw.diffops import (
 )
 from jetlaw.errors import NotADivergence
 from jetlaw.expr import ONE, ZERO, DiffExpr, Monomial, const, jet, t, u, x
+from jetlaw.soln import LinDiffOp
 
 u_t = jet(1, 0)
 u_x = jet(0, 1)
@@ -67,6 +71,83 @@ def test_calculus_matches_reference_random():
         assert oracle.to_sympy(euler(f)) == oracle.euler(fs)
         assert oracle.to_sympy(frechet(f, g)) == oracle.frechet(fs, gs)
         assert oracle.to_sympy(frechet_adjoint(f, g)) == oracle.frechet_adjoint(fs, gs)
+
+
+def _adjoint_per_k(coeffs, h):
+    """sum_K (-D_t)^kt (-D_x)^kx (c_K h), one derivative chain per K."""
+    out = DiffExpr()
+    for (kt, kx), c in coeffs.items():
+        w = c * h
+        for axis in "t" * kt + "x" * kx:
+            w = total_derivative(w, axis)
+        out += (-1) ** (kt + kx) * w
+    return out
+
+
+def _gappy_orders(rng):
+    """Two to four multi-indices of order at most 4, drawn so that the
+    t- and x-orders present usually skip some below their highest."""
+    orders = [(kt, kx) for kt in range(5) for kx in range(5 - kt)]
+    return rng.sample(orders, rng.randint(2, 4))
+
+
+def test_nested_adjoint_equals_one_chain_per_coefficient():
+    # the nested (Horner) adjoint against one chain per K and the sympy
+    # oracle, on operators up to order 4 with gaps in kt and kx, in
+    # value, in printing and in coefficient type
+    rng = random.Random(41)
+    for case, fractions in enumerate([False] * 10 + [True] * 10):
+        kw = dict(max_terms=2, max_order=1, max_jet_degree=1, max_tx_degree=1, allow_fractions=fractions)
+        orders = _gappy_orders(rng) if case else [(2, 0), (1, 1), (0, 3)]
+        h = random_expr(rng, **kw)
+        op = LinDiffOp({K: random_expr(rng, **kw) for K in orders})
+        f = random_expr(rng, max_terms=3, max_jet_degree=2, max_tx_degree=1, allow_fractions=fractions, jets=orders)
+        hs = oracle.to_sympy(h)
+        op_want = sum((-1) ** sum(K) * oracle.DJ(oracle.to_sympy(c) * hs, *K) for K, c in op.coeffs.items())
+        f_want = oracle.frechet_adjoint(oracle.to_sympy(f), hs)
+        f_coeffs = {J: f.partial(J) for J in orders}
+        for got, coeffs, want in ((op.adjoint(h), op.coeffs, op_want), (frechet_adjoint(f, h), f_coeffs, f_want)):
+            chained = _adjoint_per_k(coeffs, h)
+            assert got == chained
+            assert format_expr(got) == format_expr(chained)
+            assert oracle.to_sympy(got) == sp.expand(want)
+            assert {type(c) for c in got._d.values()} <= {Fraction if fractions else int}
+
+
+def _count_steps(monkeypatch):
+    """Count the kernel's total_t and total_x calls."""
+    calls = {"t": 0, "x": 0}
+    for axis in "tx":
+        real = getattr(pure, f"total_{axis}")
+
+        def counted(a, _real=real, _axis=axis):
+            calls[_axis] += 1
+            return _real(a)
+
+        monkeypatch.setattr(pure, f"total_{axis}", counted)
+    return calls
+
+
+def test_adjoint_takes_one_chain_per_t_order(monkeypatch):
+    # a chain per coefficient would take n (n + 1) / 2 steps for the
+    # Euler image of f of x-order n, and sum_K |K| for an adjoint
+    calls = _count_steps(monkeypatch)
+    for n in range(1, 7):
+        f = sum((jet(0, k) ** 2 * x**k for k in range(n + 1)), u * jet(0, n))
+        calls.update(t=0, x=0)
+        euler(f)
+        assert calls == {"t": 0, "x": n}
+    rng = random.Random(43)
+    # every order up to 4 (sum_K |K| = 40), then operators with gaps
+    full = [(kt, kx) for kt in range(5) for kx in range(5 - kt)]
+    for orders in [full] + [_gappy_orders(rng) for _ in range(20)]:
+        op = LinDiffOp({K: random_expr(rng, max_terms=2, max_order=1) for K in orders})
+        T, X = max(kt for kt, _ in orders), max(kx for _, kx in orders)
+        calls.update(t=0, x=0)
+        op.adjoint(random_expr(rng, max_terms=2, max_order=1))
+        # one D_x chain per t-order present, from its highest kx
+        assert calls["x"] == sum(max(kx for kt, kx in orders if kt == r) for r in {kt for kt, _ in orders})
+        assert calls["t"] <= T and calls["t"] + calls["x"] <= T + (T + 1) * X
 
 
 def test_frechet_examples(kdv):

@@ -674,6 +674,39 @@ def test_exponents_and_degrees_up_to_the_cap():
     assert u ** (cap // 2) * u ** (cap - cap // 2) == u**cap
 
 
+def test_mul_add_accumulates_the_scaled_product_in_place(monkeypatch):
+    rng = random.Random(37)
+    for _ in range(200):
+        fractions = rng.random() < 0.5
+        a, b, extra = (random_expr(rng, max_terms=4, allow_fractions=fractions)._d for _ in range(3))
+        coeff = _random_coeff(rng)
+        prod = pure.mul(a, b)
+        # out holds some entries that the product cancels, and others
+        out = {k: -coeff * v for k, v in prod.items() if coeff and rng.random() < 0.5}
+        out = pure.add(out, extra)
+        want = pure.add(out, pure.scale(prod, coeff))
+        assert pure.mul_add(out, coeff, a, b) is out
+        assert out == want and 0 not in out.values()
+    monkeypatch.setattr(pure, "MAX_PRODUCTS", 100)
+    a11 = {pure.encode(i, 0): 1 for i in range(11)}
+    b10 = {pure.encode(0, j): 1 for j in range(10)}
+    out = {pure.encode(1, 0): 5}
+    with pytest.raises(JetLawError, match="^work exceeds 100 terms$"):
+        pure.mul_add(out, 3, a11, b10)
+    assert out == {pure.encode(1, 0): 5}
+
+
+def test_derivative_terms_bounds_each_step():
+    # one term per term for its t or x, and one per jet factor, counted
+    # from the tuple form; each total derivative builds at most that
+    rng = random.Random(39)
+    for _ in range(200):
+        a = random_expr(rng, max_terms=6, max_order=4, max_tx_degree=3)._d
+        want = len(a) + sum(len(pure.decode(k)[2]) for k in a)
+        assert pure.derivative_terms(a) == want
+        assert len(pure.total_t(a)) <= want and len(pure.total_x(a)) <= want
+
+
 def test_one_bound_prices_every_product_before_building_it(monkeypatch):
     monkeypatch.setattr(pure, "MAX_PRODUCTS", 100)
     sizes = []

@@ -125,8 +125,9 @@ def test_adjoint_op_prices_its_products_before_the_first(kdv, monkeypatch):
     q = a * b
     assert len(q._d) == 90_000
     sizes = []
-    real = pure.mul
-    monkeypatch.setattr(pure, "mul", lambda f, g: sizes.append((len(f), len(g))) or real(f, g))
+    # every product goes through mul_add, mul's too
+    real = pure.mul_add
+    monkeypatch.setattr(pure, "mul_add", lambda out, c, f, g: sizes.append((len(f), len(g))) or real(out, c, f, g))
     for query in (act_on_multiplier, classify, psi_current):
         sizes.clear()
         with pytest.raises(JetLawError, match=f"^work exceeds {pure.MAX_PRODUCTS} terms$"):
