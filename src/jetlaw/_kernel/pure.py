@@ -29,10 +29,12 @@ encode and decode convert between a key and the tuple form
 which orders monomials for printing and for the ansatz.  No other
 module builds or takes apart a key: they use encode, decode and the
 helpers below.  What depends on the jet part of a key alone, its
-sorted factors, its D_t and D_x steps, the jets, exponents and field
-units partials reads and, through jet_part_splitter, soln's
-consequence part and greatest consequence jet, is memoized per jet
-part, so the hot loops decode a jet part only on a memo miss.
+sorted factors, its D_t and D_x steps and the jets, exponents and field
+units partials reads, is memoized per jet part, so the hot loops decode
+a jet part only on a memo miss.  jet_part_splitter, which gives soln a
+key's consequence part, takes that part with one AND by a mask of the
+consequence jets' fields, and memoizes only its greatest jet, per
+nonzero part.
 
 Memo is the one rule for the memos of the program, here and in soln:
 keep clears it before an entry would take it past MEMO_CAP entries or
@@ -263,18 +265,32 @@ def jet_part_splitter(keep):
     """The function key -> (rest, part, top): part the key of the jet
     factors u_(nt,nx)^e of key with keep((nt, nx)) true, rest the key of
     the others, so that key = rest * part, and top the greatest (nt, nx)
-    of part, or NO_JET when part is ONE_MONO.  part and top are memoized
-    per jet part in the function's attribute memo, a Memo."""
+    of part, or NO_JET when part is ONE_MONO.
+
+    part is key & mask, mask the fields of every slot whose jet keep
+    accepts; slots are append-only, so the mask only grows, when a key
+    holds a slot it has not yet looked at.  top is memoized per nonzero
+    part in the function's attribute memo, a Memo, so a key free of kept
+    jets costs one AND and adds no entry."""
     memo = Memo()
     known = memo.get
+    mask = 0
+    # keys below 1 << bound hold no slot past those the mask has seen
+    bound = _JETS
 
     def split(key):
-        jp = key >> _JETS
-        v = known(jp)
-        if v is None:
-            kept = [(jet, e << off) for jet, e, off in _scan(jp) if keep(jet)]
-            v = memo.keep(jp, (sum(f for _, f in kept), kept[-1][0] if kept else NO_JET))
-        part, top = v
+        nonlocal mask, bound
+        if key >> bound:
+            for slot in range((bound - _JETS) // W, len(_jet_at)):
+                if keep(_jet_at[slot]):
+                    mask |= _MASK << (_JETS + W * slot)
+            bound = _JETS + W * len(_jet_at)
+        part = key & mask
+        if not part:
+            return key, ONE_MONO, NO_JET
+        top = known(part)
+        if top is None:
+            top = memo.keep(part, _scan(part >> _JETS)[-1][0])
         return key - part, part, top
 
     split.memo = memo

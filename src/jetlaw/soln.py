@@ -16,11 +16,13 @@ and the buckets are emptied from the greatest down, each exactly once:
 in each term base * u_m^e the power is replaced by the memoized
 (D^K g)^e, whose products with base only land in lower buckets or in
 the result.  The powers are memoized on the NormalPDE, each already
-filed by the greatest consequence jet of its terms.  That jet, with the
-consequence part, is memoized per jet part in the kernel's
-jet_part_splitter: the kernel's keys give jets slots in first-use
-order, not in lex order, so it is found from the key's fields once per
-jet part and then looked up.
+filed by the greatest consequence jet of its terms.  The kernel's
+jet_part_splitter gives a key's consequence part as one AND with a
+mask of the consequence jets' fields.  The kernel's keys give jets
+slots in first-use order, not in lex order, so the greatest
+consequence jet is found from the part's fields once per distinct
+consequence part and then looked up; a key free of consequence jets
+has none to find.
 Every memo here is a kernel Memo, under the kernel's one clearing rule.
 The derivatives D^K g the powers are built from live for one call: each
 call builds one diffops._DerivCache of g and passes it down, so it never
@@ -63,8 +65,8 @@ class NormalPDE:
 
     Attributes: lead (JetIndex L), rhs (g), G (u_L - g).  Instances
     memoize what restriction and operator extraction need, in kernel
-    Memos: the consequence part and greatest consequence jet of each jet
-    part, the powers of the derivatives of g filed by that jet, and the
+    Memos: the greatest consequence jet of each consequence part, the
+    powers of the derivatives of g filed by that jet, and the
     restrictions of consequence parts.  So reuse one instance per
     equation.
     """
@@ -170,17 +172,20 @@ def restrict(f: DiffExpr, pde: NormalPDE) -> DiffExpr:
     out: dict = {}
     # consequence part -> the free factors and coefficients of its terms
     parts: dict = {}
+    # consequence part -> its greatest consequence jet
+    tops: dict = {}
     for mono, coeff in f._d.items():
-        free, cons, _ = split(mono)
+        free, cons, top = split(mono)
         if cons:
             parts.setdefault(cons, []).append((free, coeff))
+            tops[cons] = top
         else:
             out[mono] = coeff
     budget = _k.MAX_PRODUCTS
     # consequence part -> (R of it, the products building it took), for
     # the parts this call builds
     built: dict = {}
-    for cons in sorted(parts, key=lambda c: split(c)[2], reverse=True):
+    for cons in sorted(parts, key=tops.__getitem__, reverse=True):
         r, cost = _restricted_part(cons, pde, drhs, budget, built)
         budget -= cost
         for free, coeff in parts[cons]:

@@ -597,11 +597,11 @@ def test_print_and_ansatz_order_follow_the_tuple_order(kdv):
 
 def test_jet_part_memos_stay_within_their_cap(kdv):
     # more distinct jet parts than the cap pass through every memo keyed
-    # by jet parts: the factors, the D_t and D_x steps, and the
-    # consequence part and greatest consequence jet of each jet part;
-    # and more distinct consequence parts than the cap through the
-    # memo of their restrictions, here on u_t = u_x, where each is one
-    # term
+    # by jet parts: the factors and the D_t and D_x steps; more distinct
+    # consequence parts than the cap through the memo of their greatest
+    # consequence jets; and through the memo of their restrictions, here
+    # on u_t = u_x, where each is one term.  Each memo is filled here,
+    # so the test holds on its own as well as after the others
     n = pure.MEMO_CAP + 500
     f = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
     pure.total_t(f)
@@ -612,6 +612,10 @@ def test_jet_part_memos_stay_within_their_cap(kdv):
     assert restrict(DiffExpr._raw(f), kdv) == DiffExpr._raw(f)
     with pytest.raises(NotOnSolutionSpace):
         extract_operator(DiffExpr._raw(f), kdv)
+    free = pure.encode(0, 0, ((0, 2, 1),))
+    for e in range(1, n + 1):
+        part = pure.encode(0, 0, ((1, 0, e), (1, 1, 1)))
+        assert kdv._split(free + part) == (free, part, (1, 1))
     advection = make_pde((1, 0), jet(0, 1))
     g = {pure.encode(0, 0, ((1, 0, e), (1, 1, 1))): 1 for e in range(1, n + 1)}
     want = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
@@ -620,6 +624,48 @@ def test_jet_part_memos_stay_within_their_cap(kdv):
     for memo in memos + (advection._split.memo, advection._restricted):
         assert isinstance(memo, pure.Memo)
         assert 0 < len(memo) <= pure.MEMO_CAP
+
+
+def _reference_split(key, keep):
+    """(rest, part, top) of key, taken factor by factor."""
+    t_deg, x_deg, jets = pure.decode(key)
+    kept = [f for f in jets if keep(f[:2])]
+    rest = pure.encode(t_deg, x_deg, [f for f in jets if not keep(f[:2])])
+    return rest, pure.encode(0, 0, kept), kept[-1][:2] if kept else pure.NO_JET
+
+
+def test_jet_part_splitter_equals_the_per_factor_split():
+    # the mask grows with the slot table: each round interns jets the
+    # splitter has not seen, then splits keys on the old and new jets
+    rng = random.Random(42)
+    for lt, lx in ((1, 0), (2, 0), (1, 1), (2, 1)):
+
+        def keep(idx, lt=lt, lx=lx):
+            return idx[0] >= lt and idx[1] >= lx
+
+        split = pure.jet_part_splitter(keep)
+        jets = [(nt, nx) for nt in range(4) for nx in range(4)]
+        for _ in range(3):
+            fresh = []
+            while len(fresh) < 4:
+                idx = (rng.randint(0, 300), rng.randint(0, 300))
+                if idx not in pure._offset and idx not in fresh:
+                    fresh.append(idx)
+            jets += fresh
+            for nt, nx in fresh:
+                jet(nt, nx)
+            for _ in range(200):
+                factors = sorted((nt, nx, rng.randint(1, 9)) for nt, nx in rng.sample(jets, rng.randint(0, 5)))
+                key = pure.encode(rng.randint(0, 3), rng.randint(0, 3), factors)
+                want = _reference_split(key, keep)
+                size = len(split.memo)
+                assert split(key) == want
+                if want[1] == pure.ONE_MONO:
+                    # a key free of kept jets: one AND, no memo entry
+                    assert want == (key, pure.ONE_MONO, pure.NO_JET)
+                    assert len(split.memo) == size
+                else:
+                    assert split.memo[want[1]] == want[2]
 
 
 def test_memo_keep_clears_at_either_cap(monkeypatch):

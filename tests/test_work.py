@@ -9,11 +9,11 @@ import pytest
 
 from jetlaw import conslaw, diffops, soln, symmetry
 from jetlaw._kernel import pure
-from jetlaw.conslaw import current_from_multiplier, multiplier_from_current
+from jetlaw.conslaw import Ansatz, current_from_multiplier, multiplier_from_current
 from jetlaw.errors import JetLawError
 from jetlaw.expr import ONE, DiffExpr, jet, t, u, x
-from jetlaw.soln import restrict
-from jetlaw.symmetry import act_on_multiplier, action_matrix, classify, psi_current
+from jetlaw.soln import make_pde, restrict
+from jetlaw.symmetry import act_on_multiplier, action_matrix, classify, psi_current, solve_symmetries
 
 GALILEAN = 1 - t * jet(0, 1)
 ENERGY = jet(0, 2) + u**2 / 2
@@ -133,3 +133,26 @@ def test_adjoint_op_prices_its_products_before_the_first(kdv, monkeypatch):
         with pytest.raises(JetLawError, match=f"^work exceeds {pure.MAX_PRODUCTS} terms$"):
             query(-jet(0, 1), q, kdv)
         assert sizes and max(map(max, sizes)) < 100, query
+
+
+def test_split_memo_holds_one_entry_per_consequence_part(kdv):
+    # a fresh NormalPDE, as each CLI solve has: its splitter memoizes the
+    # greatest consequence jet of each distinct consequence part the
+    # solve meets, not of each jet part, and nothing for a key free of
+    # consequence jets
+    pde = make_pde(kdv.lead, kdv.rhs)
+    split = pde._split
+    parts = set()
+
+    def recorded(key):
+        got = split(key)
+        parts.add(got[1])
+        return got
+
+    pde._split = recorded
+    assert len(solve_symmetries(pde, Ansatz(2, 3, 1, 1))) == 4
+    parts.discard(pure.ONE_MONO)
+    assert len(split.memo) == len(parts) == 136
+    free = (u * jet(0, 3) ** 2 * t)._d.popitem()[0]
+    assert split(free) == (free, pure.ONE_MONO, pure.NO_JET)
+    assert len(split.memo) == 136
