@@ -18,15 +18,16 @@ Reports are printed as 'key = value' lines, one per field, expressions
 in the canonical grammar.  Exit status: 0 when the command computed a
 result (or answered yes), 1 when the mathematical answer is no
 (check-conslaw fails, classify finds no homogeneity), 2 for usage,
-parse, or precondition errors.
+parse, or precondition errors, each reported on one 'error:' line.
+-h or --help, before or after the command, lists every command and flag.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 from .conslaw import (
     Ansatz,
@@ -266,105 +267,153 @@ def _cmd_action_matrix(args, session: Session):
     return 0, lines
 
 
-def _add_ansatz_flags(sub):
-    for _, key, text in _ANSATZ_FIELDS:
-        sub.add_argument(f"--{key}", type=int, help=text)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jetlaw",
-        description="conservation laws of scalar PDEs by the multiplier method",
-    )
-    parser.add_argument(
-        "-s", "--session", required=True, help="session file defining the PDE"
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("check-conslaw", help="verify a conserved current")
-    p.add_argument("--T", required=True)
-    p.add_argument("--X", required=True)
-    p.set_defaults(func=_cmd_check_conslaw)
-
-    p = sub.add_parser("multiplier-of", help="multiplier of a conserved current")
-    p.add_argument("--T", required=True)
-    p.add_argument("--X", required=True)
-    p.set_defaults(func=_cmd_multiplier_of)
-
-    p = sub.add_parser("multipliers", help="solve for all multipliers in an ansatz")
-    _add_ansatz_flags(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("symmetries", help="solve for all symmetry characteristics in an ansatz")
-    _add_ansatz_flags(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("current", help="conserved current of a multiplier")
-    p.add_argument("--Q", required=True)
-    p.set_defaults(func=_cmd_current)
-
-    p = sub.add_parser("act", help="apply a symmetry to a multiplier or a current")
-    p.add_argument("--P", required=True, help="symmetry characteristic")
-    p.add_argument("--Q")
-    p.add_argument("--T")
-    p.add_argument("--X")
-    p.set_defaults(func=_cmd_act)
-
-    p = sub.add_parser("psi", help="boundary current of a symmetry and an adjoint-symmetry")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.set_defaults(func=_cmd_psi)
-
-    p = sub.add_parser("classify", help="classify a multiplier under a symmetry")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.add_argument("--strict-off-e", dest="strict_off_e", action="store_true",
-                   help="compare off the solution space")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("action-matrix", help="matrix of a symmetry action on a multiplier space")
-    p.add_argument("--P", required=True)
-    p.add_argument("--basis", help="semicolon-separated multipliers (default: solve the ansatz)")
-    _add_ansatz_flags(p)
-    p.set_defaults(func=_cmd_action_matrix)
-
-    return parser
-
-
-_VALUE_FLAGS = {"--P", "--Q", "--T", "--X", "--basis"} | {
-    f"--{key}" for _, key, _ in _ANSATZ_FIELDS
+# The command table: each command's handler, help line and flags, each
+# flag "required" or "optional" (an expression), "int" (an ansatz bound)
+# or "bool".  Every command, and jetlaw itself, also takes -h/--help.
+_ANSATZ_FLAGS = {f"--{key}": "int" for _, key, _ in _ANSATZ_FIELDS}
+_CURRENT_FLAGS = {"--T": "required", "--X": "required"}
+_COMMANDS = {
+    "check-conslaw": (_cmd_check_conslaw, "verify a conserved current", _CURRENT_FLAGS),
+    "multiplier-of": (_cmd_multiplier_of, "multiplier of a conserved current", _CURRENT_FLAGS),
+    "multipliers": (_cmd_solve, "solve for all multipliers in an ansatz", _ANSATZ_FLAGS),
+    "symmetries": (_cmd_solve, "solve for all symmetry characteristics in an ansatz", _ANSATZ_FLAGS),
+    "current": (_cmd_current, "conserved current of a multiplier", {"--Q": "required"}),
+    "act": (_cmd_act, "apply a symmetry to a multiplier or a current",
+            {"--P": "required", "--Q": "optional", "--T": "optional", "--X": "optional"}),
+    "psi": (_cmd_psi, "boundary current of a symmetry and an adjoint-symmetry",
+            {"--P": "required", "--Q": "required"}),
+    "classify": (_cmd_classify, "classify a multiplier under a symmetry",
+                 {"--P": "required", "--Q": "required", "--strict-off-e": "bool"}),
+    "action-matrix": (_cmd_action_matrix, "matrix of a symmetry action on a multiplier space",
+                      {"--P": "required", "--basis": "optional", **_ANSATZ_FLAGS}),
 }
+_TOP_FLAGS = {"--session": "required"}
+_NOTES = {"--P": "symmetry characteristic", "--Q": "multiplier or adjoint-symmetry",
+          "--T": "density of the current", "--X": "flux of the current",
+          "--basis": "semicolon-separated multipliers (default: solve the ansatz)",
+          "--strict-off-e": "compare off the solution space",
+          **{f"--{key}": text for _, key, text in _ANSATZ_FIELDS}}
+# the exact spellings that take the next token as their value, whatever it is
+_VALUE_FLAGS = {f for _, _, flags in _COMMANDS.values() for f, kind in flags.items() if kind != "bool"}
+# tokens that argparse reads as negative numbers, values rather than flags
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _help() -> str:
+    lines = ["usage: jetlaw -s PATH COMMAND [FLAG ...]", "",
+             "conservation laws of scalar PDEs by the multiplier method", "",
+             f"  {'-s, --session PATH':<20}session file defining the PDE (required)",
+             f"  {'-h, --help':<20}show this help and exit", "", "commands:"]
+    for name, (_, text, flags) in _COMMANDS.items():
+        lines.append(f"  {name:<20}{text}")
+        for flag, kind in flags.items():
+            spelled = flag + {"bool": "", "int": " N"}.get(kind, " EXPR")
+            lines.append(f"    {spelled:<18}{_NOTES[flag]}{' (required)' if kind == 'required' else ''}")
+    return "\n".join(lines)
+
+
+def _usage_error(msg: str) -> NoReturn:
+    print(f"error: usage: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _match(tok: str, flags: dict):
+    """How argparse reads tok among flags and --help: None for a value or
+    a command, else (flag, the value attached to it or None), with flag
+    None for an unknown flag.  A long flag may be abbreviated."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    if tok[1] != "-":  # -s PATH, -sPATH, -s=PATH
+        flag = {"-h": "--help", "-s": "--session"}.get(tok[:2])
+        if flag == "--help" or flag in flags:
+            rest = tok[2:]
+            return flag, rest[1:] if rest[:1] == "=" else rest or None
+    else:
+        head, eq, value = tok.partition("=")
+        names = [*flags, "--help"]
+        found = [f for f in names if f == head] or [f for f in names if f.startswith(head)]
+        if len(found) > 1:
+            _usage_error(f"ambiguous option: {tok}")
+        if found:
+            return found[0], value if eq else None
+    return None if _NEGATIVE.fullmatch(tok) or " " in tok else (None, None)
 
 
 def _join_dash_values(argv: list[str]) -> list[str]:
-    """Turn ['--Q', '-u_x'] into ['--Q=-u_x'] so expressions starting
-    with a minus sign survive argparse."""
+    """Turn ['--Q', '-u_x'] into ['--Q=-u_x'], so that a value starting
+    with a minus sign is not read as a flag."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _VALUE_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and len(argv[i + 1]) > 1
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok[:1] == "-" and tok != "-":
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv, after _join_dash_values, against the command table as
+    argparse read it: the last of a repeated flag wins, --help answers
+    when it is reached, and a usage error exits 2 with one line."""
+    args = SimpleNamespace(session=None)
+    flags, seen, strays, i = _TOP_FLAGS, set(), [], 0
+    while i < len(argv):
+        tok = argv[i]
+        i += 1
+        if tok == "--":  # every token after it is a positional
+            strays += argv[i - 1:]
+            break
+        m = _match(tok, flags)
+        if m is None and flags is _TOP_FLAGS:
+            if tok not in _COMMANDS:
+                _usage_error(f"invalid choice: {tok!r} (choose from {', '.join(_COMMANDS)})")
+            args.cmd, (args.func, _, flags) = tok, _COMMANDS[tok]
+            for flag, kind in flags.items():
+                setattr(args, flag[2:].replace("-", "_"), False if kind == "bool" else None)
+        elif m is None or m[0] is None:
+            strays.append(tok)
+        else:
+            flag, value = m
+            kind = "bool" if flag == "--help" else flags[flag]
+            if kind == "bool":
+                if value is not None:
+                    _usage_error(f"argument {flag}: ignored explicit argument {value!r}")
+                if flag == "--help":
+                    print(_help())
+                    raise SystemExit(0)
+                value = True
+            elif value is None:
+                if i == len(argv) or argv[i] == "--" or _match(argv[i], flags) is not None:
+                    _usage_error(f"argument {flag}: expected one argument")
+                value, i = argv[i], i + 1
+            if kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(f"argument {flag}: invalid int value: {value!r}")
+            setattr(args, flag[2:].replace("-", "_"), value)
+            seen.add(flag)
+    missing = [f for f, kind in {**_TOP_FLAGS, **flags}.items() if kind == "required" and f not in seen]
+    missing += [] if hasattr(args, "cmd") else ["COMMAND"]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if strays:
+        _usage_error(f"unrecognized arguments: {' '.join(strays)}")
+    return args
+
+
+def build_parser() -> SimpleNamespace:
+    """The parser: parse_args(argv), as argparse's parser has it."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_dash_values(list(argv)))
+        args = build_parser().parse_args(_join_dash_values(list(argv)))
     except SystemExit as ex:
-        return ex.code if isinstance(ex.code, int) else 2
+        return ex.code
     try:
         session = load_session(args.session)
         code, lines = args.func(args, session)

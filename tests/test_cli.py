@@ -1,7 +1,12 @@
+import collections
+import contextlib
+import io
 import os
+import random
 import time
 
 from helpers import forbid_huge_powers_and_jets
+from jetlaw import cli
 from jetlaw.cli import load_session, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -371,10 +376,194 @@ def test_internal_errors_exit_2(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_2(capsys):
-    # argparse failures are turned into exit status 2, not SystemExit
+    # usage errors exit 2 with one line, not SystemExit
     code, _, err = run(capsys, "-s", KDV_SESSION, "frobnicate")
     assert code == 2
     assert "invalid choice" in err
 
-    code, _, _ = run(capsys, "-s", KDV_SESSION, "check-conslaw", "--T", "u")
-    assert code == 2
+    for argv in (
+        ["-s", KDV_SESSION, "check-conslaw", "--T", "u"],
+        ["multipliers"],
+        ["-s", KDV_SESSION],
+        ["-s"],
+        ["-s", KDV_SESSION, "multipliers", "--order", "x"],
+        ["-s", KDV_SESSION, "multipliers", "--order"],
+        ["-s", KDV_SESSION, "multipliers", "--bogus", "stray"],
+        ["-s", KDV_SESSION, "multipliers", "--", "--help"],
+        ["-s", KDV_SESSION, "multipliers", "--=1"],
+        ["-s", KDV_SESSION, "classify", "--P", "u", "--Q", "u", "--strict=x"],
+        # an abbreviated flag takes no value that looks like a flag
+        ["-s", KDV_SESSION, "action-matrix", "--P", "u_x", "--bas", "-u"],
+        ["--help=x"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: usage: ") and err.count("\n") == 1, argv
+
+
+def test_bare_double_dash_values_exit_2(capsys):
+    # a value of "--" is taken as it stands, as Python 3.13's argparse
+    # takes it; earlier argparse turned it into an empty list
+    for argv in (
+        ("current", "--Q", "--"),
+        ("act", "--P", "--", "--Q", "u"),
+        ("check-conslaw", "--T", "--", "--X", "u"),
+        ("symmetries", "--order", "--"),
+        ("action-matrix", "--P", "u_x", "--basis", "--"),
+    ):
+        code, out, err = run(capsys, "-s", KDV_SESSION, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "internal" not in err, argv
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    for argv in (["--help"], ["-h"], ["-s", KDV_SESSION, "act", "--he"], ["multipliers", "-h", "--bogus"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        for name, (_, _, flags) in cli._COMMANDS.items():
+            assert f"  {name} " in out
+            assert all(f"    {flag} " in out for flag in flags)
+        assert "-s, --session" in out and "-h, --help" in out
+
+
+def test_flag_spellings(capsys):
+    # prefixes of long flags, = forms, -sPATH, repeated flags (the last
+    # wins) and values that start with a minus sign
+    for argv in (
+        ["--sess", KDV_SESSION, "symmetries", "--ord", "1", "--jet=1"],
+        [f"--session={KDV_SESSION}", "symmetries", "--order=0", "--order", "1", "--jet-degree", "1"],
+        [f"-s{KDV_SESSION}", "symmetries", "--o", "1", "--j", "1"],
+        ["-s", "nope", f"-s={KDV_SESSION}", "symmetries", "--order", "1", "--jet-degree", "-1", "--jet-degree=1"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert "dimension = 4" in out and "basis[0] = u_x" in out, argv
+    code, out, _ = run(capsys, "-s", KDV_SESSION, "classify", "--P", "-u_x", "--Q=u", "--strict")
+    assert code == 0 and "verdict = Invariant" in out
+
+
+def _reference_parser():
+    """The argparse parser that the command table replaced, kept as the
+    reference that the table parser must agree with, argv by argv."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="jetlaw")
+    parser.add_argument("-s", "--session", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+
+    def add(name, func, *flags, required=(), ansatz=False):
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, required=flag in required)
+        if ansatz:
+            for flag in ("--order", "--jet-degree", "--t-degree", "--x-degree"):
+                p.add_argument(flag, type=int)
+        p.set_defaults(func=func)
+        return p
+
+    add("check-conslaw", cli._cmd_check_conslaw, "--T", "--X", required=("--T", "--X"))
+    add("multiplier-of", cli._cmd_multiplier_of, "--T", "--X", required=("--T", "--X"))
+    add("multipliers", cli._cmd_solve, ansatz=True)
+    add("symmetries", cli._cmd_solve, ansatz=True)
+    add("current", cli._cmd_current, "--Q", required=("--Q",))
+    add("act", cli._cmd_act, "--P", "--Q", "--T", "--X", required=("--P",))
+    add("psi", cli._cmd_psi, "--P", "--Q", required=("--P", "--Q"))
+    p = add("classify", cli._cmd_classify, "--P", "--Q", required=("--P", "--Q"))
+    p.add_argument("--strict-off-e", dest="strict_off_e", action="store_true")
+    add("action-matrix", cli._cmd_action_matrix, "--P", "--basis", required=("--P",), ansatz=True)
+    return parser
+
+
+def _reference_join(argv):
+    """The step before argparse: ['--Q', '-u_x'] -> ['--Q=-u_x']."""
+    value_flags = {"--P", "--Q", "--T", "--X", "--basis", "--order", "--jet-degree", "--t-degree", "--x-degree"}
+    out = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in value_flags and i + 1 < len(argv) and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1:
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
+def _outcome(parse, argv):
+    """The attributes parse gives argv, or the exit code it raises, and
+    the number of lines it wrote to stderr."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return vars(parse(argv)), 0
+    except SystemExit as ex:
+        return ex.code, err.getvalue().count("\n")
+
+
+VALUES = ["u", "u_x + 1", "mass", "1;u", "x y", "", "-", "-u_x", "-u + t", "-1", "-2.5", "-s x"]
+INTS = ["0", "1", "2", "-1", " 3", "1_0", "x", "-u"]
+STRAYS = ["stray", "-1", "-x", "--bogus", "--bogus=1", "-h=x", "--strict-off-e=", "--help=", "-s x", "-"]
+FLAGS = ["--P", "--Q", "--T", "--X", "--basis", "--order", "--jet-degree", "--t-degree", "--x-degree",
+         "--strict-off-e", "--session"]
+
+
+def _spell(rng, flag, scope):
+    """flag, or now and then a prefix of it that no other flag of scope
+    shares."""
+    cuts = [n for n in range(3, len(flag)) if [f for f in scope if f.startswith(flag[:n])] == [flag]]
+    return flag[: rng.choice(cuts)] if cuts and rng.random() < 0.3 else flag
+
+
+def _draw_argv(rng):
+    """An argv of commands, flags in every spelling, values that start
+    with a minus sign, repeated and missing flags, flags of other
+    commands, unknown flags and stray tokens, none of them a bare --."""
+    name = rng.choice([*cli._COMMANDS]) if rng.random() < 0.95 else rng.choice(["frobnicate", "1", "-"])
+    table = cli._COMMANDS.get(name, (None, None, {}))[2]
+    scope = [*table, "--help"]
+    path = rng.choice(["foo.session"] * 6 + ["-1", "-x", "-u + t"])
+    parts = [rng.choice([
+        ["-s", path], [_spell(rng, "--session", ["--session", "--help"]), path],
+        [f"--session={path}"], [f"-s{path}"], [f"-s={path}"],
+    ]), [name]]
+    flags = [f for f, kind in table.items() if kind == "required" and rng.random() < 0.95]
+    flags += rng.choices(scope * 3 + FLAGS, k=rng.randint(0, 3))
+    for flag in flags:
+        kind = table.get(flag, "optional")
+        if flag == "--help" and rng.random() < 0.7:
+            continue
+        spelled = _spell(rng, flag, scope)
+        values = INTS if kind == "int" else VALUES
+        if kind == "bool" or flag == "--help" or rng.random() < 0.05:
+            parts.append([spelled])
+        elif rng.random() < 0.25:
+            parts.append([f"{spelled}={rng.choice(values)}"])
+        else:
+            parts.append([spelled, rng.choice(values)])
+    if rng.random() < 0.1:
+        parts.insert(rng.randint(0, len(parts)), [rng.choice(STRAYS)])
+    if rng.random() < 0.05:
+        rng.shuffle(parts)
+    if rng.random() < 0.05:
+        parts.pop(rng.randrange(len(parts)))
+    return [tok for part in parts for tok in part]
+
+
+def test_parser_agrees_with_argparse():
+    # each drawn argv is parsed to the same attributes by both, or sent
+    # to help (exit 0) or refused (exit 2) by both; the table parser
+    # reports a refusal on one line of stderr and help on none
+    rng = random.Random(28)
+    reference = _reference_parser()
+    counts = collections.Counter()
+    for _ in range(2000):
+        argv = _draw_argv(rng)
+        assert "--" not in argv
+        old, _ = _outcome(lambda a: reference.parse_args(_reference_join(a)), argv)
+        new, lines = _outcome(lambda a: cli.build_parser().parse_args(cli._join_dash_values(a)), argv)
+        assert new == old, argv
+        assert lines == (1 if new == 2 else 0), argv
+        counts["parsed" if isinstance(old, dict) else old] += 1
+    # the draw reaches each outcome often
+    assert min(counts[k] for k in ("parsed", 0, 2)) > 50, counts

@@ -1,9 +1,11 @@
 """Seeded fuzzing of the command line.  Session files and expressions
 are mutated token by token (literal sizes, exponents, jet orders,
 nesting, chains of products, powers of high jets, nested powers past
-the kernel's exponent cap, products of large sums), and every command
-must end with exit code 0, 1 or 2 and never report an internal error,
-all within a wall-clock budget."""
+the kernel's exponent cap, products of large sums), a quarter of the
+command lines too (dropped, repeated and abbreviated flags, = forms,
+-- and stray tokens), and every command must end with exit code 0, 1
+or 2 and never report an internal error, all within a wall-clock
+budget."""
 
 import random
 import re
@@ -156,6 +158,29 @@ def _command(rng):
     ])()
 
 
+def _mutate_argv(rng, argv):
+    """Drop a token, repeat or abbreviate a flag, join a flag to its
+    value with =, or add -- or a stray token, once or twice."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 2)):
+        flags = [i for i, tok in enumerate(argv) if tok.startswith("-") and len(tok) > 2]
+        i = rng.choice(flags) if flags else 0
+        op = rng.randrange(6)
+        if op == 0 and argv:
+            del argv[rng.randrange(len(argv))]
+        elif op == 1 and flags:
+            argv += argv[i : i + 2]
+        elif op == 2 and flags:
+            argv[i] = argv[i][: rng.randint(3, len(argv[i]))]
+        elif op == 3 and flags and i + 1 < len(argv):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif op == 4:
+            argv.insert(rng.randint(0, len(argv)), "--")
+        else:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(["stray", "-x", "--bogus", "-1", "-", "--help"]))
+    return argv
+
+
 class _OverBudget(BaseException):
     """Raised by the alarm; not an Exception, so that the CLI's handler
     for internal errors does not swallow it."""
@@ -176,6 +201,8 @@ def test_fuzzed_commands_exit_cleanly(tmp_path, capsys):
         for i in range(CASES):
             path.write_text(_session(rng))
             argv = ["-s", str(path)] + _command(rng)
+            if not rng.randrange(4):
+                argv = _mutate_argv(rng, argv)
             case = (i, path.read_text(), argv)
             code = main(argv)
             err = capsys.readouterr().err
