@@ -15,11 +15,12 @@ expressions.  Anywhere a subcommand takes an expression, a session name
 may be given instead.
 
 Reports are printed as 'key = value' lines, one per field, expressions
-in the canonical grammar.  Exit status: 0 when the command computed a
-result (or answered yes), 1 when the mathematical answer is no
-(check-conslaw fails, classify finds no homogeneity), 2 for usage,
-parse, or precondition errors, each reported on one 'error:' line.
--h or --help, before or after the command, lists every command and flag.
+in the canonical grammar; every report begins with the command, lead
+and rhs lines.  Exit status: 0 when the command computed a result (or
+answered yes), 1 when the mathematical answer is no (check-conslaw
+fails, classify finds no homogeneity), 2 for usage, parse, or
+precondition errors, each reported on one 'error:' line.  -h or --help,
+before or after the command, lists every command and flag.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .conslaw import (
     verify_conservation_law,
 )
 from .errors import JetLawError, SessionError
-from .expr import DiffExpr
+from .expr import DiffExpr, JetIndex
 from .grammar import format_expr, parse_expr
 from .soln import NormalPDE, make_pde, restrict
 from .symmetry import (
@@ -69,20 +70,12 @@ class Session(NamedTuple):
     ansatz: Ansatz
 
 
-def _parse_lead(text: str):
-    e = parse_expr(text)
-    terms = e.sorted_terms()
-    if len(terms) == 1:
-        mono, coeff = terms[0]
-        jets = mono.jet_powers
-        if (
-            coeff == 1
-            and mono.t_deg == 0
-            and mono.x_deg == 0
-            and len(jets) == 1
-            and next(iter(jets.values())) == 1
-        ):
-            return next(iter(jets))
+def _parse_lead(text: str) -> JetIndex:
+    terms = parse_expr(text).sorted_terms()
+    if len(terms) == 1 and terms[0][1] == 1:
+        t_deg, x_deg, jets = terms[0][0].key
+        if t_deg == x_deg == 0 and len(jets) == 1 and jets[0][2] == 1:
+            return JetIndex(*jets[0][:2])
     raise SessionError(f"lead must be a single jet variable, got {text!r}")
 
 
@@ -145,92 +138,75 @@ def _ansatz_from_args(args, session: Session) -> Ansatz:
 
 
 def _header(cmd: str, session: Session) -> list[tuple[str, str]]:
-    return [
-        ("command", cmd),
-        ("lead", str(session.pde.lead)),
-        ("rhs", format_expr(session.pde.rhs)),
-    ]
+    return [("command", cmd), ("lead", str(session.pde.lead)), ("rhs", format_expr(session.pde.rhs))]
 
 
 def _ansatz_lines(ansatz: Ansatz) -> list[tuple[str, str]]:
     return [(key, str(getattr(ansatz, field))) for field, key, _ in _ANSATZ_FIELDS]
 
 
+def _current(args, session: Session) -> tuple[DiffExpr, DiffExpr]:
+    """The current (T, X) that --T and --X name."""
+    return _resolve(args.T, session), _resolve(args.X, session)
+
+
+def _current_lines(cur) -> list[tuple[str, str]]:
+    return [("T", format_expr(cur.T)), ("X", format_expr(cur.X))]
+
+
+def _basis_lines(basis: list[DiffExpr]) -> list[tuple[str, str]]:
+    return [("dimension", str(len(basis)))] + [
+        (f"basis[{i}]", format_expr(b)) for i, b in enumerate(basis)
+    ]
+
+
+def _truth(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+# each handler returns its exit code and its report lines, after the header
 def _cmd_check_conslaw(args, session: Session):
-    cur = (_resolve(args.T, session), _resolve(args.X, session))
-    ok = verify_conservation_law(cur, session.pde)
-    lines = _header("check-conslaw", session)
-    lines.append(("verdict", "true" if ok else "false"))
-    return (0 if ok else 1), lines
+    ok = verify_conservation_law(_current(args, session), session.pde)
+    return (0 if ok else 1), [("verdict", _truth(ok))]
+
 
 def _cmd_multiplier_of(args, session: Session):
-    cur = (_resolve(args.T, session), _resolve(args.X, session))
-    q = multiplier_from_current(cur, session.pde)
-    lines = _header("multiplier-of", session)
-    lines.append(("Q", format_expr(q)))
-    trivial = restrict(q, session.pde).is_zero
-    lines.append(("trivial", "true" if trivial else "false"))
-    return 0, lines
+    q = multiplier_from_current(_current(args, session), session.pde)
+    return 0, [("Q", format_expr(q)), ("trivial", _truth(restrict(q, session.pde).is_zero))]
 
 
 def _cmd_solve(args, session: Session):
     """The multipliers or symmetries command, as args.cmd names."""
     solve = solve_multipliers if args.cmd == "multipliers" else solve_symmetries
     ansatz = _ansatz_from_args(args, session)
-    basis = solve(session.pde, ansatz)
-    lines = _header(args.cmd, session) + _ansatz_lines(ansatz)
-    lines.append(("dimension", str(len(basis))))
-    for i, b in enumerate(basis):
-        lines.append((f"basis[{i}]", format_expr(b)))
-    return 0, lines
+    return 0, _ansatz_lines(ansatz) + _basis_lines(solve(session.pde, ansatz))
 
 
 def _cmd_current(args, session: Session):
-    q = _resolve(args.Q, session)
-    cur = current_from_multiplier(q, session.pde)
-    lines = _header("current", session)
-    lines.append(("T", format_expr(cur.T)))
-    lines.append(("X", format_expr(cur.X)))
-    return 0, lines
+    return 0, _current_lines(current_from_multiplier(_resolve(args.Q, session), session.pde))
 
 
 def _cmd_act(args, session: Session):
     p = _resolve(args.P, session)
-    lines = _header("act", session)
     if args.Q is not None:
         if args.T is not None or args.X is not None:
             raise SessionError("give either --Q or both --T and --X, not both")
-        q = _resolve(args.Q, session)
-        out = act_on_multiplier(p, q, session.pde)
-        lines.append(("Q", format_expr(out)))
-        return 0, lines
+        q = act_on_multiplier(p, _resolve(args.Q, session), session.pde)
+        return 0, [("Q", format_expr(q))]
     if args.T is None or args.X is None:
         raise SessionError("act needs --Q, or both --T and --X")
-    cur = (_resolve(args.T, session), _resolve(args.X, session))
-    out = act_on_current(p, cur, session.pde)
-    lines.append(("T", format_expr(out.T)))
-    lines.append(("X", format_expr(out.X)))
-    return 0, lines
+    return 0, _current_lines(act_on_current(p, _current(args, session), session.pde))
 
 
 def _cmd_psi(args, session: Session):
-    p = _resolve(args.P, session)
-    q = _resolve(args.Q, session)
-    cur = psi_current(p, q, session.pde)
-    lines = _header("psi", session)
-    lines.append(("T", format_expr(cur.T)))
-    lines.append(("X", format_expr(cur.X)))
-    trivial = is_trivial_current(cur, session.pde)
-    lines.append(("trivial", "true" if trivial else "false"))
-    return 0, lines
+    cur = psi_current(_resolve(args.P, session), _resolve(args.Q, session), session.pde)
+    return 0, _current_lines(cur) + [("trivial", _truth(is_trivial_current(cur, session.pde)))]
 
 
 def _cmd_classify(args, session: Session):
-    p = _resolve(args.P, session)
-    q = _resolve(args.Q, session)
+    p, q = _resolve(args.P, session), _resolve(args.Q, session)
     res = classify(p, q, session.pde, strict_off_e=args.strict_off_e)
-    lines = _header("classify", session)
-    lines.append(("verdict", res.verdict))
+    lines = [("verdict", res.verdict)]
     if res.lam is not None:
         lines.append(("lambda", str(res.lam)))
     lines.append(("action", format_expr(res.action)))
@@ -239,31 +215,23 @@ def _cmd_classify(args, session: Session):
 
 def _cmd_action_matrix(args, session: Session):
     p = _resolve(args.P, session)
-    lines = _header("action-matrix", session)
     if args.basis:
         basis = [_resolve(s, session) for s in args.basis.split(";")]
+        lines = []
     else:
         ansatz = _ansatz_from_args(args, session)
         basis = solve_multipliers(session.pde, ansatz)
-        lines += _ansatz_lines(ansatz)
+        lines = _ansatz_lines(ansatz)
     result = action_matrix(p, basis, session.pde)
     n = len(basis)
-    lines.append(("dimension", str(n)))
-    for i, q in enumerate(basis):
-        lines.append((f"basis[{i}]", format_expr(q)))
-    for i in range(n):
-        for j in range(n):
-            lines.append((f"matrix[{i}][{j}]", str(result.matrix[i, j])))
-    e = 0
-    for lam, vectors in result.eigenpairs:
-        for vec in vectors:
-            lines.append((f"eigenvalue[{e}]", str(lam)))
-            lines.append((f"eigenvector[{e}]", ", ".join(str(c) for c in vec)))
-            combo = DiffExpr()
-            for c, b in zip(vec, basis):
-                combo = combo + c * b
-            lines.append((f"eigenmultiplier[{e}]", format_expr(combo)))
-            e += 1
+    lines += _basis_lines(basis)
+    lines += [(f"matrix[{i}][{j}]", str(result.matrix[i, j])) for i in range(n) for j in range(n)]
+    pairs = [(lam, vec) for lam, vectors in result.eigenpairs for vec in vectors]
+    for e, (lam, vec) in enumerate(pairs):
+        lines.append((f"eigenvalue[{e}]", str(lam)))
+        lines.append((f"eigenvector[{e}]", ", ".join(str(c) for c in vec)))
+        combo = sum((c * b for c, b in zip(vec, basis)), DiffExpr())
+        lines.append((f"eigenmultiplier[{e}]", format_expr(combo)))
     return 0, lines
 
 
@@ -416,6 +384,7 @@ def main(argv=None) -> int:
         return ex.code
     try:
         session = load_session(args.session)
+        header = _header(args.cmd, session)
         code, lines = args.func(args, session)
     except JetLawError as ex:
         print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
@@ -423,7 +392,7 @@ def main(argv=None) -> int:
     except Exception as ex:  # exit 1 is reserved for "the answer is no"
         print(f"error: internal: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
-    for key, value in lines:
+    for key, value in header + lines:
         print(f"{key} = {value}")
     return code
 

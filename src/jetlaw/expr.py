@@ -131,7 +131,7 @@ class DiffExpr:
     integer), / (by a nonzero scalar), exact equality, and hashing.
     """
 
-    __slots__ = ("_d", "_hash")
+    __slots__ = ("_d",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         d = {}
@@ -141,13 +141,11 @@ class DiffExpr:
                 if c:
                     d[_k.encode(*mono.key)] = c
         self._d = d
-        self._hash = None
 
     @classmethod
     def _raw(cls, d: dict) -> "DiffExpr":
         obj = object.__new__(cls)
         obj._d = d
-        obj._hash = None
         return obj
 
     # -- inspection ---------------------------------------------------
@@ -281,9 +279,7 @@ class DiffExpr:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._d.items()))
-        return self._hash
+        return hash(frozenset(self._d.items()))
 
     def __bool__(self) -> bool:
         return bool(self._d)

@@ -264,10 +264,24 @@ def test_cli_reports(capsys):
             0,
         ),
         (["check-conslaw", "--T", "u", "--X", "u"], "report_check_false.txt", 1),
+        (["multiplier-of", "--T", "u", "--X", "u^2/2 + u_xx"], "report_multiplier_of.txt", 0),
+        (["symmetries"], "report_symmetries.txt", 0),
+        (["current", "--Q", "energy"], "report_current_energy.txt", 0),
+        (["act", "--P", "galilean", "--Q", "mass"], "report_act_multiplier.txt", 0),
+        (["act", "--P", "-u_x", "--T", "u", "--X", "u^2/2 + u_xx"], "report_act_current.txt", 0),
+        (["psi", "--P", "galilean", "--Q", "mass"], "report_psi.txt", 0),
+        (["classify", "--P", "galilean", "--Q", "u"], "report_classify_not_homogeneous.txt", 1),
+        (["action-matrix", "--P", "-2*u - 3*t*u_t - x*u_x", "--basis", "mass;energy"],
+         "report_action_matrix_basis.txt", 0),
+        (["action-matrix", "--P", "-2*u - 3*t*u_t - x*u_x"], "report_action_matrix_ansatz.txt", 0),
     ]
     for argv, fixture, expected_code in cases:
         code = main(["-s", session] + argv)
         out = capsys.readouterr().out
         with open(os.path.join(DATA, fixture)) as fh:
-            assert out == fh.read()
-        assert code == expected_code
+            assert out == fh.read(), fixture
+        assert code == expected_code, fixture
+        # every report opens with the header that main prints
+        assert out.splitlines()[:3] == [
+            f"command = {argv[0]}", "lead = u_t", "rhs = -u_xxx - u*u_x"
+        ], fixture
