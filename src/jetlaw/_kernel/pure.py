@@ -36,12 +36,14 @@ key's consequence part, takes that part with one AND by a mask of the
 consequence jets' fields, and memoizes only its greatest jet, per
 nonzero part.
 
-Memo is the one rule for the memos of the program, here and in soln:
-keep clears it before an entry would take it past MEMO_CAP entries or
-MAX_PRODUCTS held terms, as the re module's cache once was, so none
-grows without bound.  The deltas of single jets are kept, one per jet
-like the slot table, and diffops' caches of derivatives, which a call
-must not drop while it uses them, are bounded per call.
+Memo is the one rule for the memos of the program: here, soln's per
+equation memos, and grammar's from a token to its key and from a key
+to its printed monomial.  keep clears it before an entry would take it
+past MEMO_CAP entries or MAX_PRODUCTS held terms, as the re module's
+cache once was, so none grows without bound.  The deltas of single
+jets are kept, one per jet like the slot table, and diffops' caches of
+derivatives, which a call must not drop while it uses them, are
+bounded per call.
 
 A coefficient is an int while only integers made it and a Fraction
 once a Fraction takes part, as in Python's numeric tower; a Fraction is

@@ -284,14 +284,10 @@ class DiffExpr:
     def __bool__(self) -> bool:
         return bool(self._d)
 
-    def _sorted_items(self) -> list[tuple]:
-        """(monomial tuple, stored coefficient) pairs in descending
-        monomial order (the printing order)."""
-        return sorted(((_k.decode(k), c) for k, c in self._d.items()), reverse=True)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending monomial order (the printing order)."""
-        return [(Monomial._from_key(m), Fraction(c)) for m, c in self._sorted_items()]
+        items = sorted(((_k.decode(k), c) for k, c in self._d.items()), reverse=True)
+        return [(Monomial._from_key(m), Fraction(c)) for m, c in items]
 
     def __reduce__(self):
         # keys hold slot numbers of this process; pickle the tuple form

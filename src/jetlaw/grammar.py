@@ -31,7 +31,12 @@ it makes at most one Fraction; the kernel's pow_ takes the powers of
 parenthesized expressions, and its mul multiplies only those of two or
 more terms.  A coefficient is a Fraction exactly when a '/' or a
 Fraction took part in it, as with DiffExpr's operators: 4/2*u has the
-coefficient Fraction(2, 1), and (u + 1/2)*2 the int 2 on u.
+coefficient Fraction(2, 1), and (u + 1/2)*2 the int 2 on u.  The key of
+a t, x or jet token, with its exponent, comes from the memo _atoms,
+filled through the kernel's encode once the token has passed every
+check above, so a token is counted and encoded once per process; a
+token that fails a check is never filed.  The memo is keyed by a token,
+never by the text of a term or a sum.
 
 format_expr is the canonical printer: terms in descending monomial
 order, explicit '*' between factors, coefficients as integers or
@@ -39,7 +44,13 @@ fractions, read off their numerators and denominators.
 parse(format_expr(e)) == e for every expression it prints; it refuses
 coefficients with more digits than the parser accepts.  format_brief is
 the bounded printer of error messages: it abbreviates long expressions
-and oversized coefficients instead of refusing them.
+and oversized coefficients instead of refusing them.  format_expr sorts
+and prints monomials through the memo _monomials, key -> (tuple form,
+printed text), so a monomial is decoded and formatted once per process;
+format_brief picks its terms by their decoded keys and prints those
+through it.  Coefficients are rendered on every call.  Both memos are
+kernel Memos, and a key's slots never change within a process, so an
+entry holds until its memo is cleared.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ from .expr import DiffExpr
 MAX_EXPONENT = 256
 MAX_JET_ORDER = 64
 
-# split on the tokens, the pieces between them must be whitespace
+# the tokens; the pieces between them must be whitespace
 _TOKEN = re.compile(r"(\d+|u_[tx]+|[-+*/^()\[\],tux])")
 # the monomial 1, through which mul_into adds one term to a sum
 _UNIT = {_k.ONE_MONO: 1}
@@ -68,18 +79,24 @@ class _Parser:
     c times poly, a dict of two or more terms."""
 
     def __init__(self, text: str):
-        self.parts = parts = _TOKEN.split(text)
-        if "".join(parts[::2]).strip():
+        self.text = text
+        toks = _TOKEN.findall(text)
+        # tokens hold no whitespace, so this holds when only whitespace
+        # lies between them
+        if "".join(toks) != "".join(text.split()):
+            parts = _TOKEN.split(text)
             j = next(j for j in range(0, len(parts), 2) if parts[j].strip())
             bad = parts[j].lstrip()
             pos = sum(map(len, parts[: j + 1])) - len(bad)
             raise ExprSyntaxError(f"unexpected character {bad[0]!r}", pos)
-        self.toks = parts[1::2] + [""]
+        # two end markers, so that a factor may look one token past the last
+        self.toks = toks + ["", ""]
         self.i = 0
 
     def error(self, message: str, i: int) -> ExprSyntaxError:
         """The syntax error at the i-th token."""
-        return ExprSyntaxError(message, sum(map(len, self.parts[: 2 * i + 1])))
+        parts = _TOKEN.split(self.text)
+        return ExprSyntaxError(message, sum(map(len, parts[: 2 * i + 1])))
 
     def expect(self, op: str) -> None:
         if self.toks[self.i] != op:
@@ -138,7 +155,8 @@ class _Parser:
                         poly = _k.mul(poly, r) if poly else _shifted(r, key)
                         key = _k.ONE_MONO
                     elif poly is None:
-                        key = _k.mono_mul(key, k) if k else key
+                        # times ONE_MONO, the key 0, a key is itself
+                        key = _k.mono_mul(key, k) if key and k else k or key
                     else:
                         self.check_products(len(poly), at)
                         poly = _shifted(poly, k)
@@ -166,6 +184,11 @@ class _Parser:
         toks, i = self.toks, self.i
         tok = toks[i]
         self.i = i + 1
+        after = toks[i + 1]
+        if after != "^" and after != "[":
+            key = _known_atom(tok)
+            if key is not None:
+                return key, 1, None
         if tok == "-":
             k, c, r = self.factor()
             return k, -c, r
@@ -189,12 +212,9 @@ class _Parser:
                 msg = f"integer literal exceeds {sys.get_int_max_str_digits()} digits"
                 raise self.error(msg, i) from None
             return _k.ONE_MONO, v ** self.exponent() if toks[self.i] == "^" else v, None
-        nt = nx = 0
         if tok.startswith("u_"):
             if len(tok) - 2 > MAX_JET_ORDER:
                 raise self.error(f"jet order exceeds {MAX_JET_ORDER}", i)
-            nt = tok.count("t")
-            nx = len(tok) - 2 - nt
         elif tok == "u" and toks[self.i] == "[":
             self.i += 1
             nt = self.integer(MAX_JET_ORDER, "jet order")
@@ -203,12 +223,14 @@ class _Parser:
             self.expect("]")
             if nt + nx > MAX_JET_ORDER:
                 raise self.error(f"jet order exceeds {MAX_JET_ORDER}", i)
+            tok = "u_" + "t" * nt + "x" * nx if nt or nx else "u"
         elif tok != "u" and tok != "t" and tok != "x":
             raise self.error("expected a number, variable, or parenthesized expression", i)
-        n = self.exponent() if toks[self.i] == "^" else 1
-        if tok == "t" or tok == "x":
-            return (_k.encode(n, 0) if tok == "t" else _k.encode(0, n)), 1, None
-        return _k.encode(0, 0, ((nt, nx, n),)), 1, None
+        atom = (tok, self.exponent()) if toks[self.i] == "^" else tok
+        key = _known_atom(atom)
+        if key is None:
+            key = _atoms.keep(atom, _atom_key(atom))
+        return key, 1, None
 
     def exponent(self) -> int:
         """The exponent after the '^' at the current token."""
@@ -221,6 +243,22 @@ class _Parser:
         if negative:
             raise NonPolynomial("negative exponent leaves the polynomial ring")
         return self.integer(MAX_EXPONENT, "exponent")
+
+
+# a checked t, x or jet token, or (token, exponent), -> the key of its
+# monomial; u[nt,nx] is filed under its u_ spelling
+_atoms = _k.Memo()
+_known_atom = _atoms.get
+
+
+def _atom_key(atom) -> int:
+    """The key of the monomial of an _atoms entry."""
+    tok, n = atom if atom.__class__ is tuple else (atom, 1)
+    if tok == "t":
+        return _k.encode(n, 0)
+    if tok == "x":
+        return _k.encode(0, n)
+    return _k.encode(0, 0, ((tok.count("t"), tok.count("x"), n),))
 
 
 def _shifted(poly: dict, key: int) -> dict:
@@ -268,14 +306,25 @@ def _format_monomial(t_deg: int, x_deg: int, jets) -> str:
     return "*".join(parts)
 
 
+# monomial key -> (its tuple form, its printed text); slots are
+# append-only, so an entry stays true for the life of the process
+_monomials = _k.Memo()
+_known_monomial = _monomials.get
+
+
+def _monomial(key: int) -> tuple:
+    """The _monomials entry of key, filed on a miss."""
+    mono = _k.decode(key)
+    return _monomials.keep(key, (mono, _format_monomial(*mono)))
+
+
 def _format_terms(items, digits) -> str:
-    """The (monomial tuple, coefficient) pairs items as terms, in their
-    order, with the numerator and denominator of each coefficient's
-    magnitude rendered by digits."""
+    """(monomial tuple, printed monomial, coefficient) triples as terms,
+    in their order, with the numerator and denominator of each
+    coefficient's magnitude rendered by digits."""
     out = []
-    for mono, coeff in items:
+    for _, body, coeff in items:
         num, den = coeff.numerator, coeff.denominator
-        body = _format_monomial(*mono)
         sign = " + "
         if num < 0:
             num, sign = -num, " - "
@@ -307,7 +356,14 @@ def format_expr(e: DiffExpr) -> str:
     """
     if e.is_zero:
         return "0"
-    return _format_terms(e._sorted_items(), _exact_digits)
+    items = []
+    for key, coeff in e._d.items():
+        mono = _known_monomial(key) or _monomial(key)
+        items.append((*mono, coeff))
+    # in descending monomial order; the monomials are distinct, so no
+    # two items tie on their first field
+    items.sort(reverse=True)
+    return _format_terms(items, _exact_digits)
 
 
 # format_brief shows at most BRIEF_TERMS terms and abbreviates integers
@@ -330,10 +386,14 @@ def format_brief(e: DiffExpr) -> str:
     It prints like format_expr up to BRIEF_TERMS terms, then counts the
     rest; an integer of more than BRIEF_DIGITS digits shows as its
     approximate digit count.  Short expressions print exactly as
-    format_expr prints them.
+    format_expr prints them.  The terms shown are picked by their
+    decoded keys, so a long expression does not fill _monomials with
+    monomials it never prints.
     """
     if e.is_zero:
         return "0"
-    text = _format_terms(e._sorted_items()[:BRIEF_TERMS], _brief_int)
-    rest = len(e._d) - BRIEF_TERMS
+    d = e._d
+    top = sorted(d, key=_k.decode, reverse=True)[:BRIEF_TERMS]
+    text = _format_terms([(*(_known_monomial(k) or _monomial(k)), d[k]) for k in top], _brief_int)
+    rest = len(d) - BRIEF_TERMS
     return f"{text} + ... ({rest} more terms)" if rest > 0 else text

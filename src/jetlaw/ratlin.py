@@ -11,10 +11,11 @@ Everything here is deterministic: rref is the (unique) reduced row
 echelon form, nullspace returns the canonical basis read off the rref
 with free coordinates in identity pattern, and eigenvalues are found as
 rational roots of the characteristic polynomial, isolated by a Sturm
-sequence rather than by factoring its coefficients.  Both work on the
-integer matrix d M, d the lcm of the denominators of M.  Irrational or
-complex eigenvalues are outside the scope of rational_eigenpairs and
-are simply not reported.
+sequence rather than by factoring its coefficients, or read off the
+diagonal of a triangular matrix.  Both work on the integer matrix d M,
+d the lcm of the denominators of M.  Irrational or complex eigenvalues
+are outside the scope of rational_eigenpairs and are simply not
+reported.
 """
 
 from __future__ import annotations
@@ -313,6 +314,14 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
+def _triangular(A: list[list[int]]) -> bool:
+    """Whether the square matrix A is upper or lower triangular."""
+    n = len(A)
+    return not any(A[i][j] for i in range(n) for j in range(i)) or not any(
+        A[i][j] for i in range(n) for j in range(i + 1, n)
+    )
+
+
 def rational_eigenpairs(M: QMatrix) -> list[tuple[Fraction, list[Vector]]]:
     """Rational eigenvalues of M with canonical eigenspace bases,
     sorted by eigenvalue.  Non-rational eigenvalues are not reported.
@@ -321,12 +330,17 @@ def rational_eigenpairs(M: QMatrix) -> list[tuple[Fraction, list[Vector]]]:
     the eigenvalues d lambda, integers since its characteristic
     polynomial is monic, and the same eigenvectors; each eigenspace is
     the canonical nullspace of the integer rows of d M - d lambda I,
-    which scaling a system does not change."""
+    which scaling a system does not change.  A triangular d M has its
+    eigenvalues on its diagonal, so they are read off there, without
+    the characteristic polynomial."""
     d, A = _integral(M)
     n = len(A)
+    if _triangular(A):
+        mus = sorted({A[i][i] for i in range(n)})
+    else:
+        mus = [int(mu) for mu in rational_roots(_int_charpoly(A))]
     pairs = []
-    for mu in rational_roots(_int_charpoly(A)):
-        mu = int(mu)
+    for mu in mus:
         shifted = [[v - mu if i == j else v for j, v in enumerate(row)] for i, row in enumerate(A)]
         vecs = _dense_nullspace(_sparse_rows(shifted), n)
         if not vecs:

@@ -1,9 +1,13 @@
-"""The two solve workloads of perfbench, run in-process: their reports
-must equal the frozen references in perfbench/data byte for byte, as
-the benchmark demands of every run.  The files are only read.  Two
+"""The workloads of perfbench, run in-process: the two solves' reports
+must equal the frozen references in perfbench/data byte for byte, and
+the first answers of the query mix's default seed its frozen digests,
+as the benchmark demands of every run.  The files are only read.  Two
 larger solves of the same equations are pinned by digest."""
 
 import hashlib
+import importlib.util
+import itertools
+import json
 import os
 
 import pytest
@@ -32,6 +36,28 @@ def test_solve_report_matches_benchmark_reference(capsys, session, command, orde
     assert captured.err == ""
     with open(os.path.join(DATA, reference), encoding="utf-8") as fh:
         assert captured.out == fh.read()
+
+
+def _load_mix():
+    """perfbench/mix.py, which is not a package module."""
+    path = os.path.join(DATA, os.pardir, "mix.py")
+    spec = importlib.util.spec_from_file_location("perfbench_mix", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_query_mix_answers_match_benchmark_digests():
+    # the first 1,000 queries of the default seed, each answered from
+    # the text the benchmark's worker receives, as perfbench/freeze.py
+    # answered them when it wrote the digests
+    mix = _load_mix()
+    frozen = mix.load_frozen()
+    pdes = mix.build_pdes(frozen)
+    records = itertools.islice(mix.generate(mix.DEFAULT_SEED, frozen), 1000)
+    got = [mix.digest(mix.render_lines(mix.execute(json.loads(mix.program_input(r)), pdes))) for r in records]
+    assert len(got) == 1000
+    assert got == mix.load_digests()[:1000]
 
 
 # larger solves than the benchmark's, pinned by the sha256 of their

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import forbid_huge_powers_and_jets, random_expr
 from jetlaw import grammar
+from jetlaw._kernel import pure
 from jetlaw._kernel.pure import MAX_PRODUCTS
 from jetlaw.errors import (
     DivisionByZero,
@@ -181,6 +182,80 @@ def test_round_trip_random():
     for _ in range(50):
         f = random_expr(rng, allow_fractions=True)
         assert parse_expr(format_expr(f)) == f
+
+
+# -- the printers against the printer before their monomial memo -------------
+
+
+def _reference_terms(e, digits, limit=None):
+    """The terms of e as the printer gave them before its monomial memo:
+    every key decoded, sorted and formatted again on each call."""
+    items = sorted(((pure.decode(k), c) for k, c in e._d.items()), reverse=True)[:limit]
+    out = []
+    for mono, coeff in items:
+        num, den = coeff.numerator, coeff.denominator
+        body = grammar._format_monomial(*mono)
+        sign = " + "
+        if num < 0:
+            num, sign = -num, " - "
+        if body and num == den == 1:
+            out.append(sign + body)
+        else:
+            mag = digits(num) if den == 1 else f"{digits(num)}/{digits(den)}"
+            out.append(f"{sign}{mag}*{body}" if body else sign + mag)
+    text = "".join(out)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _reference_format(e):
+    return "0" if e.is_zero else _reference_terms(e, grammar._exact_digits)
+
+
+def _reference_brief(e):
+    if e.is_zero:
+        return "0"
+    text = _reference_terms(e, grammar._brief_int, grammar.BRIEF_TERMS)
+    rest = len(e._d) - grammar.BRIEF_TERMS
+    return f"{text} + ... ({rest} more terms)" if rest > 0 else text
+
+
+def _printed(printer, e):
+    """printer(e), or the type and message of the error it raises."""
+    try:
+        return printer(e)
+    except JetLawError as ex:
+        return type(ex), str(ex)
+
+
+def test_memoized_printers_match_the_reference():
+    # Fraction coefficients, more terms than BRIEF_TERMS, jets whose
+    # slots come after forty others, and coefficients past the
+    # int-string limit, which format_expr refuses and format_brief
+    # abbreviates; each printed on a memo miss, a hit and after a clear
+    rng = random.Random(31)
+    for k in range(40):
+        pure.encode(0, 0, ((k, 24, 1),))
+    late = [(nt, 30 - nt) for nt in range(12)]
+    huge = (const(10**4300), const(Fraction(1, 10**4400)), const(-(10**5000)))
+    exprs = [const(0), u, -u, const(Fraction(-1, 2)), huge[0], huge[1] * t]
+    for i in range(150):
+        jets = late if i % 3 == 0 else None
+        e = random_expr(rng, max_terms=30, allow_fractions=True, jets=jets)
+        if i % 5 == 0:
+            e = e + rng.choice(huge) * random_expr(rng, max_terms=2, jets=jets)
+        exprs.append(e)
+    assert any(len(e._d) > grammar.BRIEF_TERMS for e in exprs)
+    assert any(k >> (pure._JETS + 40 * pure.W) for e in exprs for k in e._d)
+    refused = 0
+    for rounds in range(3):
+        if rounds == 2:
+            grammar._monomials.clear()
+        for e in exprs:
+            want = _printed(_reference_format, e)
+            assert _printed(format_expr, e) == want
+            assert format_brief(e) == _reference_brief(e)
+            refused += isinstance(want, tuple)
+    assert refused > 10
 
 
 # -- the parser against DiffExpr's operators ---------------------------------
@@ -398,3 +473,77 @@ def test_parse_errors_keep_type_message_and_position():
     assert parse_expr("0*(t^256)^127*(t^256)^127").is_zero
     with pytest.raises(ExponentOverflow):
         parse_expr("(t^256)^127*(t^256)^127*0")
+
+
+def test_token_memo_hits_and_misses_give_the_same_key():
+    # a t, x or jet token, with its exponent, is filed by its text; a
+    # miss and a hit give the same key, whatever the spelling
+    for text, want in (
+        ("u_xt", jet(1, 1)),
+        ("u_tx", jet(1, 1)),
+        ("u[1,2]", jet(1, 2)),
+        ("u_txx", jet(1, 2)),
+        ("u[0,0]", u),
+        ("t^2", t**2),
+        ("t^02", t**2),
+        ("x", x),
+        ("u_x^3", jet(0, 1) ** 3),
+        ("u[1,2]^2*t", jet(1, 2) ** 2 * t),
+    ):
+        grammar._atoms.clear()
+        miss = parse_expr(text)
+        hit = parse_expr(text)
+        assert miss._d == hit._d == want._d, text
+        # u[nt,nx] is filed under its u_ spelling
+        assert "u[" not in repr(dict(grammar._atoms)), text
+    assert parse_expr("u_xt") == parse_expr("u_tx") == parse_expr("u[1,1]")
+
+
+def test_invalid_tokens_are_not_memoized():
+    # an invalid token raises the same error at the same position on its
+    # first and its second parse, and leaves no entry behind; t, x and u
+    # are filed beforehand, so each is read again behind its checks
+    parse_expr("t + x + u")
+    for text in (
+        "u_" + "x" * 65,
+        "u[65,0]",
+        "u[40,40]",
+        "1 + u[64,1]^2",
+        "u^257",
+        "t^300*x",
+        "u_x^-1",
+        "u^x",
+        "t[1,2]",
+        "u_xy",
+        "u[1,2",
+    ):
+        got = []
+        for _ in range(2):
+            before = dict(grammar._atoms)
+            with pytest.raises(JetLawError) as info:
+                parse_expr(text)
+            got.append((type(info.value), str(info.value), getattr(info.value, "pos", None)))
+            assert grammar._atoms == before, text
+        assert got[0] == got[1], text
+
+
+def test_printer_and_token_memos_stay_within_their_cap(monkeypatch):
+    # more distinct monomials than the cap are printed and more distinct
+    # tokens parsed; both memos are kernel Memos that stay within it, and
+    # the texts and keys are the same after a clear
+    cap = 50
+    monkeypatch.setattr(pure, "MEMO_CAP", cap)
+    exprs = [
+        sum((x**a for a in range(2, 200)), const(0)),
+        sum((jet(0, b) * t**b for b in range(1, 65)), const(0)),
+    ]
+    texts = [format_expr(e) for e in exprs]
+    assert [parse_expr(s) for s in texts] == exprs
+    assert len(exprs[0]._d) + len(exprs[1]._d) > 4 * cap
+    for memo in (grammar._monomials, grammar._atoms):
+        assert isinstance(memo, pure.Memo)
+        assert 0 < len(memo) <= cap
+    grammar._monomials.clear()
+    grammar._atoms.clear()
+    assert [format_expr(e) for e in exprs] == texts
+    assert [parse_expr(s)._d for s in texts] == [e._d for e in exprs]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from jetlaw import ratlin
 from jetlaw._kernel import impl
 from jetlaw.ratlin import (
     QMatrix,
@@ -169,6 +170,59 @@ def test_eigenpairs_match_sympy():
         assert rational_eigenpairs(M) == want, M
         found += len(want)
     assert found > 30
+
+
+def _charpoly_eigenpairs(M):
+    """rational_eigenpairs by the characteristic polynomial alone: its
+    rational roots, each with the canonical nullspace of M - lambda I."""
+    shifted = lambda lam: QMatrix([[v - lam if i == j else v for j, v in enumerate(row)] for i, row in enumerate(M.rows)])
+    return [(lam, nullspace(shifted(lam))) for lam in rational_roots(charpoly(M))]
+
+
+def _triangular_matrix(rng, n, lower, fractions):
+    """A random upper or lower triangular n x n matrix, its diagonal
+    drawn from a few values so that eigenvalues repeat."""
+    den = (lambda: rng.randint(1, 3)) if fractions else (lambda: 1)
+    diag = [F(rng.choice([-2, 0, 1, 3]), den()) for _ in range(n)]
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = diag[i]
+        for j in range(i) if lower else range(i + 1, n):
+            if rng.random() < 0.5:
+                rows[i][j] = F(rng.randint(-3, 3), den())
+    return QMatrix(rows)
+
+
+def test_triangular_eigenpairs_match_the_characteristic_polynomial(monkeypatch):
+    # a triangular matrix's eigenvalues are read off its diagonal without
+    # the characteristic polynomial; the eigenvalues, their order and
+    # the eigenspace bases are those the polynomial's roots give
+    rng = random.Random(31)
+    calls = []
+    int_charpoly = ratlin._int_charpoly
+    monkeypatch.setattr(ratlin, "_int_charpoly", lambda A: calls.append(len(A)) or int_charpoly(A))
+    cases = []
+    for n in range(1, 7):
+        for fractions in (False, True):
+            for lower in (False, True) * 3:
+                cases.append((_triangular_matrix(rng, n, lower, fractions), True))
+            if n > 1:
+                # one entry on each side of the diagonal: not triangular
+                rows = [list(row) for row in _triangular_matrix(rng, n, False, fractions).rows]
+                rows[n - 1][0], rows[0][n - 1] = F(1), F(-2)
+                cases.append((QMatrix(rows), False))
+    cases += [(M, None) for M in _charpoly_battery()]
+    found = 0
+    for M, triangular in cases:
+        del calls[:]
+        got = rational_eigenpairs(M)
+        if triangular is not None:
+            assert bool(calls) is not triangular, M
+        want = _charpoly_eigenpairs(M)
+        assert got == want, M
+        assert all(type(lam) is F and all(type(c) is F for v in vs for c in v) for lam, vs in got)
+        found += sum(len(vs) for _, vs in got)
+    assert found > 150
 
 
 def test_charpoly_trace_and_det():
