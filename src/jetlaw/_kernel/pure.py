@@ -28,22 +28,25 @@ encode and decode convert between a key and the tuple form
 (t_deg, x_deg, jets), jets the (nt, nx, e) triples sorted by (nt, nx),
 which orders monomials for printing and for the ansatz.  No other
 module builds or takes apart a key: they use encode, decode and the
-helpers below.  What depends on the jet part of a key alone, its
-sorted factors, its D_t and D_x steps and the jets, exponents and field
-units partials reads, is memoized per jet part, so the hot loops decode
-a jet part only on a memo miss.  jet_part_splitter, which gives soln a
-key's consequence part, takes that part with one AND by a mask of the
-consequence jets' fields, and memoizes only its greatest jet, per
-nonzero part.
+helpers below.  What depends on the jet part of a key alone is kept
+in one record per jet part, in the Memo _parts: its units (jets,
+exponents and field units) from one scan, and its sorted factors and
+its D_t and D_x steps, each built from the units by its reader on
+first use, so the hot loops decode a jet part only on a memo miss.
+jet_part_splitter, which gives soln a key's consequence part, takes
+that part with one AND by a mask of the consequence jets' fields, and
+memoizes only its greatest jet, read off the part's units, per nonzero
+part.
 
-Memo is the one rule for the memos of the program: here, soln's per
-equation memos, and grammar's from a token to its key and from a key
-to its printed monomial.  keep clears it before an entry would take it
-past MEMO_CAP entries or MAX_PRODUCTS held terms, as the re module's
-cache once was, so none grows without bound.  The deltas of single
-jets are kept, one per jet like the slot table, and diffops' caches of
-derivatives, which a call must not drop while it uses them, are
-bounded per call.
+Memo is the one rule for the memos of the program: here, _parts and
+each splitter's memo, soln's per equation memos, and grammar's from a
+token to its key and from a key to its printed monomial.  keep clears
+it before an entry would take it past MEMO_CAP entries or MAX_PRODUCTS
+held terms, as the re module's cache once was, so none grows without
+bound, and fits says whether n entries fit in one at all.  The deltas
+of single jets are kept, one per jet like the slot table, and diffops'
+caches of derivatives, which a call must not drop while it uses them,
+are bounded per call.
 
 A coefficient is an int while only integers made it and a Fraction
 once a Fraction takes part, as in Python's numeric tower; a Fraction is
@@ -159,34 +162,44 @@ class Memo(dict):
         self.held += terms
         return value
 
-
-def _scan(jp: int) -> list:
-    """((nt, nx), e, offset) of each jet factor u_(nt,nx)^e of the jet
-    part jp = key >> _JETS, sorted by (nt, nx), with offset the bit
-    offset of its field in a key.  The scan takes the highest nonzero
-    field off until none is left, so it visits only those."""
-    out = []
-    while jp:
-        off = (jp.bit_length() - 1) // W * W
-        e = jp >> off
-        jp -= e << off
-        out.append((_jet_at[off // W], e, off + _JETS))
-    out.sort()
-    return out
+    @staticmethod
+    def fits(n: int) -> bool:
+        """Whether n entries fit in a Memo, so filing them churns none."""
+        return n <= MEMO_CAP
 
 
-# jet part -> its sorted (nt, nx, e) factors; its get bound once, as a
-# Memo's is slower to look up than a dict's and clear keeps the object
-_factors = Memo()
-_known_factors = _factors.get
+# jet part -> its record [units, factors, steps_t, steps_x] (_part); its
+# get bound once, as a Memo's is slower to look up than a dict's and
+# clear keeps the object
+_parts = Memo()
+_known_part = _parts.get
+
+
+def _part(jp: int) -> list:
+    """File the record of the jet part jp = key >> _JETS.  units holds
+    ((nt, nx), e, unit) for each factor u_(nt,nx)^e, sorted, with unit
+    the key of u_(nt,nx) alone, so that key - unit lowers e by one; the
+    scan takes the highest nonzero field off until none is left.  The
+    other fields, _jets' factors and _total's steps, stay None until
+    their reader builds them."""
+    units = []
+    rest = jp
+    while rest:
+        off = (rest.bit_length() - 1) // W * W
+        e = rest >> off
+        rest -= e << off
+        units.append((_jet_at[off // W], e, 1 << (off + _JETS)))
+    units.sort()
+    return _parts.keep(jp, [tuple(units), None, None, None])
 
 
 def _jets(jp: int) -> tuple:
     """The (nt, nx, e) factors of the jet part jp = key >> _JETS, sorted
     by (nt, nx)."""
-    jets = _known_factors(jp)
+    rec = _known_part(jp) or _part(jp)
+    jets = rec[1]
     if jets is None:
-        jets = _factors.keep(jp, tuple((nt, nx, e) for (nt, nx), e, _ in _scan(jp)))
+        jets = rec[1] = tuple((nt, nx, e) for (nt, nx), e, _ in rec[0])
     return jets
 
 
@@ -292,7 +305,8 @@ def jet_part_splitter(keep):
             return key, ONE_MONO, NO_JET
         top = known(part)
         if top is None:
-            top = memo.keep(part, _scan(part >> _JETS)[-1][0])
+            jp = part >> _JETS
+            top = memo.keep(part, (_known_part(jp) or _part(jp))[0][-1][0])
         return key - part, part, top
 
     split.memo = memo
@@ -429,12 +443,6 @@ def diff_jet(a, nt, nx):
     return {} if off is None else _diff_field(a, off)
 
 
-# jet part -> ((nt, nx), e, unit) of each factor u_(nt,nx)^e, with unit
-# the key of u_(nt,nx) alone, so that key - unit lowers e by one
-_units = Memo()
-_known_units = _units.get
-
-
 def partials(a) -> dict:
     """{(nt, nx): da/du_(nt,nx)} over the jets of a, in ascending
     (nt, nx) order, in one pass over the terms of a.  Distinct keys
@@ -442,10 +450,7 @@ def partials(a) -> dict:
     out = {}
     for key, coeff in a.items():
         jp = key >> _JETS
-        units = _known_units(jp)
-        if units is None:
-            units = _units.keep(jp, tuple((jet, e, 1 << off) for jet, e, off in _scan(jp)))
-        for jet, e, unit in units:
+        for jet, e, unit in (_known_part(jp) or _part(jp))[0]:
             d = out.get(jet)
             if d is None:
                 d = out[jet] = {}
@@ -453,50 +458,48 @@ def partials(a) -> dict:
     return {jet: out[jet] for jet in sorted(out)}
 
 
-# jet part -> its steps under D_t, and under D_x
-_steps_t = Memo()
-_steps_x = Memo()
 # (nt, nx) -> the delta of its step under D_t, and under D_x; one entry
 # per jet, as in the slot table
 _delta_t: dict = {}
 _delta_x: dict = {}
 
 
-def _steps(jp: int, memo: dict, deltas: dict, dt: int, dx: int) -> tuple:
-    """(e, delta) for each factor u_(nt,nx)^e of the jet part jp, in
-    sorted order: key + delta lowers that exponent by one and raises
-    u_(nt+dt,nx+dx) by one.  Memoized in memo."""
-    factors = _scan(jp)
+def _steps(rec: list, field: int, deltas: dict, dt: int, dx: int) -> tuple:
+    """(e, delta) for each factor u_(nt,nx)^e of rec's jet part, sorted:
+    key + delta lowers that exponent by one and raises u_(nt+dt,nx+dx)
+    by one.  Kept in rec[field] once none is raised past CAP."""
+    units = rec[0]
     steps = []
-    for jet, e, off in factors:
+    for jet, e, unit in units:
         delta = deltas.get(jet)
         if delta is None:
-            delta = deltas[jet] = (1 << _intern(jet[0] + dt, jet[1] + dx)) - (1 << off)
+            delta = deltas[jet] = (1 << _intern(jet[0] + dt, jet[1] + dx)) - unit
         steps.append((e, delta))
     # only a factor at CAP can be raised past it
-    if any(e == CAP for _, e, _ in factors):
-        raised = {(nt + dt, nx + dx) for (nt, nx), _, _ in factors}
-        if any(e == CAP and jet in raised for jet, e, _ in factors):
+    if any(e == CAP for _, e, _ in units):
+        raised = {(nt + dt, nx + dx) for (nt, nx), _, _ in units}
+        if any(e == CAP and jet in raised for jet, e, _ in units):
             raise _overflow()
-    return memo.keep(jp, tuple(steps))
+    rec[field] = steps = tuple(steps)
+    return steps
 
 
-def _total(a, off: int, memo: dict, deltas: dict, dt: int, dx: int) -> dict:
+def _total(a, off: int, field: int, deltas: dict, dt: int, dx: int) -> dict:
     """Total derivative: the explicit variable whose field starts at off,
     plus the chain rule over the jets, each step (dt, dx)."""
     unit = 1 << off
     out = {}
     built = out.get
-    # bound once: a Memo's get is slower to look up than a dict's
-    known = memo.get
+    known = _known_part
     for key, coeff in a.items():
         n = key >> off & _MASK
         if n:
             _acc(out, key - unit, coeff * n)
         jp = key >> _JETS
-        steps = known(jp)
+        rec = known(jp) or _part(jp)
+        steps = rec[field]
         if steps is None:
-            steps = _steps(jp, memo, deltas, dt, dx)
+            steps = _steps(rec, field, deltas, dt, dx)
         for e, delta in steps:
             # _acc inlined, as in mul_into
             k = key + delta
@@ -514,11 +517,11 @@ def _total(a, off: int, memo: dict, deltas: dict, dt: int, dx: int) -> dict:
 
 def total_t(a):
     """Total derivative D_t: explicit t plus the chain rule over jets."""
-    return _total(a, 0, _steps_t, _delta_t, 1, 0)
+    return _total(a, 0, 2, _delta_t, 1, 0)
 
 
 def total_x(a):
-    return _total(a, W, _steps_x, _delta_x, 0, 1)
+    return _total(a, W, 3, _delta_x, 0, 1)
 
 
 def _sub_multiple(row, f, other):

@@ -312,10 +312,15 @@ _monomials = _k.Memo()
 _known_monomial = _monomials.get
 
 
+def _unfiled(key: int) -> tuple:
+    """The _monomials entry of key, not filed."""
+    mono = _k.decode(key)
+    return mono, _format_monomial(*mono)
+
+
 def _monomial(key: int) -> tuple:
     """The _monomials entry of key, filed on a miss."""
-    mono = _k.decode(key)
-    return _monomials.keep(key, (mono, _format_monomial(*mono)))
+    return _monomials.keep(key, _unfiled(key))
 
 
 def _format_terms(items, digits) -> str:
@@ -352,13 +357,15 @@ def format_expr(e: DiffExpr) -> str:
 
     A coefficient whose numerator or denominator has more digits than
     the interpreter converts (the limit the parser puts on literals)
-    raises JetLawError instead of printing.
+    raises JetLawError instead of printing.  An expression with more
+    monomials than fit in _monomials files none, so as not to churn it.
     """
     if e.is_zero:
         return "0"
+    build = _monomial if _monomials.fits(len(e._d)) else _unfiled
     items = []
     for key, coeff in e._d.items():
-        mono = _known_monomial(key) or _monomial(key)
+        mono = _known_monomial(key) or build(key)
         items.append((*mono, coeff))
     # in descending monomial order; the monomials are distinct, so no
     # two items tie on their first field

@@ -530,13 +530,15 @@ def test_invalid_tokens_are_not_memoized():
 def test_printer_and_token_memos_stay_within_their_cap(monkeypatch):
     # more distinct monomials than the cap are printed and more distinct
     # tokens parsed; both memos are kernel Memos that stay within it, and
-    # the texts and keys are the same after a clear
+    # the texts and keys are the same after a clear.  The two sums print
+    # past the cap unfiled, and their terms one at a time through the memo
     cap = 50
     monkeypatch.setattr(pure, "MEMO_CAP", cap)
     exprs = [
         sum((x**a for a in range(2, 200)), const(0)),
         sum((jet(0, b) * t**b for b in range(1, 65)), const(0)),
     ]
+    exprs += [x**a for a in range(2, 200)] + [jet(0, b) * t**b for b in range(1, 65)]
     texts = [format_expr(e) for e in exprs]
     assert [parse_expr(s) for s in texts] == exprs
     assert len(exprs[0]._d) + len(exprs[1]._d) > 4 * cap
@@ -547,3 +549,24 @@ def test_printer_and_token_memos_stay_within_their_cap(monkeypatch):
     grammar._atoms.clear()
     assert [format_expr(e) for e in exprs] == texts
     assert [parse_expr(s)._d for s in texts] == [e._d for e in exprs]
+
+
+def test_printing_past_the_memo_cap_files_no_monomial(monkeypatch):
+    # an expression with more distinct monomials than fit in _monomials
+    # prints as the reference printer does, reading the entries the memo
+    # holds and filing none of the others; one that fits files them all
+    cap = 50
+    monkeypatch.setattr(pure, "MEMO_CAP", cap)
+    grammar._monomials.clear()
+    small = sum((x**a * u for a in range(10)), const(0))
+    assert format_expr(small) == _reference_format(small)
+    held = dict(grammar._monomials)
+    assert len(held) == 10
+    for n in (cap + 1, 3 * cap, 2000):
+        e = small + sum((Fraction(k % 7 - 3 or 5, k % 4 + 1) * x**k * jet(0, 1) ** (k % 3) for k in range(n)), const(0))
+        assert len(e._d) > cap
+        assert format_expr(e) == _reference_format(e)
+        assert grammar._monomials == held
+    e = small + sum((t**k for k in range(cap - 10)), const(0))
+    assert format_expr(e) == _reference_format(e)
+    assert len(grammar._monomials) == cap and held.items() <= grammar._monomials.items()

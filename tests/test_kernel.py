@@ -596,8 +596,8 @@ def test_print_and_ansatz_order_follow_the_tuple_order(kdv):
 
 
 def test_jet_part_memos_stay_within_their_cap(kdv):
-    # more distinct jet parts than the cap pass through every memo keyed
-    # by jet parts: the factors and the D_t and D_x steps; more distinct
+    # more distinct jet parts than the cap pass through the table of jet
+    # parts, by their factors and their D_t and D_x steps; more distinct
     # consequence parts than the cap through the memo of their greatest
     # consequence jets; and through the memo of their restrictions, here
     # on u_t = u_x, where each is one term.  Each memo is filled here,
@@ -620,7 +620,7 @@ def test_jet_part_memos_stay_within_their_cap(kdv):
     g = {pure.encode(0, 0, ((1, 0, e), (1, 1, 1))): 1 for e in range(1, n + 1)}
     want = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
     assert restrict(DiffExpr._raw(g), advection) == DiffExpr._raw(want)
-    memos = (pure._factors, pure._steps_t, pure._steps_x, kdv._split.memo)
+    memos = (pure._parts, kdv._split.memo)
     for memo in memos + (advection._split.memo, advection._restricted):
         assert isinstance(memo, pure.Memo)
         assert 0 < len(memo) <= pure.MEMO_CAP
@@ -666,6 +666,95 @@ def test_jet_part_splitter_equals_the_per_factor_split():
                     assert len(split.memo) == size
                 else:
                     assert split.memo[want[1]] == want[2]
+
+
+def _built(jp):
+    """The fields of the record of the jet part jp that are built."""
+    return {i for i, field in enumerate(pure._parts[jp]) if field is not None}
+
+
+def test_jet_part_memo_fields_build_in_any_first_use_order():
+    # the readers of the table of jet parts meet fresh parts in random
+    # orders: the first files the part's units, and each other field
+    # stays None until its own reader builds it.  Every result equals
+    # the tuple reference, whichever reader came first.  The table starts
+    # empty, so that no clear drops a part while its readers run
+    pure._parts.clear()
+    rng = random.Random(44)
+    high = _fresh_jets(rng, 30)
+    split = pure.jet_part_splitter(lambda idx: True)
+    # (name, reader of a key and its one-term dict, field it builds)
+    readers = [
+        ("decode", lambda key, f: pure.decode(key), 1),
+        ("partials", lambda key, f: pure.partials(f), None),
+        ("total_t", lambda key, f: pure.total_t(f), 2),
+        ("total_x", lambda key, f: pure.total_x(f), 3),
+        ("split", lambda key, f: split(key), None),
+    ]
+    firsts, seen = [], set()
+    while len(firsts) < 100:
+        jets = sorted((nt, nx, rng.randint(1, 9)) for nt, nx in rng.sample(high, rng.randint(1, 4)))
+        mono = (rng.randint(0, 3), rng.randint(0, 3), tuple(jets))
+        key = pure.encode(*mono)
+        jp = key >> pure._JETS
+        if jp in seen:
+            continue
+        seen.add(jp)
+        pure._parts.pop(jp, None)
+        coeff = Fraction(rng.choice([-7, -2, 1, 3]), rng.randint(1, 4))
+        f = {key: coeff}
+        order = rng.sample(readers, len(readers))
+        firsts.append(order[0][0])
+        got, built = {}, {0}
+        for name, read, field in order:
+            got[name] = read(key, f)
+            if field:
+                built.add(field)
+            assert _built(jp) == built, name
+        a = {mono: coeff}
+        assert got["decode"] == mono
+        assert got["split"] == (pure.encode(*mono[:2]), pure.encode(0, 0, jets), tuple(jets[-1][:2]))
+        assert list(got["partials"]) == [(nt, nx) for nt, nx, _ in jets]
+        for jet_, d in got["partials"].items():
+            assert _tuples(d) == _ref_diff(a, jet_)
+        assert _tuples(got["total_t"]) == _ref_total(a, 1, 0)
+        assert _tuples(got["total_x"]) == _ref_total(a, 0, 1)
+    assert set(firsts) == {name for name, _, _ in readers}
+
+
+def test_jet_part_memo_keeps_no_steps_past_the_cap():
+    # D_t of u_J * u_(J+(1,0))^CAP raises the second exponent past CAP:
+    # total_t raises before it keeps the steps, and again on the next
+    # call, whichever reader filed the part, while decode, partials and
+    # total_x of the same part stay right
+    pure._parts.clear()
+    rng = random.Random(45)
+    cap = pure.CAP
+    for nt, nx in _fresh_jets(rng, 30):
+        jets = [(nt, nx), (nt + 1, nx)]
+        mono = (0, 1, ((nt, nx, 1), (nt + 1, nx, cap)))
+        key = pure.encode(*mono)
+        jp = key >> pure._JETS
+        pure._parts.pop(jp, None)
+        f = {key: Fraction(3, 2)}
+        a = {mono: Fraction(3, 2)}
+
+        def past_cap():
+            for _ in range(2):
+                with pytest.raises(ExponentOverflow, match=f"exceeds {cap}"):
+                    pure.total_t(f)
+                assert pure._parts[jp][2] is None
+            return True
+
+        checks = [
+            past_cap,
+            lambda: pure.decode(key) == mono,
+            lambda: {j: _tuples(d) for j, d in pure.partials(f).items()} == {j: _ref_diff(a, j) for j in jets},
+            lambda: _tuples(pure.total_x(f)) == _ref_total(a, 0, 1),
+        ]
+        for check in rng.sample(checks, len(checks)):
+            assert check()
+        assert _built(jp) == {0, 1, 3}
 
 
 def test_memo_keep_clears_at_either_cap(monkeypatch):

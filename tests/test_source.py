@@ -173,6 +173,22 @@ def test_the_memo_rule_stays_in_the_kernel():
     assert found == []
 
 
+def test_the_kernel_binds_one_module_level_memo():
+    # what depends on a key's jet part alone is one record per part in
+    # one table, which each reader fills on first use, not one memo per
+    # reader keyed by the same parts
+    tree = ast.parse((SRC / "_kernel" / "pure.py").read_text())
+    memos = [
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "Memo"
+        for target in node.targets
+    ]
+    assert memos == ["_parts"]
+
+
 def test_no_code_generating_modules_on_the_import_path():
     # the value records are NamedTuples: dataclasses, and the inspect it
     # loads, would add about 10 ms to every cold start of the command;
