@@ -35,15 +35,15 @@ its D_t and D_x steps, each built from the units by its reader on
 first use, so the hot loops decode a jet part only on a memo miss.
 jet_part_splitter, which gives soln a key's consequence part, takes
 that part with one AND by a mask of the consequence jets' fields, and
-memoizes only its greatest jet, read off the part's units, per nonzero
-part.
+reads its greatest jet off the units of the part's record; it keeps
+nothing but the mask.
 
-Memo is the one rule for the memos of the program: here, _parts and
-each splitter's memo, soln's per equation memos, and grammar's from a
-token to its key and from a key to its printed monomial.  keep clears
-it before an entry would take it past MEMO_CAP entries or MAX_PRODUCTS
-held terms, as the re module's cache once was, so none grows without
-bound, and fits says whether n entries fit in one at all.  The deltas
+Memo is the one rule for the memos of the program: here, _parts,
+soln's per equation memos, and grammar's from a token to its key and
+from a key to its printed monomial.  keep clears it before an entry
+would take it past MEMO_CAP entries or MAX_PRODUCTS held terms, as the
+re module's cache once was, so none grows without bound, and fits says
+whether n entries fit in one at all.  The deltas
 of single jets are kept, one per jet like the slot table, and diffops'
 caches of derivatives, which a call must not drop while it uses them,
 are bounded per call.
@@ -73,12 +73,14 @@ mul(a, b) is mul_add({}, 1, a, b).
 
 MAX_PRODUCTS is the one bound on work and spend the one refusal:
 mul_add, and so mul, prices len(a) * len(b) before it builds anything
-or touches out, so pow_ is priced at each squaring; the hot loops
-mul_into and mul_into_rows are not, and their callers spend.
+or touches out, so pow_ is priced at each squaring, and pow_products
+bounds a whole pow_ from its squaring schedule before it starts; the
+hot loops mul_into and mul_into_rows are not, and their callers spend.
 """
 
 from collections import defaultdict
 from fractions import Fraction
+from math import comb
 
 from ..errors import ExponentOverflow, JetLawError
 
@@ -180,7 +182,7 @@ def _part(jp: int) -> list:
     ((nt, nx), e, unit) for each factor u_(nt,nx)^e, sorted, with unit
     the key of u_(nt,nx) alone, so that key - unit lowers e by one; the
     scan takes the highest nonzero field off until none is left.  The
-    other fields, _jets' factors and _total's steps, stay None until
+    other fields, decode's factors and _total's steps, stay None until
     their reader builds them."""
     units = []
     rest = jp
@@ -191,16 +193,6 @@ def _part(jp: int) -> list:
         units.append((_jet_at[off // W], e, 1 << (off + _JETS)))
     units.sort()
     return _parts.keep(jp, [tuple(units), None, None, None])
-
-
-def _jets(jp: int) -> tuple:
-    """The (nt, nx, e) factors of the jet part jp = key >> _JETS, sorted
-    by (nt, nx)."""
-    rec = _known_part(jp) or _part(jp)
-    jets = rec[1]
-    if jets is None:
-        jets = rec[1] = tuple((nt, nx, e) for (nt, nx), e, _ in rec[0])
-    return jets
 
 
 def encode(t_deg: int, x_deg: int, jets=()) -> int:
@@ -219,8 +211,14 @@ def encode(t_deg: int, x_deg: int, jets=()) -> int:
 
 def decode(key: int) -> tuple:
     """The tuple form (t_deg, x_deg, jets) of a key, jets its
-    (nt, nx, e) factors sorted by (nt, nx)."""
-    return key & _MASK, key >> W & _MASK, _jets(key >> _JETS)
+    (nt, nx, e) factors sorted by (nt, nx), kept in its jet part's
+    record."""
+    jp = key >> _JETS
+    rec = _known_part(jp) or _part(jp)
+    jets = rec[1]
+    if jets is None:
+        jets = rec[1] = tuple((nt, nx, e) for (nt, nx), e, _ in rec[0])
+    return key & _MASK, key >> W & _MASK, jets
 
 
 def mono_mul(a: int, b: int) -> int:
@@ -239,7 +237,8 @@ def split_tx(key: int) -> tuple:
 
 def jet_degree(key: int) -> int:
     """The total degree of a key in the jet variables."""
-    return sum(e for _, _, e in _jets(key >> _JETS))
+    jp = key >> _JETS
+    return sum(e for _, e, _ in (_known_part(jp) or _part(jp))[0])
 
 
 def derivative_terms(a: dict) -> int:
@@ -284,11 +283,10 @@ def jet_part_splitter(keep):
 
     part is key & mask, mask the fields of every slot whose jet keep
     accepts; slots are append-only, so the mask only grows, when a key
-    holds a slot it has not yet looked at.  top is memoized per nonzero
-    part in the function's attribute memo, a Memo, so a key free of kept
-    jets costs one AND and adds no entry."""
-    memo = Memo()
-    known = memo.get
+    holds a slot it has not yet looked at.  The mask is all the function
+    keeps: top is the greatest jet of the units of part's record in
+    _parts, so a key free of kept jets costs one AND and files no
+    record."""
     mask = 0
     # keys below 1 << bound hold no slot past those the mask has seen
     bound = _JETS
@@ -303,13 +301,9 @@ def jet_part_splitter(keep):
         part = key & mask
         if not part:
             return key, ONE_MONO, NO_JET
-        top = known(part)
-        if top is None:
-            jp = part >> _JETS
-            top = memo.keep(part, (_known_part(jp) or _part(jp))[0][-1][0])
-        return key - part, part, top
+        jp = part >> _JETS
+        return key - part, part, (_known_part(jp) or _part(jp))[0][-1][0]
 
-    split.memo = memo
     return split
 
 
@@ -417,14 +411,34 @@ def pow_(a, n):
     return mul(sq, a) if n % 2 else sq
 
 
+def pow_products(terms: int, n: int) -> int:
+    """An upper bound on the term products pow_ makes for the n-th power
+    of a polynomial with the given number of terms.
+
+    pow_ squares the (n // 2)-th power and, for odd n, multiplies by the
+    base once more; the k-th power of a T-term polynomial has at most
+    C(T + k - 1, k) terms, the number of degree-k monomials in T
+    variables.
+    """
+    if n <= 1:
+        return 0
+    h = n // 2
+    half = comb(terms + h - 1, h)
+    products = pow_products(terms, h) + half * half
+    if n % 2:
+        products += comb(terms + 2 * h - 1, 2 * h) * terms
+    return products
+
+
 def _diff_field(a, off: int) -> dict:
-    """Partial derivative by the variable whose field starts at off."""
+    """Partial derivative by the variable whose field starts at off.
+    Distinct keys differentiate to distinct keys, so no term cancels."""
     unit = 1 << off
     out = {}
     for key, coeff in a.items():
         n = key >> off & _MASK
         if n:
-            _acc(out, key - unit, coeff * n)
+            out[key - unit] = coeff * n
     return out
 
 

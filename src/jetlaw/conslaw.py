@@ -74,12 +74,11 @@ from .errors import (
     NotConserved,
     NotOnSolutionSpace,
 )
-from .expr import DiffExpr, JetIndex, const, primitive_parts
+from .expr import ONE, ZERO, DiffExpr, JetIndex, primitive_parts
 from .grammar import format_brief
 from .ratlin import echelon_nullspace, sparse_nullspace
 from .soln import NormalPDE, extract_operator, restrict
 
-_ONE = const(1)
 # the most monomials an ansatz may have: the solves in use have up to
 # 1,890, and KdV symmetries in A(2,5,2,2), 4,158, take about 0.55 s in a
 # fresh process (0.50-0.67 s over six runs on a 2-core Xeon)
@@ -182,7 +181,7 @@ def _primitive_multiplier(current, pde: NormalPDE) -> tuple[int, DiffExpr]:
     except NotOnSolutionSpace:
         div = format_brief(divergence(current))
         raise NotConserved(f"not conserved: D_t T + D_x X = {div} off the solution space") from None
-    return d, r.adjoint(_ONE)
+    return d, r.adjoint(ONE)
 
 
 def multiplier_from_current(current, pde: NormalPDE) -> DiffExpr:
@@ -224,9 +223,8 @@ def helmholtz_check(q: DiffExpr, pde: NormalPDE) -> bool:
     keys = set(adj)
     qjets = {(idx.nt, idx.nx) for idx in q.jet_indices()}
     keys.update(qjets)
-    zero = DiffExpr._raw({})
     for key in keys:
-        total = adj.get(key, zero) + q.partial(key)
+        total = adj.get(key, ZERO) + q.partial(key)
         if not restrict(total, pde).is_zero:
             return False
     return True

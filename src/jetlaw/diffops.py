@@ -63,7 +63,7 @@ from math import comb, lcm
 
 from ._kernel import impl as _k
 from .errors import NotADivergence
-from .expr import DiffExpr, u
+from .expr import ONE, DiffExpr, u
 
 from typing import NamedTuple
 
@@ -211,12 +211,9 @@ def frechet_adjoint(f: DiffExpr, h: DiffExpr) -> DiffExpr:
     return DiffExpr._raw(_adjoint_op(_k.partials(f._d), h._d))
 
 
-_ONE = DiffExpr._raw({_k.ONE_MONO: 1})
-
-
 def euler(f: DiffExpr) -> DiffExpr:
     """Euler operator E_u(f); vanishes exactly on total divergences."""
-    return frechet_adjoint(f, _ONE)
+    return frechet_adjoint(f, ONE)
 
 
 def frechet_pieces(f: DiffExpr, g: DiffExpr, kmax) -> dict:
@@ -291,7 +288,7 @@ def _scaled_inverse(f: DiffExpr) -> tuple:
             jet_part[k] = c
         else:
             jet_free[k] = c
-    psi_t, psi_x = boundary_current(DiffExpr._raw(jet_part), u, _ONE)
+    psi_t, psi_x = boundary_current(DiffExpr._raw(jet_part), u, ONE)
     # each term of Psi is weighted by 1 over its jet degree, and the
     # x-integration of the jet-free t^a x^b divides it by b + 1
     degrees = {k: _k.jet_degree(k) for k in (*psi_t._d, *psi_x._d)}

@@ -58,7 +58,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb
 
 from ._kernel import impl as _k
 from .errors import DivisionByZero, ExprSyntaxError, JetLawError, NonPolynomial
@@ -197,7 +196,7 @@ class _Parser:
             self.expect(")")
             if toks[self.i] == "^":
                 n = self.exponent()
-                self.check_products(_power_products(len(r), n), self.i - 1)
+                self.check_products(_k.pow_products(len(r), n), self.i - 1)
                 r = _k.pow_(r, n)
             if len(r) > 1:
                 return _k.ONE_MONO, 1, r
@@ -264,25 +263,6 @@ def _atom_key(atom) -> int:
 def _shifted(poly: dict, key: int) -> dict:
     """poly times the monomial of key."""
     return _k.mul(poly, {key: 1}) if key else poly
-
-
-def _power_products(terms: int, n: int) -> int:
-    """An upper bound on the term products the kernel's pow_ makes for
-    the n-th power of a polynomial with the given number of terms.
-
-    pow_ squares the (n // 2)-th power and, for odd n, multiplies by the
-    base once more; the k-th power of a T-term polynomial has at most
-    C(T + k - 1, k) terms, the number of degree-k monomials in T
-    variables.
-    """
-    if n <= 1:
-        return 0
-    h = n // 2
-    half = comb(terms + h - 1, h)
-    products = _power_products(terms, h) + half * half
-    if n % 2:
-        products += comb(terms + 2 * h - 1, 2 * h) * terms
-    return products
 
 
 def parse_expr(text: str) -> DiffExpr:

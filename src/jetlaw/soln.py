@@ -20,9 +20,9 @@ filed by the greatest consequence jet of its terms.  The kernel's
 jet_part_splitter gives a key's consequence part as one AND with a
 mask of the consequence jets' fields.  The kernel's keys give jets
 slots in first-use order, not in lex order, so the greatest
-consequence jet is found from the part's fields once per distinct
-consequence part and then looked up; a key free of consequence jets
-has none to find.
+consequence jet is read off the sorted units of the part's record in
+the kernel's table of jet parts; a key free of consequence jets has
+none to find.
 Every memo here is a kernel Memo, under the kernel's one clearing rule.
 The derivatives D^K g the powers are built from live for one call: each
 call builds one diffops._DerivCache of g and passes it down, so it never
@@ -65,10 +65,9 @@ class NormalPDE:
 
     Attributes: lead (JetIndex L), rhs (g), G (u_L - g).  Instances
     memoize what restriction and operator extraction need, in kernel
-    Memos: the greatest consequence jet of each consequence part, the
-    powers of the derivatives of g filed by that jet, and the
-    restrictions of consequence parts.  So reuse one instance per
-    equation.
+    Memos: the powers of the derivatives of g, filed by the greatest
+    consequence jet of their terms, and the restrictions of consequence
+    parts.  So reuse one instance per equation.
     """
 
     __slots__ = (

@@ -13,7 +13,8 @@ current:
 
 where R_P(G) = frechet(G, P) and R_Q(G) = frechet_adjoint(G, Q).  R_P
 is derived once per query, also for a whole basis in action_matrix, and
-its extraction is the symmetry check: the remainder it leaves is
+its extraction is the symmetry check of every query, psi_current and
+act_on_current included: the remainder it leaves is
 restrict(frechet(G, P)).  The image R_Q is extracted from also decides
 the multiplier check: by the product rule E_u(Q G) = G'*(Q) + Q'*(G),
 so Q is a multiplier exactly when frechet_adjoint(G, Q) +
@@ -73,7 +74,7 @@ from .errors import (
     NotOnSolutionSpace,
     TrivialMultiplier,
 )
-from .expr import DiffExpr, jet, primitive_parts
+from .expr import ZERO, DiffExpr, jet, primitive_parts
 from .grammar import format_brief
 from ._kernel import impl as _k
 from .ratlin import QMatrix, rational_eigenpairs
@@ -93,8 +94,7 @@ class SymmetryGen(NamedTuple):
 
     @classmethod
     def evolutionary(cls, p: DiffExpr) -> "SymmetryGen":
-        zero = DiffExpr()
-        return cls(zero, zero, p)
+        return cls(ZERO, ZERO, p)
 
     @property
     def is_evolutionary(self) -> bool:
@@ -157,9 +157,9 @@ def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:
     otherwise, checked in that order, as act_on_multiplier and
     multiplier_from_current do.
     """
-    p = characteristic(gen)
-    _symmetry_operator(p, pde, p)
+    _symmetry(gen, pde)
     _primitive_multiplier(current, pde)
+    p = characteristic(gen)
     T, X = current
     tp = frechet(T, p)
     xp = frechet(X, p)
@@ -173,15 +173,18 @@ def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:
     return ConservedCurrent(t_new, x_new)
 
 
-def _symmetry_operator(p: DiffExpr, pde: NormalPDE, given: DiffExpr) -> LinDiffOp:
-    """R_P with R_P(G) = frechet(G, P).  The remainder of its extraction
-    is restrict(frechet(G, P)), so it decides the determining equation:
-    raises NotASymmetry exactly when check_symmetry(P) is false.  Its
-    message shows given, the caller's P, of which p is a multiple."""
+def _symmetry(gen, pde: NormalPDE) -> tuple[int, DiffExpr, LinDiffOp]:
+    """(d_P, d_P P, R_P) for the characteristic P of gen, with R_P
+    extracted from frechet(G, d_P P).  The remainder of that extraction
+    is restrict(frechet(G, d_P P)), so it decides the determining
+    equation: raises NotASymmetry, showing the caller's P, exactly when
+    check_symmetry(P) is false."""
+    p = characteristic(gen)
+    dp, (pd,) = primitive_parts(p)
     try:
-        return extract_operator(frechet(pde.G, p), pde)
+        return dp, pd, extract_operator(frechet(pde.G, pd), pde)
     except NotOnSolutionSpace:
-        raise NotASymmetry(f"determining equation fails for P = {format_brief(given)}") from None
+        raise NotASymmetry(f"determining equation fails for P = {format_brief(p)}") from None
 
 
 def _act(p: DiffExpr, r_p: LinDiffOp, q: DiffExpr, pde: NormalPDE, given: DiffExpr) -> DiffExpr:
@@ -201,10 +204,9 @@ def _primitive_action(gen, q: DiffExpr, pde: NormalPDE):
     """(d_P, d_Q, d_Q Q, A) with A = d_P d_Q (R_P*(Q) - R_Q*(P)), the
     action computed on the primitive parts d_P P and d_Q Q; it is
     bilinear in (P, Q).  Raises as act_on_multiplier."""
-    p = characteristic(gen)
-    dp, (pd,) = primitive_parts(p)
+    dp, pd, r_p = _symmetry(gen, pde)
     dq, (qd,) = primitive_parts(q)
-    return dp, dq, qd, _act(pd, _symmetry_operator(pd, pde, p), qd, pde, q)
+    return dp, dq, qd, _act(pd, r_p, qd, pde, q)
 
 
 def act_on_multiplier(gen, q: DiffExpr, pde: NormalPDE) -> DiffExpr:
@@ -226,11 +228,8 @@ def psi_current(gen, q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     Conserved whenever P is a symmetry and Q an adjoint-symmetry, and
     its multiplier agrees with act_on_multiplier(P, Q) on the solution
     space."""
-    p = characteristic(gen)
-    dp, (pd,) = primitive_parts(p)
+    dp, pd, _ = _symmetry(gen, pde)
     dq, (qd,) = primitive_parts(q)
-    if not check_symmetry(pd, pde):
-        raise NotASymmetry(f"determining equation fails for P = {format_brief(p)}")
     if not check_adjoint_symmetry(qd, pde):
         raise NotAdjointSymmetry(f"not an adjoint-symmetry: {format_brief(q)}")
     T, X = boundary_current(pde.G, pd, qd)
@@ -307,9 +306,7 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
     d = [dj for dj, _ in scaled]
     parts = [bd for _, (bd,) in scaled]
     restricted = [restrict(bd, pde) for bd in parts]
-    p = characteristic(gen)
-    dp, (pd,) = primitive_parts(p)
-    r_p = _symmetry_operator(pd, pde, p)
+    dp, pd, r_p = _symmetry(gen, pde)
     acted = [restrict(_act(pd, r_p, bd, pde, b), pde) for bd, b in zip(parts, basis)]
     # One sparse elimination of [B' | A'], one equation per monomial:
     # column j holds restricted scaled basis element j, column n + j its

@@ -598,10 +598,11 @@ def test_print_and_ansatz_order_follow_the_tuple_order(kdv):
 def test_jet_part_memos_stay_within_their_cap(kdv):
     # more distinct jet parts than the cap pass through the table of jet
     # parts, by their factors and their D_t and D_x steps; more distinct
-    # consequence parts than the cap through the memo of their greatest
-    # consequence jets; and through the memo of their restrictions, here
-    # on u_t = u_x, where each is one term.  Each memo is filled here,
-    # so the test holds on its own as well as after the others
+    # consequence parts than the cap through the splitter, which reads
+    # their greatest consequence jets off that table; and through the
+    # memo of their restrictions, here on u_t = u_x, where each is one
+    # term.  Each memo is filled here, so the test holds on its own as
+    # well as after the others
     n = pure.MEMO_CAP + 500
     f = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
     pure.total_t(f)
@@ -620,8 +621,7 @@ def test_jet_part_memos_stay_within_their_cap(kdv):
     g = {pure.encode(0, 0, ((1, 0, e), (1, 1, 1))): 1 for e in range(1, n + 1)}
     want = {pure.encode(0, 0, ((0, 1, e), (0, 2, 1))): 1 for e in range(1, n + 1)}
     assert restrict(DiffExpr._raw(g), advection) == DiffExpr._raw(want)
-    memos = (pure._parts, kdv._split.memo)
-    for memo in memos + (advection._split.memo, advection._restricted):
+    for memo in (pure._parts, advection._restricted):
         assert isinstance(memo, pure.Memo)
         assert 0 < len(memo) <= pure.MEMO_CAP
 
@@ -658,14 +658,13 @@ def test_jet_part_splitter_equals_the_per_factor_split():
                 factors = sorted((nt, nx, rng.randint(1, 9)) for nt, nx in rng.sample(jets, rng.randint(0, 5)))
                 key = pure.encode(rng.randint(0, 3), rng.randint(0, 3), factors)
                 want = _reference_split(key, keep)
-                size = len(split.memo)
-                assert split(key) == want
                 if want[1] == pure.ONE_MONO:
-                    # a key free of kept jets: one AND, no memo entry
-                    assert want == (key, pure.ONE_MONO, pure.NO_JET)
-                    assert len(split.memo) == size
+                    # a key free of kept jets: one AND, no record filed
+                    pure._parts.clear()
+                    assert split(key) == want == (key, pure.ONE_MONO, pure.NO_JET)
+                    assert not pure._parts
                 else:
-                    assert split.memo[want[1]] == want[2]
+                    assert split(key) == want
 
 
 def _built(jp):

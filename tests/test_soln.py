@@ -216,7 +216,8 @@ def test_each_call_gets_the_derivative_budget(monkeypatch):
 
 def test_every_cache_kept_between_calls_is_a_kernel_memo(kdv):
     # the derivatives of g live for one call; what a NormalPDE keeps
-    # past a call is under the kernel's one clearing rule
+    # past a call is under the kernel's one clearing rule, and its
+    # splitter keeps no state but its mask
     pde = make_pde(kdv.lead, kdv.rhs)
     for f in (jet(2, 3) * u_x, jet(1, 4) ** 2 + u * jet(3, 0)):
         r = restrict(f, pde)
@@ -225,8 +226,13 @@ def test_every_cache_kept_between_calls_is_a_kernel_memo(kdv):
         if name in ("lead", "rhs", "G"):
             continue
         v = getattr(pde, name)
+        if name == "_split":
+            # its mask, how far the mask has looked, and the jet test
+            assert not vars(v)
+            assert set(v.__code__.co_freevars) == {"mask", "bound", "keep"}
+            continue
         if callable(v) and not isinstance(v, kernel.Memo):
-            v = getattr(v, "memo", None) or getattr(v, "__self__", None)
+            v = v.__self__
         assert isinstance(v, kernel.Memo), name
 
 

@@ -174,6 +174,35 @@ def test_psi_current_validates_inputs(kdv):
         psi_current(galilean(), u**2, kdv)
 
 
+def test_every_query_decides_p_by_extracting_r_p(kdv, monkeypatch):
+    # the extraction of R_P decides the determining equation in all five
+    # queries, so none reaches the boolean check; a fractional P that is
+    # no symmetry is refused by each with the same message, which shows
+    # the caller's P, not its primitive part
+    from jetlaw import symmetry
+
+    def forbidden(gen, pde):
+        raise AssertionError("check_symmetry called")
+
+    monkeypatch.setattr(symmetry, "check_symmetry", forbidden)
+    mass = current_from_multiplier(ONE, kdv)
+    queries = {
+        psi_current: lambda gen: psi_current(gen, u, kdv),
+        act_on_multiplier: lambda gen: act_on_multiplier(gen, u, kdv),
+        classify: lambda gen: classify(gen, u, kdv),
+        action_matrix: lambda gen: action_matrix(gen, [ONE, u], kdv),
+        act_on_current: lambda gen: act_on_current(gen, mass, kdv),
+    }
+    for name, query in queries.items():
+        for p in (ONE - t * u_x, (ONE - t * u_x) / 3):
+            assert query(SymmetryGen.evolutionary(p)) is not None, name
+        with pytest.raises(NotASymmetry, match="^determining equation fails for P = 1/3\\*u\\^2$"):
+            query(SymmetryGen.evolutionary(u**2 / 3))
+    assert restrict(act_on_multiplier(galilean(), u, kdv), kdv) == ONE
+    assert classify(galilean(), ONE, kdv).verdict == "Invariant"
+    assert action_matrix(galilean(), [ONE, u], kdv).matrix == QMatrix([[0, 1], [0, 0]])
+
+
 def test_translations_act_trivially(kdv):
     # x- and t-translations send every low-order law to a trivial one
     for p in (-u_x, -u_t):

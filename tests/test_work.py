@@ -136,10 +136,12 @@ def test_adjoint_op_prices_its_products_before_the_first(kdv, monkeypatch):
 
 
 def test_split_memo_holds_one_entry_per_consequence_part(kdv):
-    # a fresh NormalPDE, as each CLI solve has: its splitter memoizes the
-    # greatest consequence jet of each distinct consequence part the
-    # solve meets, not of each jet part, and nothing for a key free of
-    # consequence jets
+    # a fresh NormalPDE, as each CLI solve has: its splitter reads the
+    # greatest consequence jet of each of the 136 distinct consequence
+    # parts the solve meets off that part's record in the kernel's memo
+    # of jet parts, and files no record for a key free of consequence
+    # jets.  The memo starts empty, so that no clear drops a record
+    pure._parts.clear()
     pde = make_pde(kdv.lead, kdv.rhs)
     split = pde._split
     parts = set()
@@ -152,7 +154,9 @@ def test_split_memo_holds_one_entry_per_consequence_part(kdv):
     pde._split = recorded
     assert len(solve_symmetries(pde, Ansatz(2, 3, 1, 1))) == 4
     parts.discard(pure.ONE_MONO)
-    assert len(split.memo) == len(parts) == 136
+    assert len(parts) == 136
+    assert all(part >> pure._JETS in pure._parts for part in parts)
+    size = len(pure._parts)
     free = (u * jet(0, 3) ** 2 * t)._d.popitem()[0]
     assert split(free) == (free, pure.ONE_MONO, pure.NO_JET)
-    assert len(split.memo) == 136
+    assert len(pure._parts) == size
