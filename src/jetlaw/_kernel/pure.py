@@ -22,7 +22,9 @@ The top bit of each field is a guard that stays 0: a field holds a
 degree or exponent up to CAP = 2^(W-1) - 1, and the sum of two fields
 never carries into the next.  A product whose key has a guard bit set
 raises ExponentOverflow, and so does a derivative step that would raise
-an exponent past CAP.
+an exponent past CAP.  A derivative step that would create a jet of
+order above MAX_JET_ORDER raises JetLawError, so a runaway chain of
+derivatives stops before its keys grow wide.
 
 encode and decode convert between a key and the tuple form
 (t_deg, x_deg, jets), jets the (nt, nx, e) triples sorted by (nt, nx),
@@ -91,6 +93,10 @@ CAP = (1 << (W - 1)) - 1
 MEMO_CAP = 4096
 # terms one product, rewrite or derivative chain may build: about a second
 MAX_PRODUCTS = 250_000
+# the highest jet order a derivative step may create; the kernel's tests
+# create jets up to order 201, the other tests 128 and the benchmark
+# workloads 9
+MAX_JET_ORDER = 256
 ONE_MONO = 0
 _MASK = (1 << W) - 1
 _GUARD = 1 << (W - 1)
@@ -481,12 +487,16 @@ _delta_x: dict = {}
 def _steps(rec: list, field: int, deltas: dict, dt: int, dx: int) -> tuple:
     """(e, delta) for each factor u_(nt,nx)^e of rec's jet part, sorted:
     key + delta lowers that exponent by one and raises u_(nt+dt,nx+dx)
-    by one.  Kept in rec[field] once none is raised past CAP."""
+    by one.  Kept in rec[field] once none is raised past CAP.  Raises
+    JetLawError for a step to a jet of order above MAX_JET_ORDER, before
+    its slot is given."""
     units = rec[0]
     steps = []
     for jet, e, unit in units:
         delta = deltas.get(jet)
         if delta is None:
+            if jet[0] + jet[1] >= MAX_JET_ORDER:
+                raise JetLawError(f"a derivative of order above {MAX_JET_ORDER}")
             delta = deltas[jet] = (1 << _intern(jet[0] + dt, jet[1] + dx)) - unit
         steps.append((e, delta))
     # only a factor at CAP can be raised past it

@@ -29,12 +29,16 @@ with A_K the standard coefficients of the adjoint Fréchet derivative
 (diffops.euler_pieces, diffops.frechet_pieces), and
 D^K(t^a x^b) = a^(kt) b^(kx) t^(a-kt) x^(b-kx) in falling factorials.
 restrict is linear over polynomials in t and x, so the second identity
-holds on the solution space too.  Both solves take the kernel of this
-map in _determining_kernel.  When G is free of t and x, so is every
-piece, the system is block upper triangular in the levels t^a x^b with
-the pieces of K = (0, 0) on every diagonal block, and the kernel is
-taken level by level from the pieces alone (_block_kernel), their rows
-of K = (0, 0) eliminated once for all levels.  Explicit t
+holds on the solution space too.  Both solves are one call of the
+driver _solve, given their pieces.  It checks the ansatz order, lays
+out the ansatz and groups its columns by jet part into one table,
+column j -> (a, b, jet part), computing the pieces once per part
+(_jet_part_table); the two paths below read that table and differ
+only in how they take the kernel.  When G is free of t and x, so is
+every piece, the system is block upper triangular in the levels
+t^a x^b with the pieces of K = (0, 0) on every diagonal block, and the
+kernel is taken level by level from the pieces alone (_block_kernel),
+their rows of K = (0, 0) eliminated once for all levels.  Explicit t
 or x in G breaks that structure; then each term of an image goes
 straight into the equation of its monomial (_determining_rows) and the
 whole system is eliminated at once.
@@ -53,7 +57,7 @@ the input as given.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import comb, perm
 from typing import NamedTuple
 
@@ -137,26 +141,27 @@ def ansatz_monomials(
         or size * comb(n + d, d) > MAX_ANSATZ
     ):
         raise AnsatzError(f"the ansatz has more than {MAX_ANSATZ} monomials")
-    jets = [
+    jets = sorted(
         JetIndex(i, o - i)
         for o in range(ansatz.max_order + 1)
         for i in range(o + 1)
         if include_consequences or not pde.is_consequence(JetIndex(i, o - i))
+    )
+    # each combination runs through the sorted jets, so its runs give the
+    # (nt, nx, e) triples in order; the jet parts sorted in that tuple
+    # form, once, and the grid of t^a x^b laid out around them fix the
+    # column order
+    parts = sorted(
+        tuple((j.nt, j.nx, len(list(run))) for j, run in groupby(combo))
+        for deg in range(d + 1)
+        for combo in combinations_with_replacement(jets, deg)
+    )
+    return [
+        DiffExpr._raw({_k.encode(a, b, jp): 1})
+        for a in range(ansatz.max_t_degree + 1)
+        for b in range(ansatz.max_x_degree + 1)
+        for jp in parts
     ]
-    jets.sort()
-    keys = []
-    for deg in range(ansatz.max_jet_degree + 1):
-        for combo in combinations_with_replacement(jets, deg):
-            powers = {}
-            for j in combo:
-                powers[j] = powers.get(j, 0) + 1
-            jet_part = tuple(sorted((j.nt, j.nx, e) for j, e in powers.items()))
-            for a in range(ansatz.max_t_degree + 1):
-                for b in range(ansatz.max_x_degree + 1):
-                    keys.append((a, b, jet_part))
-    # sorted in the tuple form, which fixes the column order
-    keys.sort()
-    return [DiffExpr._raw({_k.encode(*k): 1}) for k in keys]
 
 
 def verify_conservation_law(current, pde: NormalPDE) -> bool:
@@ -242,44 +247,75 @@ def current_from_multiplier(q: DiffExpr, pde: NormalPDE) -> ConservedCurrent:
     return ConservedCurrent(T / (n * d), X / (n * d))
 
 
-def _monomial_equations(exprs: list[DiffExpr]) -> list[dict]:
-    """The sparse linear system sum_j c_j exprs[j] = 0 in the unknowns
-    c_j: one equation {j: coefficient} per monomial occurring in the
-    expressions."""
+def _monomial_equations(maps) -> dict:
+    """The sparse linear system sum_j c_j maps[j] = 0 in the unknowns
+    c_j, for raw maps {monomial key: coefficient}: one equation
+    {j: coefficient} per monomial occurring in them, by monomial key."""
     rows: dict = {}
-    for j, e in enumerate(exprs):
-        _k.mul_into_rows(rows, j, _k.ONE_MONO, 1, e._d)
-    return list(rows.values())
+    for j, e in enumerate(maps):
+        _k.mul_into_rows(rows, j, _k.ONE_MONO, 1, e)
+    return rows
 
 
-def _determining_rows(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> dict:
-    """The equations {j: coefficient}, by monomial key, of
-    sum_j c_j L(basis[j]) = 0 for a linear map L of the ansatz monomials
-    p m0, p = t^a x^b and m0 a pure jet monomial of coefficient 1, with
+def _solve(pde: NormalPDE, ansatz: Ansatz, pieces, include_consequences: bool = False) -> list[DiffExpr]:
+    """The canonical basis of the kernel of a solve's linear map L of
+    the ansatz monomials p m0, p = t^a x^b and m0 a pure jet monomial of
+    coefficient 1:
 
         L(p m0) = sum_{K <= (a, b)} D^K(p) pieces(m0, kmax)[K]
 
-    and kmax = (max_t_degree, max_x_degree).  pieces returns raw terms
-    {K: dict}, absent K meaning zero, once per jet part m0, and
+    with kmax = (max_t_degree, max_x_degree) and pieces returning raw
+    terms {K: dict}, absent K meaning zero.  Raises AnsatzError unless
+    the ansatz order is below the PDE order, then lays out the ansatz
+    and its table of jet parts (_jet_part_table), so pieces runs once
+    per jet part.  The kernel is taken block by block (_block_kernel)
+    when G, and so every piece, is free of t and x; otherwise, explicit
+    t or x breaking the block structure, by eliminating the rows of L
+    (_determining_rows)."""
+    n = pde.G.max_order()
+    if ansatz.max_order >= n:
+        raise AnsatzError(
+            f"ansatz order {ansatz.max_order} is not below the PDE order {n}; "
+            "only low-order candidates are solved for"
+        )
+    basis = ansatz_monomials(pde, ansatz, include_consequences=include_consequences)
+    where, ps = _jet_part_table(basis, (ansatz.max_t_degree, ansatz.max_x_degree), pieces)
+    if pde.G.depends_on("t") or pde.G.depends_on("x"):
+        return _null_combinations(basis, _determining_rows(where, ps).values())
+    return _block_kernel(basis, where, ps)
+
+
+def _jet_part_table(basis: list[DiffExpr], kmax: tuple, pieces) -> tuple[list, list]:
+    """(where, ps) for monomials basis[j] = t^a x^b m0: where[j] is
+    (a, b, i) with m0 the i-th jet part, the parts in first-use order,
+    and ps[i] = pieces(m0, kmax), computed once per part."""
+    parts: dict = {}
+    where = []
+    for m in basis:
+        (key,) = m._d
+        a, b, m0 = _k.split_tx(key)
+        where.append((a, b, parts.setdefault(m0, len(parts))))
+    return where, [pieces(DiffExpr._raw({m0: 1}), kmax) for m0 in parts]
+
+
+def _determining_rows(where: list, ps: list) -> dict:
+    """The equations {j: coefficient}, by monomial key, of
+    sum_j c_j L(basis[j]) = 0 for the map L of _solve, given its table
+    of jet parts (_jet_part_table): column j at where[j] = (a, b, i) has
+    the image sum_K D^K(t^a x^b) ps[i][K], with
     D^K(t^a x^b) = a (a-1) ... (a-kt+1) b ... (b-kx+1) t^(a-kt) x^(b-kx),
     so each term of a shifted, scaled piece goes straight into the
     equation of its monomial (mul_into_rows); no image is built.  The
-    solves write these rows only for G with explicit t or x; for
-    autonomous G, _block_kernel takes the kernel from the pieces alone,
-    and these rows are its oracle in the tests."""
-    groups: dict = {}
-    for j, m in enumerate(basis):
-        (key,) = m._d
-        a, b, m0 = _k.split_tx(key)
-        groups.setdefault(m0, []).append((j, a, b))
-    kmax = (ansatz.max_t_degree, ansatz.max_x_degree)
+    columns are written jet part by jet part, each part's in column
+    order.  The solves write these rows only for G with explicit t or
+    x; for autonomous G, _block_kernel takes the kernel from the pieces
+    alone, and these rows are its oracle in the tests."""
     rows: dict = {}
-    for m0, members in groups.items():
-        ps = pieces(DiffExpr._raw({m0: 1}), kmax)
-        for j, a, b in members:
-            for (kt, kx), piece in ps.items():
-                if kt <= a and kx <= b:
-                    _k.mul_into_rows(rows, j, _k.encode(a - kt, b - kx), perm(a, kt) * perm(b, kx), piece)
+    for j in sorted(range(len(where)), key=lambda j: where[j][2]):
+        a, b, i = where[j]
+        for (kt, kx), piece in ps[i].items():
+            if kt <= a and kx <= b:
+                _k.mul_into_rows(rows, j, _k.encode(a - kt, b - kx), perm(a, kt) * perm(b, kx), piece)
     return rows
 
 
@@ -299,8 +335,8 @@ def _null_combinations(basis: list[DiffExpr], rows) -> list[DiffExpr]:
     return _combinations(basis, sparse_nullspace(rows, len(basis)))
 
 
-def _block_kernel(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExpr]:
-    """_null_combinations(basis, _determining_rows(basis, ansatz, pieces))
+def _block_kernel(basis: list[DiffExpr], where: list, ps: list) -> list[DiffExpr]:
+    """_null_combinations(basis, _determining_rows(where, ps).values())
     for pieces free of t and x, without writing those rows.
 
     Then L = sum_K S_K (x) P_K, S_K = D^K on the polynomials in t and x
@@ -319,63 +355,39 @@ def _block_kernel(basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExp
     the highest nonzero positions of kernel vectors, so the reduced
     echelon form of the kernel with its columns taken from the highest
     down, ordered by free column, is that basis."""
-    # the jet parts in first-use order; column j -> (a, b, jet part index)
-    parts: dict = {}
-    where = []
-    for m in basis:
-        (key,) = m._d
-        a, b, m0 = _k.split_tx(key)
-        where.append((a, b, parts.setdefault(m0, len(parts))))
     column = {w: j for j, w in enumerate(where)}
-    kmax = (ansatz.max_t_degree, ansatz.max_x_degree)
-    ps = [pieces(DiffExpr._raw({m0: 1}), kmax) for m0 in parts]
     n = len(ps)
-    p00: dict = {}
-    for i, p in enumerate(ps):
-        if (0, 0) in p:
-            _k.mul_into_rows(p00, i, _k.ONE_MONO, 1, p[(0, 0)])
-    p00 = _k.Reduced(p00)
+    p00 = _k.Reduced(_monomial_equations([p.get((0, 0), {}) for p in ps]))
     sols: list = []
     # each level after all levels above it, in t or in x
-    for a in range(kmax[0], -1, -1):
-        for b in range(kmax[1], -1, -1):
-            m: dict = {}
-            for col, s in enumerate(sols, n):
-                for j, c in s.items():
-                    a1, b1, i = where[j]
-                    # K = (a1 - a, b1 - b); no piece has kx < 0, which
-                    # a level with b1 < b would give
-                    piece = ps[i].get((a1 - a, b1 - b))
-                    if piece:
-                        _k.mul_into_rows(m, col, _k.ONE_MONO, perm(a1, a1 - a) * perm(b1, b1 - b) * c, piece)
-            new = []
-            for v in echelon_nullspace(*p00.joined(m), n + len(sols)):
-                s = {}
-                for col, c in v.items():
-                    if col < n:
-                        s[column[a, b, col]] = c
-                        continue
-                    for j, w in sols[col - n].items():
-                        w = s.get(j, 0) + c * w
-                        if w:
-                            s[j] = w
-                        else:
-                            del s[j]
-                new.append(s)
-            sols = new
+    for a, b in sorted({w[:2] for w in where}, reverse=True):
+        m: dict = {}
+        for col, s in enumerate(sols, n):
+            for j, c in s.items():
+                a1, b1, i = where[j]
+                # K = (a1 - a, b1 - b); no piece has kx < 0, which a
+                # level with b1 < b would give
+                piece = ps[i].get((a1 - a, b1 - b))
+                if piece:
+                    _k.mul_into_rows(m, col, _k.ONE_MONO, perm(a1, a1 - a) * perm(b1, b1 - b) * c, piece)
+        new = []
+        for v in echelon_nullspace(*p00.joined(m), n + len(sols)):
+            s = {}
+            for col, c in v.items():
+                if col < n:
+                    s[column[a, b, col]] = c
+                    continue
+                for j, w in sols[col - n].items():
+                    w = s.get(j, 0) + c * w
+                    if w:
+                        s[j] = w
+                    else:
+                        del s[j]
+            new.append(s)
+        sols = new
     top = len(basis) - 1
     echelon, _ = _k.rref([{top - j: c for j, c in s.items()} for s in sols])
     return _combinations(basis, [dict(sorted((top - j, c) for j, c in v.items())) for v in reversed(echelon)])
-
-
-def _determining_kernel(pde: NormalPDE, basis: list[DiffExpr], ansatz: Ansatz, pieces) -> list[DiffExpr]:
-    """The canonical basis of the kernel of the map L of
-    _determining_rows: block by block (_block_kernel) when G, and so
-    every piece, is free of t and x; otherwise, explicit t or x breaking
-    the block structure, by eliminating the rows of L."""
-    if pde.G.depends_on("t") or pde.G.depends_on("x"):
-        return _null_combinations(basis, _determining_rows(basis, ansatz, pieces).values())
-    return _block_kernel(basis, ansatz, pieces)
 
 
 def solve_determining_system(
@@ -389,16 +401,7 @@ def solve_determining_system(
     deterministic order produced by the canonical nullspace, as the
     solves read their systems off.
     """
-    return _null_combinations(basis, _monomial_equations(images))
-
-
-def _require_low_order(pde: NormalPDE, ansatz: Ansatz) -> None:
-    n = pde.G.max_order()
-    if ansatz.max_order >= n:
-        raise AnsatzError(
-            f"ansatz order {ansatz.max_order} is not below the PDE order {n}; "
-            "only low-order candidates are solved for"
-        )
+    return _null_combinations(basis, _monomial_equations([e._d for e in images]).values())
 
 
 def solve_multipliers(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
@@ -411,6 +414,4 @@ def solve_multipliers(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
 
         E_u(p m0 G) = sum_K D^K(p) A_K(m0 G).
     """
-    _require_low_order(pde, ansatz)
-    basis = ansatz_monomials(pde, ansatz)
-    return _determining_kernel(pde, basis, ansatz, lambda m0, kmax: euler_pieces(m0 * pde.G, kmax))
+    return _solve(pde, ansatz, lambda m0, kmax: euler_pieces(m0 * pde.G, kmax))

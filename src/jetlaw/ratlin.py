@@ -250,10 +250,8 @@ def _integer_roots(monic: list[int]) -> list[int]:
     square_free = _divmod(p, g)[0]
     seq = [square_free, _derivative(square_free)]
     while len(seq[-1]) > 1:
-        r = _divmod(seq[-2], seq[-1])[1]
-        if not r:
-            break
-        seq.append([-c for c in r])
+        # S is square-free, so no remainder in its sequence vanishes
+        seq.append([-c for c in _divmod(seq[-2], seq[-1])[1]])
     seq = [_positive_integral(q) for q in seq]
 
     def changes(v: int) -> int:

@@ -49,12 +49,10 @@ from typing import NamedTuple
 
 from .conslaw import (
     Ansatz,
-    _determining_kernel,
     _divided,
     _monomial_equations,
     _primitive_multiplier,
-    _require_low_order,
-    ansatz_monomials,
+    _solve,
     check_adjoint_symmetry,
 )
 from .diffops import (
@@ -130,8 +128,6 @@ def solve_symmetries(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
 
     F_K(m0) = sum_{J>=K} C(J, K) (dG/du_J) D^(J-K) m0 (frechet_pieces).
     """
-    _require_low_order(pde, ansatz)
-    basis = ansatz_monomials(pde, ansatz, include_consequences=True)
 
     def pieces(m0, kmax):
         return {
@@ -139,7 +135,7 @@ def solve_symmetries(pde: NormalPDE, ansatz: Ansatz) -> list[DiffExpr]:
             for K, f in frechet_pieces(pde.G, m0, kmax).items()
         }
 
-    return _determining_kernel(pde, basis, ansatz, pieces)
+    return _solve(pde, ansatz, pieces, include_consequences=True)
 
 
 def act_on_current(gen, current, pde: NormalPDE) -> ConservedCurrent:
@@ -312,7 +308,7 @@ def action_matrix(gen, basis: list[DiffExpr], pde: NormalPDE) -> SymmetryAction:
     # column j holds restricted scaled basis element j, column n + j its
     # image.
     n = len(basis)
-    rows, pivots = _k.rref(_monomial_equations(restricted + acted))
+    rows, pivots = _k.rref(_monomial_equations([e._d for e in restricted + acted]).values())
     if sum(1 for p in pivots if p < n) != n:
         raise AnsatzError(
             "multiplier basis is linearly dependent on the solution space"

@@ -255,6 +255,10 @@ def test_round_trips(kdv, heat, burgers, wave):
               "with the documented exit codes")
 def test_cli_reports(capsys):
     session = os.path.join(DATA, "kdv.session")
+    # explicit t in G: both solves write and eliminate the whole
+    # determining system instead of taking its kernel level by level
+    nonautonomous = os.path.join(DATA, "nonautonomous.session")
+    headers = {session: "rhs = -u_xxx - u*u_x", nonautonomous: "rhs = t*u_x + u_xxx"}
     cases = [
         (["classify", "--P", "-u_x", "--Q", "u"], "report_classify_translation.txt", 0),
         (
@@ -275,13 +279,17 @@ def test_cli_reports(capsys):
          "report_action_matrix_basis.txt", 0),
         (["action-matrix", "--P", "-2*u - 3*t*u_t - x*u_x"], "report_action_matrix_ansatz.txt", 0),
     ]
-    for argv, fixture, expected_code in cases:
-        code = main(["-s", session] + argv)
+    cases = [(session, *case) for case in cases] + [
+        (nonautonomous, ["multipliers"], "report_nonautonomous_multipliers.txt", 0),
+        (nonautonomous, ["symmetries"], "report_nonautonomous_symmetries.txt", 0),
+    ]
+    for path, argv, fixture, expected_code in cases:
+        code = main(["-s", path] + argv)
         out = capsys.readouterr().out
         with open(os.path.join(DATA, fixture)) as fh:
             assert out == fh.read(), fixture
         assert code == expected_code, fixture
         # every report opens with the header that main prints
         assert out.splitlines()[:3] == [
-            f"command = {argv[0]}", "lead = u_t", "rhs = -u_xxx - u*u_x"
+            f"command = {argv[0]}", "lead = u_t", headers[path]
         ], fixture

@@ -335,6 +335,25 @@ def test_high_order_jet_powers_exit_2_quickly(capsys):
         assert err == "error: JetLawError: work exceeds 250000 terms\n"
 
 
+def test_runaway_derivative_chains_exit_2_quickly(tmp_path, capsys):
+    # on u_tx = u[0,64] + u_t, each consequence of u[32,32] needs ever
+    # higher x-derivatives of the right-hand side; the kernel refuses a
+    # step past its jet order bound instead of recursing until the
+    # interpreter gives up
+    path = write_session(tmp_path, "lead = u_tx\nrhs = u[0,64] + u_t\n")
+    for argv in (
+        ("check-conslaw", "--T", "u[32,32]", "--X", "0"),
+        ("multiplier-of", "--T", "u[32,32]", "--X", "0"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "-s", path, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: JetLawError: ") and err.count("\n") == 1, err
+        assert "internal:" not in err
+
+
 # sums of 300 monomials, whose product of 90,000 terms the parser
 # accepts; any product with a PDE of three terms is past the bound
 SUM_A = "+".join(f"t^{i}*x^{j}" for i in range(20) for j in range(15))

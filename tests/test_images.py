@@ -22,35 +22,39 @@ from jetlaw.symmetry import solve_symmetries
 LEADS = [(1, 0), (2, 0), (1, 1), (2, 1)]
 
 
-def _solved(module, solve, pde, ansatz, monkeypatch):
-    """The basis a solve returns, its ansatz monomials and its piece
-    function, captured where the solve takes its kernel."""
+def _solved(solve, pde, ansatz, monkeypatch):
+    """The basis a solve returns, its ansatz monomials, and the kmax and
+    piece function its table of jet parts is built from, captured where
+    the solve builds that table."""
     seen = []
-    real = module._determining_kernel
+    real = conslaw._jet_part_table
 
-    def capture(pde, basis, ansatz, pieces):
-        seen.append((basis, pieces))
-        return real(pde, basis, ansatz, pieces)
+    def capture(basis, kmax, pieces):
+        seen.append((basis, kmax, pieces))
+        return real(basis, kmax, pieces)
 
-    monkeypatch.setattr(module, "_determining_kernel", capture)
+    monkeypatch.setattr(conslaw, "_jet_part_table", capture)
     got = solve(pde, ansatz)
     monkeypatch.undo()
-    ((basis, pieces),) = seen
-    return got, basis, pieces
+    ((basis, kmax, pieces),) = seen
+    return got, basis, kmax, pieces
 
 
-def _rows(module, solve, pde, ansatz, monkeypatch):
+def _rows(solve, pde, ansatz, monkeypatch):
     """The ansatz monomials of a solve and the equations
     {monomial key: {j: c}} of its determining system, written by
-    _determining_rows from the solve's own pieces; an autonomous solve
-    takes its kernel block by block and never writes them."""
-    _, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
-    return basis, conslaw._determining_rows(basis, ansatz, pieces)
+    _determining_rows from the solve's own table of jet parts; an
+    autonomous solve takes its kernel block by block and never writes
+    them."""
+    _, basis, kmax, pieces = _solved(solve, pde, ansatz, monkeypatch)
+    return basis, conslaw._determining_rows(*conslaw._jet_part_table(basis, kmax, pieces))
 
 
-def _row_kernel(basis, ansatz, pieces):
-    """The canonical kernel of the rows _determining_rows writes."""
-    return conslaw._null_combinations(basis, conslaw._determining_rows(basis, ansatz, pieces).values())
+def _row_kernel(basis, kmax, pieces):
+    """The canonical kernel of the rows _determining_rows writes from the
+    table of jet parts of basis."""
+    rows = conslaw._determining_rows(*conslaw._jet_part_table(basis, kmax, pieces))
+    return conslaw._null_combinations(basis, rows.values())
 
 
 def _transposed(images):
@@ -78,9 +82,9 @@ def _random_pdes(seed, n):
 
 def test_factored_images_equal_the_per_monomial_definitions(monkeypatch):
     for pde, ansatz in _random_pdes(61, 12):
-        basis, rows = _rows(conslaw, solve_multipliers, pde, ansatz, monkeypatch)
+        basis, rows = _rows(solve_multipliers, pde, ansatz, monkeypatch)
         assert rows == _transposed([euler(m * pde.G) for m in basis])
-        basis, rows = _rows(symmetry, solve_symmetries, pde, ansatz, monkeypatch)
+        basis, rows = _rows(solve_symmetries, pde, ansatz, monkeypatch)
         assert rows == _transposed([restrict(frechet(pde.G, m), pde) for m in basis])
 
 
@@ -126,9 +130,9 @@ def test_block_kernel_equals_the_row_builder(monkeypatch):
     # element, in key order and printed
     seen = set()
     for pde, ansatz in _autonomous_pdes(65, 200):
-        for module, solve in ((conslaw, solve_multipliers), (symmetry, solve_symmetries)):
-            got, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
-            want = _row_kernel(basis, ansatz, pieces)
+        for solve in (solve_multipliers, solve_symmetries):
+            got, basis, kmax, pieces = _solved(solve, pde, ansatz, monkeypatch)
+            want = _row_kernel(basis, kmax, pieces)
             assert got == want
             assert _terms(got) == _terms(want)
             assert list(map(format_expr, got)) == list(map(format_expr, want))
@@ -144,11 +148,11 @@ def test_block_kernel_takes_any_column_order(monkeypatch):
     # need not run level by level
     rng = random.Random(66)
     for pde, ansatz in _autonomous_pdes(67, 30):
-        for module, solve in ((conslaw, solve_multipliers), (symmetry, solve_symmetries)):
-            _, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
+        for solve in (solve_multipliers, solve_symmetries):
+            _, basis, kmax, pieces = _solved(solve, pde, ansatz, monkeypatch)
             basis = rng.sample(basis, len(basis))
-            got = conslaw._block_kernel(basis, ansatz, pieces)
-            want = _row_kernel(basis, ansatz, pieces)
+            got = conslaw._block_kernel(basis, *conslaw._jet_part_table(basis, kmax, pieces))
+            want = _row_kernel(basis, kmax, pieces)
             assert got == want
             assert _terms(got) == _terms(want)
 
@@ -164,16 +168,16 @@ def test_block_kernel_keeps_coefficient_types(kdv, monkeypatch):
     # row of P_(0,0), whose rows the kernel then eliminates again.
     kdv5 = make_pde((1, 0), parse_expr("-u_xxxxx - 10*u*u_xxx - 25*u_x*u_xx - 20*u^2*u_x"))
     fixed = [
-        (symmetry, solve_symmetries, kdv, Ansatz(2, 3, 1, 1)),
-        (conslaw, solve_multipliers, kdv5, Ansatz(4, 3, 1, 1)),
-        (conslaw, solve_multipliers, kdv, Ansatz(2, 2, 1, 1)),
-        (symmetry, solve_symmetries, kdv, Ansatz(1, 1, 1, 1)),
+        (solve_symmetries, kdv, Ansatz(2, 3, 1, 1)),
+        (solve_multipliers, kdv5, Ansatz(4, 3, 1, 1)),
+        (solve_multipliers, kdv, Ansatz(2, 2, 1, 1)),
+        (solve_symmetries, kdv, Ansatz(1, 1, 1, 1)),
     ]
     drawn = [
-        (module, solve, pde, ansatz)
+        (solve, pde, ansatz)
         for seed, n in ((65, 200), (67, 30))
         for pde, ansatz in _autonomous_pdes(seed, n)
-        for module, solve in ((conslaw, solve_multipliers), (symmetry, solve_symmetries))
+        for solve in (solve_multipliers, solve_symmetries)
     ]
     levels = []
     joined = pure.Reduced.joined
@@ -184,11 +188,11 @@ def test_block_kernel_keeps_coefficient_types(kdv, monkeypatch):
         return joined(self, m)
 
     sizes = []
-    for module, solve, pde, ansatz in fixed + drawn:
+    for solve, pde, ansatz in fixed + drawn:
         with pytest.MonkeyPatch.context() as spy:
             spy.setattr(pure.Reduced, "joined", counted)
-            got, basis, pieces = _solved(module, solve, pde, ansatz, monkeypatch)
-        want = _row_kernel(basis, ansatz, pieces)
+            got, basis, kmax, pieces = _solved(solve, pde, ansatz, monkeypatch)
+        want = _row_kernel(basis, kmax, pieces)
         assert got == want
         assert _typed_terms(got) == _typed_terms(want)
         sizes.append(len(got))
@@ -284,11 +288,11 @@ def test_images_of_integer_pdes_hold_only_ints(kdv, monkeypatch):
     # monomials and every equation; a stray Fraction(1) source would make
     # the equations pay for Fraction arithmetic
     kdv5 = make_pde((1, 0), parse_expr("-u_xxxxx - 10*u*u_xxx - 25*u_x*u_xx - 20*u^2*u_x"))
-    for module, solve, pde, ansatz in (
-        (symmetry, solve_symmetries, kdv, Ansatz(2, 3, 1, 1)),
-        (conslaw, solve_multipliers, kdv5, Ansatz(4, 3, 1, 1)),
+    for solve, pde, ansatz in (
+        (solve_symmetries, kdv, Ansatz(2, 3, 1, 1)),
+        (solve_multipliers, kdv5, Ansatz(4, 3, 1, 1)),
     ):
-        basis, rows = _rows(module, solve, pde, ansatz, monkeypatch)
+        basis, rows = _rows(solve, pde, ansatz, monkeypatch)
         assert (len(basis), len(rows)) == ((336, 6119) if solve is solve_symmetries else (224, 2649))
         for e in basis:
             assert all(type(c) is int for c in e._d.values())

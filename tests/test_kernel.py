@@ -756,6 +756,18 @@ def test_jet_part_memo_keeps_no_steps_past_the_cap():
         assert _built(jp) == {0, 1, 3}
 
 
+def test_steps_refuse_jets_past_the_order_bound():
+    # a derivative step may create a jet of order MAX_JET_ORDER but none
+    # above it, in either direction; the refused jet gets no slot
+    top = pure.MAX_JET_ORDER
+    for total, dt, dx in ((pure.total_t, 1, 0), (pure.total_x, 0, 1)):
+        ((key, coeff),) = total({pure.encode(0, 0, ((99, top - 100, 1),)): 1}).items()
+        assert (pure.decode(key), coeff) == ((0, 0, ((99 + dt, top - 100 + dx, 1),)), 1)
+        with pytest.raises(JetLawError, match=f"order above {top}$"):
+            total({pure.encode(0, 0, ((100, top - 100, 1),)): 1})
+        assert (100 + dt, top - 100 + dx) not in pure._offset
+
+
 def test_memo_keep_clears_at_either_cap(monkeypatch):
     # keep clears the memo and its held count before an entry would take
     # it past MEMO_CAP entries or MAX_PRODUCTS held terms, and returns
