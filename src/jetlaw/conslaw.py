@@ -31,10 +31,11 @@ D^K(t^a x^b) = a^(kt) b^(kx) t^(a-kt) x^(b-kx) in falling factorials.
 restrict is linear over polynomials in t and x, so the second identity
 holds on the solution space too.  Both solves are one call of the
 driver _solve, given their pieces.  It checks the ansatz order, lays
-out the ansatz and groups its columns by jet part into one table,
-column j -> (a, b, jet part), computing the pieces once per part
-(_jet_part_table); the two paths below read that table and differ
-only in how they take the kernel.  When G is free of t and x, so is
+out the ansatz level by level (ansatz_monomials), so column j of n jet
+parts is jet part j mod n on level j // n, and computes the pieces
+once per jet part, from level (0, 0); the two paths below read each
+column's level and jet part off that grid and differ only in how they
+take the kernel.  When G is free of t and x, so is
 every piece, the system is block upper triangular in the levels
 t^a x^b with the pieces of K = (0, 0) on every diagonal block, and the
 kernel is taken level by level from the pieces alone (_block_kernel),
@@ -118,8 +119,15 @@ def _jet_count(order: int) -> int:
 def ansatz_monomials(
     pde: NormalPDE, ansatz: Ansatz, *, include_consequences: bool = False
 ) -> list[DiffExpr]:
-    """All monomials t^a x^b prod u_J^e within the ansatz bounds, in
-    ascending monomial order.
+    """All monomials t^a x^b prod u_J^e within the ansatz bounds, level
+    by level.
+
+    The n jet parts prod u_J^e, in ascending order, repeat on every
+    level t^a x^b, with a in 0..T outermost and b in 0..X: monomial
+    l n + i is jet part i on level l = a (X+1) + b.  So level (0, 0),
+    the first n monomials, holds exactly the jet parts with coefficient
+    1, and both paths of the solves read each column's level and jet
+    part off that grid.
 
     Consequence jets of the PDE lead are omitted unless requested:
     multiplier candidates are canonical representatives on the solution
@@ -267,42 +275,31 @@ def _solve(pde: NormalPDE, ansatz: Ansatz, pieces, include_consequences: bool = 
     with kmax = (max_t_degree, max_x_degree) and pieces returning raw
     terms {K: dict}, absent K meaning zero.  Raises AnsatzError unless
     the ansatz order is below the PDE order, then lays out the ansatz
-    and its table of jet parts (_jet_part_table), so pieces runs once
-    per jet part.  The kernel is taken block by block (_block_kernel)
-    when G, and so every piece, is free of t and x; otherwise, explicit
-    t or x breaking the block structure, by eliminating the rows of L
-    (_determining_rows)."""
-    n = pde.G.max_order()
-    if ansatz.max_order >= n:
+    (ansatz_monomials) and runs pieces once per jet part, on the n jet
+    parts of level (0, 0).  The kernel is taken block by block
+    (_block_kernel) when G, and so every piece, is free of t and x;
+    otherwise, explicit t or x breaking the block structure, by
+    eliminating the rows of L (_determining_rows)."""
+    order = pde.G.max_order()
+    if ansatz.max_order >= order:
         raise AnsatzError(
-            f"ansatz order {ansatz.max_order} is not below the PDE order {n}; "
+            f"ansatz order {ansatz.max_order} is not below the PDE order {order}; "
             "only low-order candidates are solved for"
         )
     basis = ansatz_monomials(pde, ansatz, include_consequences=include_consequences)
-    where, ps = _jet_part_table(basis, (ansatz.max_t_degree, ansatz.max_x_degree), pieces)
+    kmax = (ansatz.max_t_degree, ansatz.max_x_degree)
+    n = len(basis) // ((kmax[0] + 1) * (kmax[1] + 1))
+    ps = [pieces(m0, kmax) for m0 in basis[:n]]
     if pde.G.depends_on("t") or pde.G.depends_on("x"):
-        return _null_combinations(basis, _determining_rows(where, ps).values())
-    return _block_kernel(basis, where, ps)
+        return _null_combinations(basis, _determining_rows(kmax, ps).values())
+    return _block_kernel(basis, kmax, ps)
 
 
-def _jet_part_table(basis: list[DiffExpr], kmax: tuple, pieces) -> tuple[list, list]:
-    """(where, ps) for monomials basis[j] = t^a x^b m0: where[j] is
-    (a, b, i) with m0 the i-th jet part, the parts in first-use order,
-    and ps[i] = pieces(m0, kmax), computed once per part."""
-    parts: dict = {}
-    where = []
-    for m in basis:
-        (key,) = m._d
-        a, b, m0 = _k.split_tx(key)
-        where.append((a, b, parts.setdefault(m0, len(parts))))
-    return where, [pieces(DiffExpr._raw({m0: 1}), kmax) for m0 in parts]
-
-
-def _determining_rows(where: list, ps: list) -> dict:
+def _determining_rows(kmax: tuple, ps: list) -> dict:
     """The equations {j: coefficient}, by monomial key, of
-    sum_j c_j L(basis[j]) = 0 for the map L of _solve, given its table
-    of jet parts (_jet_part_table): column j at where[j] = (a, b, i) has
-    the image sum_K D^K(t^a x^b) ps[i][K], with
+    sum_j c_j L(basis[j]) = 0 for the map L of _solve, given the pieces
+    ps of its n jet parts: column j = l n + i, level l = a (X+1) + b
+    (ansatz_monomials), has the image sum_K D^K(t^a x^b) ps[i][K], with
     D^K(t^a x^b) = a (a-1) ... (a-kt+1) b ... (b-kx+1) t^(a-kt) x^(b-kx),
     so each term of a shifted, scaled piece goes straight into the
     equation of its monomial (mul_into_rows); no image is built.  The
@@ -311,11 +308,13 @@ def _determining_rows(where: list, ps: list) -> dict:
     x; for autonomous G, _block_kernel takes the kernel from the pieces
     alone, and these rows are its oracle in the tests."""
     rows: dict = {}
-    for j in sorted(range(len(where)), key=lambda j: where[j][2]):
-        a, b, i = where[j]
-        for (kt, kx), piece in ps[i].items():
-            if kt <= a and kx <= b:
-                _k.mul_into_rows(rows, j, _k.encode(a - kt, b - kx), perm(a, kt) * perm(b, kx), piece)
+    n = len(ps)
+    for i, p in enumerate(ps):
+        for j in range(i, n * (kmax[0] + 1) * (kmax[1] + 1), n):
+            a, b = divmod(j // n, kmax[1] + 1)
+            for (kt, kx), piece in p.items():
+                if kt <= a and kx <= b:
+                    _k.mul_into_rows(rows, j, _k.encode(a - kt, b - kx), perm(a, kt) * perm(b, kx), piece)
     return rows
 
 
@@ -335,8 +334,8 @@ def _null_combinations(basis: list[DiffExpr], rows) -> list[DiffExpr]:
     return _combinations(basis, sparse_nullspace(rows, len(basis)))
 
 
-def _block_kernel(basis: list[DiffExpr], where: list, ps: list) -> list[DiffExpr]:
-    """_null_combinations(basis, _determining_rows(where, ps).values())
+def _block_kernel(basis: list[DiffExpr], kmax: tuple, ps: list) -> list[DiffExpr]:
+    """_null_combinations(basis, _determining_rows(kmax, ps).values())
     for pieces free of t and x, without writing those rows.
 
     Then L = sum_K S_K (x) P_K, S_K = D^K on the polynomials in t and x
@@ -349,22 +348,32 @@ def _block_kernel(basis: list[DiffExpr], where: list, ps: list) -> list[DiffExpr
     of sols.  P_(0,0) is eliminated once (the kernel's Reduced), so a
     level eliminates only the rows of P_(0,0) that M reaches, and its
     kernel is read off as sparse_nullspace reads it.  The top level,
-    with no column in M, is that one elimination.  The kernel of L is
-    then brought to the canonical form of
-    sparse_nullspace: the free columns of the full system are exactly
-    the highest nonzero positions of kernel vectors, so the reduced
-    echelon form of the kernel with its columns taken from the highest
-    down, ordered by free column, is that basis."""
-    column = {w: j for j, w in enumerate(where)}
+    with no column in M, is that one elimination.
+
+    The walk's result is already the basis of sparse_nullspace: the
+    reduced echelon form of the kernel with its columns taken from the
+    highest down, ordered by lead (the highest nonzero column of a
+    vector; the free columns of the full system are exactly these
+    leads).  The levels are walked from the highest columns down, and
+    echelon_nullspace orders a level's columns before the columns of
+    the solutions from above, so every new vector has the entry 1 at
+    its lead, which is a free column of this level or the lead of a
+    free solution from above.  It is zero at every other vector's lead,
+    so by induction the vectors come out reduced and ordered by lead;
+    an rref of them would do no arithmetic.  Each is only sorted by
+    column."""
     n = len(ps)
+    width = kmax[1] + 1
     p00 = _k.Reduced(_monomial_equations([p.get((0, 0), {}) for p in ps]))
     sols: list = []
     # each level after all levels above it, in t or in x
-    for a, b in sorted({w[:2] for w in where}, reverse=True):
+    for level in reversed(range(len(basis) // n)):
+        a, b = divmod(level, width)
         m: dict = {}
         for col, s in enumerate(sols, n):
             for j, c in s.items():
-                a1, b1, i = where[j]
+                level1, i = divmod(j, n)
+                a1, b1 = divmod(level1, width)
                 # K = (a1 - a, b1 - b); no piece has kx < 0, which a
                 # level with b1 < b would give
                 piece = ps[i].get((a1 - a, b1 - b))
@@ -375,7 +384,7 @@ def _block_kernel(basis: list[DiffExpr], where: list, ps: list) -> list[DiffExpr
             s = {}
             for col, c in v.items():
                 if col < n:
-                    s[column[a, b, col]] = c
+                    s[level * n + col] = c
                     continue
                 for j, w in sols[col - n].items():
                     w = s.get(j, 0) + c * w
@@ -385,9 +394,7 @@ def _block_kernel(basis: list[DiffExpr], where: list, ps: list) -> list[DiffExpr
                         del s[j]
             new.append(s)
         sols = new
-    top = len(basis) - 1
-    echelon, _ = _k.rref([{top - j: c for j, c in s.items()} for s in sols])
-    return _combinations(basis, [dict(sorted((top - j, c) for j, c in v.items())) for v in reversed(echelon)])
+    return _combinations(basis, [dict(sorted(s.items())) for s in sols])
 
 
 def solve_determining_system(

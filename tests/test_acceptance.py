@@ -258,7 +258,15 @@ def test_cli_reports(capsys):
     # explicit t in G: both solves write and eliminate the whole
     # determining system instead of taking its kernel level by level
     nonautonomous = os.path.join(DATA, "nonautonomous.session")
-    headers = {session: "rhs = -u_xxx - u*u_x", nonautonomous: "rhs = t*u_x + u_xxx"}
+    # the other lead shapes: u_tt, and the mixed u_tx
+    wave = os.path.join(DATA, "wave.session")
+    lightcone = os.path.join(DATA, "lightcone.session")
+    headers = {
+        session: ["lead = u_t", "rhs = -u_xxx - u*u_x"],
+        nonautonomous: ["lead = u_t", "rhs = t*u_x + u_xxx"],
+        wave: ["lead = u_tt", "rhs = u_xx - u^3"],
+        lightcone: ["lead = u_tx", "rhs = u^3"],
+    }
     cases = [
         (["classify", "--P", "-u_x", "--Q", "u"], "report_classify_translation.txt", 0),
         (
@@ -282,6 +290,16 @@ def test_cli_reports(capsys):
     cases = [(session, *case) for case in cases] + [
         (nonautonomous, ["multipliers"], "report_nonautonomous_multipliers.txt", 0),
         (nonautonomous, ["symmetries"], "report_nonautonomous_symmetries.txt", 0),
+        (wave, ["multipliers"], "report_wave_multipliers.txt", 0),
+        (wave, ["symmetries"], "report_wave_symmetries.txt", 0),
+        (wave, ["classify", "--P", "t*u_t + x*u_x + u", "--Q", "u_t"], "report_wave_classify.txt", 0),
+        (wave, ["act", "--P", "t*u_t + x*u_x + u", "--Q", "t*u_x + x*u_t"], "report_wave_act.txt", 0),
+        (wave, ["psi", "--P", "t*u_x + x*u_t", "--Q", "u_t"], "report_wave_psi.txt", 0),
+        (lightcone, ["multipliers"], "report_lightcone_multipliers.txt", 0),
+        (lightcone, ["symmetries"], "report_lightcone_symmetries.txt", 0),
+        (lightcone, ["classify", "--P", "t*u_t + 1/2*u", "--Q", "u_x"], "report_lightcone_classify.txt", 0),
+        (lightcone, ["act", "--P", "x*u_x + 1/2*u", "--Q", "t*u_t - x*u_x"], "report_lightcone_act.txt", 0),
+        (lightcone, ["psi", "--P", "t*u_t + 1/2*u", "--Q", "u_x"], "report_lightcone_psi.txt", 0),
     ]
     for path, argv, fixture, expected_code in cases:
         code = main(["-s", path] + argv)
@@ -290,6 +308,4 @@ def test_cli_reports(capsys):
             assert out == fh.read(), fixture
         assert code == expected_code, fixture
         # every report opens with the header that main prints
-        assert out.splitlines()[:3] == [
-            f"command = {argv[0]}", "lead = u_t", headers[path]
-        ], fixture
+        assert out.splitlines()[:3] == [f"command = {argv[0]}", *headers[path]], fixture

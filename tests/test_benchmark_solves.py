@@ -2,7 +2,8 @@
 must equal the frozen references in perfbench/data byte for byte, and
 the first answers of the query mix's default seed its frozen digests,
 as the benchmark demands of every run.  The files are only read.  Two
-larger solves of the same equations are pinned by digest."""
+larger solves of the same equations, and the KdV5 symmetry solve, are
+pinned by digest."""
 
 import hashlib
 import importlib.util
@@ -85,3 +86,16 @@ def test_large_basis_matches_pinned_digest(command, rhs, ansatz, digest):
     assert len(basis) == 4
     printed = "\n".join(map(format_expr, basis))
     assert hashlib.sha256(printed.encode()).hexdigest() == digest
+
+
+def test_kdv5_symmetry_report_matches_pinned_digest(capsys):
+    # the heaviest solve in the tests: restrict rewrites the Leibniz
+    # pieces of KdV5 for 84 jet parts.  The report is pinned by its
+    # sha256
+    argv = ["-s", os.path.join(DATA, "kdv5.session"), "symmetries", *ANSATZ.format(2).split()]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "dimension = 3" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "acd32fdbed1823cdb760fce376f7bd42638a1a77ca198e4fac63cb94532c3f55"
+    )

@@ -160,3 +160,27 @@ def test_split_memo_holds_one_entry_per_consequence_part(kdv):
     free = (u * jet(0, 3) ** 2 * t)._d.popitem()[0]
     assert split(free) == (free, pure.ONE_MONO, pure.NO_JET)
     assert len(pure._parts) == size
+
+
+def test_autonomous_solve_eliminates_only_its_diagonal_block(kdv, heat, monkeypatch):
+    # an autonomous solve eliminates the rows of K = (0, 0) once (one
+    # Reduced) and reads its basis off the level walk, with no rref;
+    # explicit t makes the solve eliminate its whole system, one rref
+    # in sparse_nullspace
+    rrefs = _counted(monkeypatch, pure, "rref")
+    reduced = []
+    real = pure.Reduced.__init__
+
+    def counted(self, rows):
+        reduced.append(1)
+        real(self, rows)
+
+    monkeypatch.setattr(pure.Reduced, "__init__", counted)
+    for solve in (conslaw.solve_multipliers, solve_symmetries):
+        for pde in (kdv, heat):
+            assert solve(pde, Ansatz(1, 2, 1, 1))
+            assert (len(reduced), len(rrefs)) == (1, 0)
+            reduced.clear()
+        assert solve(make_pde((1, 0), jet(0, 3) + t * jet(0, 1)), Ansatz(1, 2, 1, 1))
+        assert (len(reduced), len(rrefs)) == (0, 1)
+        rrefs.clear()
