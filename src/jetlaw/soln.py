@@ -33,11 +33,12 @@ consequence jets that fixes t, x and every other jet.  So restrict
 splits each term into its free factors and its consequence part c, and
 multiplies the free factors by R(c), which a memo on the NormalPDE
 keeps by c.  On a miss, with u_m^e the greatest power in c, R(c) is
-R(u_m^e) R(c / u_m^e) when the memo knows the second factor, and
-otherwise the loop on c alone, which carries that one expression down
-as the loop on f would.  So the loop runs about once per distinct
-consequence part and power, not once per term and call, and a chain of
-consequence jets is never restricted jet by jet.
+R(u_m^e) R(c / u_m^e), each factor read from the memo or built by the
+same rule, and the loop runs only on a single power u_m^e.  So the
+loop runs once per distinct consequence power, not once per term and
+call, a chain of consequence jets is never restricted jet by jet, and
+what building R(c) costs depends on c alone, not on what the memo
+holds.
 
 extract_operator runs the loop on f itself and keeps what each
 substitution takes away.  Since u_m - D^K g = D^K G for m = L + K,
@@ -200,29 +201,31 @@ def _restricted_part(cons: int, pde: NormalPDE, drhs: _DerivCache, budget: int, 
     products building R(c) took, from the PDE's memo, from built or
     built into built, with the call's derivatives of g in drhs.  With
     u_m^e the greatest power in c and c = u_m^e rest, R(c) is
-    R(u_m^e) R(rest) when R(rest) is known, and otherwise the bucket
-    loop on c alone.  A known entry spends its cost from budget, and a
-    build spends as it goes, so either raises when budget runs out."""
-    known = built.get(cons) or pde._known_restricted(cons)
-    if known is not None:
-        _k.spend(budget, known[1])
-        return known
-    m = pde._split(cons)[2]
-    e, rest = _k.split_jet(cons, m)
-    below = rest and (built.get(rest) or pde._known_restricted(rest))
-    if below:
-        r, cost = below
-        left = _k.spend(budget, cost)
-        power, pcost = _restricted_part(_k.times_jet(_k.ONE_MONO, m, e), pde, drhs, left, built)
-        n = len(power) * len(r)
-        _k.spend(left - pcost, n)
-        r = _k.mul(power, r)
-        cost += pcost + n
-    else:
-        r, left = _rewrite({cons: 1}, pde, drhs, None, budget)
-        cost = budget - left
-    built[cons] = r, cost
-    return r, cost
+    R(u_m^e) R(rest), each factor known or built by the same rule, and
+    a single power u_m^e is built by the bucket loop on it alone.  The
+    rests are walked down in a loop, not a recursion, so a part of any
+    number of jets is built at a depth of two calls.  A known entry
+    spends its cost from budget, and a build spends as it goes, so
+    either raises when budget runs out."""
+    # (part, its greatest power) from c down to a rest known or a power
+    chain = []
+    while (known := built.get(cons) or pde._known_restricted(cons)) is None:
+        m = pde._split(cons)[2]
+        e, rest = _k.split_jet(cons, m)
+        if not rest:
+            r, left = _rewrite({cons: 1}, pde, drhs, None, budget)
+            known = built[cons] = r, budget - left
+            break
+        chain.append((cons, _k.times_jet(_k.ONE_MONO, m, e)))
+        cons = rest
+    r, cost = known
+    left = _k.spend(budget, cost)
+    for cons, power in reversed(chain):
+        p, pcost = _restricted_part(power, pde, drhs, left, built)
+        left = _k.spend(left - pcost, len(p) * len(r))
+        r = _k.mul(p, r)
+        built[cons] = r, budget - left
+    return r, budget - left
 
 
 def _rewrite(d: dict, pde: NormalPDE, drhs: _DerivCache, quotients: dict | None, budget: int) -> tuple[dict, int]:

@@ -276,6 +276,9 @@ def test_cli_reports(capsys):
             0,
         ),
         (["check-conslaw", "--T", "u", "--X", "u"], "report_check_false.txt", 1),
+        # a composite consequence part: each factor is restricted on its
+        # own and the restrictions multiplied, which fits the work bound
+        (["check-conslaw", "--T", "u[6,0]*u[5,1]", "--X", "0"], "report_check_composite.txt", 1),
         (["multiplier-of", "--T", "u", "--X", "u^2/2 + u_xx"], "report_multiplier_of.txt", 0),
         (["symmetries"], "report_symmetries.txt", 0),
         (["current", "--Q", "energy"], "report_current_energy.txt", 0),

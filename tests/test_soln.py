@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ from jetlaw.conslaw import Ansatz, ansatz_monomials
 from jetlaw.diffops import euler, frechet, total_derivative
 from jetlaw import soln
 from jetlaw.errors import JetLawError, NotNormal, NotOnSolutionSpace
-from jetlaw.expr import ONE, ZERO, const, jet, t, u, x
+from jetlaw.expr import ONE, ZERO, DiffExpr, Monomial, const, jet, t, u, x
 from jetlaw.grammar import parse_expr
 from jetlaw.soln import LinDiffOp, extract_operator, make_pde, restrict
 
@@ -119,6 +120,55 @@ def test_restrict_is_independent_of_memo_state(kdv, wave):
             assert restrict(f, warm) == restrict(f, fresh)
             assert restrict(f, warm) == restrict(f, fresh)
             assert f._d == before
+
+
+def test_work_bound_is_independent_of_memo_history(monkeypatch):
+    # R(u_tt u_t + u_ttt u_tx) on KdV takes 163 term products whether
+    # the restrictions of its jets are memoized or not: every part of two
+    # or more jets is the product of the restrictions of its greatest
+    # power and of the rest, so what R(c) is charged depends on c alone
+    monkeypatch.setattr(kernel, "MAX_PRODUCTS", 170)
+    f = parse_expr("u_tt*u_t + u_ttt*u_tx")
+    fresh = make_pde((1, 0), parse_expr("-u*u_x - u_xxx"))
+    warm = make_pde(fresh.lead, fresh.rhs)
+    for g in (u_t, jet(1, 1), jet(2, 0), jet(3, 0)):
+        restrict(g, warm)
+    assert restrict(f, fresh) == restrict(f, warm)
+    shared = fresh._restricted.keys() & warm._restricted.keys()
+    assert len(shared) >= 4
+    for cons in shared:
+        assert fresh._restricted[cons] == warm._restricted[cons]
+
+
+def test_restrict_is_multiplicative(kdv, wave):
+    # restriction is a ring homomorphism: R(a b) = R(a) R(b)
+    rng = random.Random(31)
+    lightcone = make_pde((1, 1), u**3)
+    for pde in (kdv, wave, lightcone):
+        for _ in range(12):
+            a, b = (random_expr(rng, max_terms=3, max_order=4, allow_fractions=True) for _ in range(2))
+            assert restrict(a * b, pde) == restrict(a, pde) * restrict(b, pde)
+    # parts whose restriction as a whole, in one bucket loop, swells past
+    # the work bound; each has over 20,000 terms
+    for a, b in (("u[8,0]", "u[7,0]"), ("u[5,0]*u[4,1]", "u[3,2]*u[2,3]")):
+        a, b = parse_expr(a), parse_expr(b)
+        pde = make_pde(kdv.lead, kdv.rhs)
+        r = restrict(a * b, pde)
+        assert len(r._d) > 20_000
+        assert r == restrict(a, pde) * restrict(b, pde)
+
+
+def test_restrict_takes_parts_of_more_jets_than_the_recursion_limit(heat):
+    # the rests of a part are walked in a loop, so a product of 1,100
+    # distinct consequence jets restricts: on u_t = u_xx, R(u_(a,b)) is
+    # u_(0,2a+b)
+    jets = [(a, n - a) for n in range(1, 48) for a in range(1, n + 1)][:1100]
+    assert len(jets) == 1100 > sys.getrecursionlimit()
+    f = DiffExpr({Monomial(jet_powers={idx: 1 for idx in jets}): 1})
+    want: dict = {}
+    for a, b in jets:
+        want[0, 2 * a + b] = want.get((0, 2 * a + b), 0) + 1
+    assert restrict(f, heat) == DiffExpr({Monomial(jet_powers=want): 1})
 
 
 def _filed_powers(pde) -> set:
